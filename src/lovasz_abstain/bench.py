@@ -13,21 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .links import LinkConfig, threshold_abstain_link, trim_single_abstain
-from .lovasz import hinge_subgradient
-from .setfn import as_collection, label_signs_table
+from .lovasz import hinge_rows, subgradient_rows
+from .setfn import _checked_label, as_collection
 from .targets import AbstainReport
 
 
 def counts(v, y) -> tuple[int, int, int, int]:
     """(TP, TN, FP, FN) bitmasks over the non-abstained coordinates."""
     v = v if isinstance(v, AbstainReport) else AbstainReport.from_vector(v)
-    from .setfn import Label
-
-    if isinstance(y, Label) and y.k != v.k:
-        raise ValueError(f"label has k={y.k}, report has k={v.k}")
-    y_bits = _y_bits(y)
-    if not 0 <= y_bits < (1 << v.k):
-        raise ValueError(f"label bitmask {y_bits} out of range for k={v.k}")
+    y_bits = _checked_label(y, v.k)
     full = (1 << v.k) - 1
     neg = full & ~(v.pos | v.zeros)
     tp = v.pos & y_bits
@@ -35,16 +29,6 @@ def counts(v, y) -> tuple[int, int, int, int]:
     fp = v.pos & ~y_bits & full
     fn = neg & y_bits
     return tp, tn, fp, fn
-
-
-def _y_bits(y) -> int:
-    from .setfn import Label
-
-    if isinstance(y, Label):
-        return y.bits
-    if isinstance(y, (int, np.integer)):
-        return int(y)
-    return Label.from_signs(y).bits
 
 
 @dataclass
@@ -94,7 +78,7 @@ def metrics(pairs) -> MetricRecord:
     n_abs = rej_pos = rej_neg = 0
     for v, y in pairs:
         v = v if isinstance(v, AbstainReport) else AbstainReport.from_vector(v)
-        y_bits = _y_bits(y)
+        y_bits = _checked_label(y, v.k)
         if k is None:
             k = v.k
         elif v.k != k:
@@ -213,38 +197,20 @@ class TrainResult:
 
 
 def mean_hinge(fc, W: np.ndarray, X: np.ndarray, y_bits: np.ndarray) -> float:
-    fc = as_collection(fc)
-    U = X @ W.T
-    signs = label_signs_table(fc.k)[y_bits]
-    Wm = np.maximum(1.0 - U * signs, 0.0)
-    if fc.symmetric:
-        from .lovasz import extension_batch
-
-        return float(extension_batch(fc.for_label(0), Wm).mean())
-    order = np.argsort(-Wm, axis=1, kind="stable")
-    masks = np.bitwise_or.accumulate(1 << order, axis=1)
-    tables = fc.table_matrix()
-    vals = tables[y_bits[:, None], masks]
-    first = tables[y_bits, 0]
-    gains = np.diff(vals, axis=1, prepend=first[:, None])
-    return float((np.take_along_axis(Wm, order, axis=1) * gains).sum(axis=1).mean())
+    """Mean hinge of the scores X @ W.T against the label bitmasks y_bits."""
+    return float(hinge_rows(fc, X @ W.T, y_bits).mean())
 
 
 def _mean_subgradient(fc, W, X, y_bits) -> np.ndarray:
-    fc = as_collection(fc)
-    U = X @ W.T
-    G = np.zeros_like(W)
-    for j in range(len(X)):
-        g_u = hinge_subgradient(fc, U[j], int(y_bits[j]))
-        G += np.outer(g_u, X[j])
-    return G / len(X)
+    """Subgradient of mean_hinge in W: per-row hinge subgradients pulled back through X."""
+    return subgradient_rows(fc, X @ W.T, y_bits).T @ X / len(X)
 
 
 def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     """Full-batch subgradient descent on the mean hinge; one step per epoch.
 
     Keeps the weights with the best validation loss. Deterministic given the
-    seed; raises on a divergent (non-finite) trace.
+    seed; raises when the weights diverge (turn non-finite).
     """
     fc = as_collection(fc)
     if fc.k != cfg.k:
@@ -255,10 +221,10 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     best_W, best_val, best_epoch = W.copy(), np.inf, 0
     train_trace, val_trace = [], []
     for epoch in range(cfg.epochs):
+        if not np.isfinite(W).all():
+            raise RuntimeError(f"training diverged at epoch {epoch}")
         loss = mean_hinge(fc, W, data.X[tr], data.y_bits[tr])
         val = mean_hinge(fc, W, data.X[va], data.y_bits[va])
-        if not (np.isfinite(loss) and np.isfinite(val)):
-            raise RuntimeError(f"training diverged at epoch {epoch}")
         train_trace.append(loss)
         val_trace.append(val)
         if val < best_val:

@@ -1,8 +1,13 @@
 """Lovasz extension, the hinge surrogate built on it, subgradients, and the
 simplex decomposition of the unit cube along sorted coordinates.
 
-The canonical ordering permutation sorts descending with ties broken by
-ascending index, which makes every kink-point output deterministic.
+The extension, hinge and subgradient, scalar or batched, are views of one
+batched kernel, ``chain_gains``: it sorts each row descending with ties broken
+by ascending index (stable), which makes every kink-point output
+deterministic, and reads the table gains along the sorted prefixes. Exact
+kinks (1 - u_i y_i = 0) count as inactive in the subgradient. Entry points
+raise ValueError naming the argument for a wrong last axis, a non-finite
+entry or a label bitmask outside [0, 2^k).
 """
 
 from __future__ import annotations
@@ -11,12 +16,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfn import SetFunction, as_collection
+from .setfn import SetFunction, _checked_label, as_collection
 
 
 def descending_order(x: np.ndarray) -> np.ndarray:
     """Indices sorting x descending, ties by ascending index."""
     return np.argsort(-np.asarray(x), kind="stable")
+
+
+def chain_gains(fc, W: np.ndarray, y_bits=0) -> tuple[np.ndarray, np.ndarray]:
+    """(order, gains) of each row of finite nonnegative (n, k) margins W.
+
+    order[j] sorts W[j] descending, ties by ascending index; gains[j, i] =
+    f(S_i) - f(S_{i-1}) for the prefix S_i = order[j, :i+1] under the table of
+    label y_bits[j] (or of the one label y_bits). Only the tables of labels
+    present are read. Callers check W and y_bits.
+    """
+    fc = as_collection(fc)
+    order = np.argsort(-W, axis=1, kind="stable")
+    bits = 1 << order
+    masks = np.bitwise_or.accumulate(bits, axis=1)  # S_i; masks ^ bits is S_{i-1}
+    if fc.symmetric or np.ndim(y_bits) == 0:
+        table = fc.for_label(0 if fc.symmetric else int(y_bits)).values
+        return order, table[masks] - table[masks ^ bits]
+    labels, inv = np.unique(y_bits, return_inverse=True)
+    tables = np.stack([fc.for_label(int(y)).values for y in labels])
+    return order, tables[inv[:, None], masks] - tables[inv[:, None], masks ^ bits]
 
 
 def lovasz_extension(f: SetFunction, x) -> float:
@@ -26,28 +51,12 @@ def lovasz_extension(f: SetFunction, x) -> float:
     descending; equals the max of that expression over all orderings when f
     is submodular.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.k,):
-        raise ValueError(f"x has shape {x.shape}, expected ({f.k},)")
-    if np.any(x < 0):
-        raise ValueError("extension is defined on the nonnegative orthant only")
-    total, mask, prev = 0.0, 0, float(f.values[0])
-    for i in descending_order(x):
-        mask |= 1 << int(i)
-        cur = f.values[mask]
-        total += x[i] * (cur - prev)
-        prev = cur
-    return float(total)
+    return float(_extension(f, _checked(x, f.k, "x", 1, nonnegative=True)[None], 0)[0])
 
 
 def extension_batch(f: SetFunction, xs: np.ndarray) -> np.ndarray:
     """lovasz_extension row-wise over an (n, k) nonnegative array."""
-    xs = np.asarray(xs, dtype=float)
-    order = np.argsort(-xs, axis=1, kind="stable")
-    masks = np.bitwise_or.accumulate(1 << order, axis=1)
-    vals = f.values[masks]
-    gains = np.diff(vals, axis=1, prepend=float(f.values[0]))
-    return (np.take_along_axis(xs, order, axis=1) * gains).sum(axis=1)
+    return _extension(f, _checked(xs, f.k, "xs", 2, nonnegative=True), 0)
 
 
 def clip(u) -> np.ndarray:
@@ -58,18 +67,19 @@ def clip(u) -> np.ndarray:
 def hinge(fc, u, y) -> float:
     """Surrogate loss F_y((1 - u * y)_+) for label y and prediction u."""
     fc = as_collection(fc)
-    u = np.asarray(u, dtype=float)
-    f = fc.for_label(_label_bits(y, fc.k))
-    w = np.maximum(1.0 - u * _label_vec(y, fc.k), 0.0)
-    return lovasz_extension(f, w)
+    return float(_hinge(fc, _checked(u, fc.k, "u", 1)[None], _checked_label(y, fc.k))[0])
 
 
 def hinge_batch(fc, us: np.ndarray, y) -> np.ndarray:
     """hinge over rows of us against one fixed label."""
     fc = as_collection(fc)
-    f = fc.for_label(_label_bits(y, fc.k))
-    w = np.maximum(1.0 - np.asarray(us, dtype=float) * _label_vec(y, fc.k), 0.0)
-    return extension_batch(f, w)
+    return _hinge(fc, _checked(us, fc.k, "us", 2), _checked_label(y, fc.k))
+
+
+def hinge_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
+    """hinge of each row of us against its own label bitmask y_bits[j]."""
+    fc = as_collection(fc)
+    return _hinge(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k))
 
 
 def hinge_subgradient(fc, u, y) -> np.ndarray:
@@ -80,35 +90,44 @@ def hinge_subgradient(fc, u, y) -> np.ndarray:
     hinge is inactive; exact kinks (1 - u_i y_i = 0) count as inactive.
     """
     fc = as_collection(fc)
-    u = np.asarray(u, dtype=float)
-    yv = _label_vec(y, fc.k)
-    f = fc.for_label(_label_bits(y, fc.k))
-    margins = 1.0 - u * yv
-    w = np.maximum(margins, 0.0)
-    g = np.zeros(fc.k)
-    mask, prev = 0, float(f.values[0])
-    for i in descending_order(w):
-        i = int(i)
-        mask |= 1 << i
-        cur = f.values[mask]
-        if margins[i] > 0.0:
-            g[i] = -yv[i] * (cur - prev)
-        prev = cur
-    return g
+    return _subgradient(fc, _checked(u, fc.k, "u", 1)[None], _checked_label(y, fc.k))[0]
+
+
+def subgradient_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
+    """hinge_subgradient of each row of us against its own label bitmask y_bits[j]."""
+    fc = as_collection(fc)
+    return _subgradient(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k))
 
 
 def expected_hinge(fc, u, p) -> float:
     """E_{Y~p} hinge(fc, u, Y); only labels with positive mass are visited."""
     fc = as_collection(fc)
+    u = _checked(u, fc.k, "u", 1)
     p = np.asarray(p, dtype=float)
     if p.shape != (1 << fc.k,):
         raise ValueError(f"p has shape {p.shape}, expected ({1 << fc.k},)")
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("p must be a probability vector summing to 1")
-    total = 0.0
-    for y in np.nonzero(p)[0]:
-        total += p[y] * hinge(fc, u, int(y))
-    return total
+    ys = np.nonzero(p)[0]
+    return float(p[ys] @ _hinge(fc, np.broadcast_to(u, (len(ys), fc.k)), ys))
+
+
+def _extension(fc, W: np.ndarray, y_bits) -> np.ndarray:
+    _, gains = chain_gains(fc, W, y_bits)
+    return (np.sort(W, axis=1)[:, ::-1] * gains).sum(axis=1)
+
+
+def _hinge(fc, us: np.ndarray, y_bits) -> np.ndarray:
+    return _extension(fc, np.maximum(1.0 - us * _signs(y_bits, fc.k), 0.0), y_bits)
+
+
+def _subgradient(fc, us: np.ndarray, y_bits) -> np.ndarray:
+    signs = _signs(y_bits, fc.k)
+    margins = 1.0 - us * signs
+    order, gains = chain_gains(fc, np.maximum(margins, 0.0), y_bits)
+    g = np.empty_like(margins)
+    g[np.arange(len(g))[:, None], order] = gains
+    return np.where(margins > 0.0, -signs * g, 0.0)
 
 
 @dataclass(frozen=True)
@@ -148,16 +167,31 @@ def simplex_decompose(x) -> OrderedDecomposition:
     return OrderedDecomposition(tuple(int(i) for i in order), alphas, tuple(vertices))
 
 
-def _label_bits(y, k: int) -> int:
-    from .setfn import Label
+def _checked(a, k: int, name: str, ndim: int, nonnegative: bool = False) -> np.ndarray:
+    """a as floats, checked to have ndim axes, the last of length k, and finite entries."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != ndim or a.shape[-1] != k:
+        raise ValueError(f"{name} has shape {a.shape}, expected {(f'({k},)', f'(n, {k})')[ndim - 1]}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    if nonnegative and np.any(a < 0):
+        raise ValueError(f"{name} has a negative entry; the extension needs the nonnegative orthant")
+    return a
 
-    if isinstance(y, Label):
-        return y.bits
-    if isinstance(y, (int, np.integer)):
-        return int(y)
-    return Label.from_signs(y).bits
+
+def _checked_bits(y_bits, k: int) -> np.ndarray:
+    """Label bitmasks as an integer array, range-checked once per batch."""
+    y_bits = np.asarray(y_bits)
+    if y_bits.size and (y_bits.min() < 0 or y_bits.max() >= 1 << k):
+        raise ValueError(f"y_bits has a label bitmask outside [0, {1 << k}) for k={k}")
+    return y_bits
 
 
+def _signs(y_bits, k: int) -> np.ndarray:
+    """+-1 label vectors of the bitmask(s) y_bits, shape y_bits.shape + (k,)."""
+    return np.where((np.asarray(y_bits)[..., None] >> np.arange(k)) & 1 == 1, 1.0, -1.0)
+
+
+# Read by perfbench/tracer.py to count active hinge coordinates.
 def _label_vec(y, k: int) -> np.ndarray:
-    bits = _label_bits(y, k)
-    return np.where((bits >> np.arange(k)) & 1 == 1, 1.0, -1.0)
+    return _signs(_checked_label(y, k), k)

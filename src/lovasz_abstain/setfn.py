@@ -55,10 +55,17 @@ class Label:
         return "".join("+" if self.bits >> i & 1 else "-" for i in range(self.k))
 
 
-def label_signs_table(k: int) -> np.ndarray:
-    """(2^k, k) array of +-1 label vectors, row index = label bitmask."""
-    masks = np.arange(1 << k)[:, None]
-    return np.where((masks >> np.arange(k)) & 1 == 1, 1.0, -1.0)
+def _checked_label(y, k: int) -> int:
+    """Bitmask of one label (a Label, a bitmask or a +-1 vector), checked against k."""
+    if isinstance(y, (int, np.integer)):
+        if not 0 <= y < 1 << k:
+            raise ValueError(f"label bitmask {y} out of range for k={k}")
+        return int(y)
+    if not isinstance(y, Label):
+        y = Label.from_signs(y)
+    if y.k != k:
+        raise ValueError(f"label has k={y.k}, expected k={k}")
+    return y.bits
 
 
 @dataclass(frozen=True)

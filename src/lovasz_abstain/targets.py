@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setfn import Label, as_collection
+from .setfn import Label, _checked_label, as_collection
 
 ARGMIN_TOL = 1e-9  # expected losses are small rationals; genuine ties are exact
 
@@ -86,24 +86,13 @@ def _report(v) -> AbstainReport:
     return AbstainReport.from_vector(v)
 
 
-def _label_bits_checked(y, k: int) -> int:
-    if isinstance(y, Label):
-        if y.k != k:
-            raise ValueError(f"label has k={y.k}, report has k={k}")
-        return y.bits
-    y = int(y)
-    if not 0 <= y < (1 << k):
-        raise ValueError(f"label bitmask {y} out of range for k={k}")
-    return y
-
-
 def mis(v, y) -> int:
     """Bitmask of coordinates where the report disagrees with the label.
 
     Abstained coordinates always disagree with a +-1 label.
     """
     v = _report(v)
-    y_bits = _label_bits_checked(y, v.k)
+    y_bits = _checked_label(y, v.k)
     full = (1 << v.k) - 1
     neg = full & ~(v.pos | v.zeros)
     agree = (v.pos & y_bits) | (neg & ~y_bits & full)
@@ -123,7 +112,7 @@ def target_plain(fc, r, y) -> float:
         raise ValueError("plain structured loss is defined on +-1 reports only")
     if r.k != fc.k:
         raise ValueError(f"report has k={r.k}, collection has k={fc.k}")
-    y_bits = _label_bits_checked(y, r.k)
+    y_bits = _checked_label(y, r.k)
     return fc.for_label(y_bits).eval(mis(r, y_bits))
 
 
@@ -133,7 +122,7 @@ def target_abstain(fc, v, y) -> float:
     v = _report(v)
     if v.k != fc.k:
         raise ValueError(f"report has k={v.k}, collection has k={fc.k}")
-    y_bits = _label_bits_checked(y, v.k)
+    y_bits = _checked_label(y, v.k)
     f = fc.for_label(y_bits)
     m = mis(v, y_bits)
     return f.eval(m & ~v.zeros) + f.eval(m)

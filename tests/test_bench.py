@@ -165,3 +165,21 @@ def test_trainconfig_validation():
         TrainConfig(k=2, feature_dim=1)
     with pytest.raises(ValueError):
         TrainConfig(lr_init=0.0)
+
+
+def test_trainer_loss_rejects_out_of_range_y_bits():
+    """A negative bitmask must not wrap around to label 2^k - 1."""
+    from lovasz_abstain import make_jaccard
+    from lovasz_abstain.bench import _mean_subgradient
+
+    cfg = TrainConfig(k=3, feature_dim=4, n_samples=20, seed=2)
+    data = synth_data(cfg)
+    W = np.random.default_rng(0).standard_normal((3, 4))
+    for fc in (make_sqrt_card(3), make_jaccard(3)):
+        for bad in (-1, 8):
+            y_bits = data.y_bits.copy()
+            y_bits[4] = bad
+            with pytest.raises(ValueError, match="y_bits"):
+                mean_hinge(fc, W, data.X, y_bits)
+            with pytest.raises(ValueError, match="y_bits"):
+                _mean_subgradient(fc, W, data.X, y_bits)

@@ -254,3 +254,25 @@ def test_simplex_decompose_reconstruction(xs):
     assert np.all(dec.alphas[1:] >= -1e-15)
     assert dec.alphas.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(dec.reconstruct(), x, atol=1e-12)
+
+
+def test_hinge_rejects_wrong_length_u():
+    f = make_sqrt_card(4)
+    with pytest.raises(ValueError, match="u has shape"):
+        hinge_subgradient(f, [0.5], 3)
+    with pytest.raises(ValueError, match="u has shape"):
+        hinge(f, [0.5], 3)
+    with pytest.raises(ValueError, match="us has shape"):
+        hinge_batch(f, np.zeros((5, 3)), 3)
+
+
+def test_hinge_rejects_non_finite_u():
+    f = make_sqrt_card(4)
+    with pytest.raises(ValueError, match="u has a non-finite entry"):
+        hinge_subgradient(f, [np.nan, 0, 0, 0], 3)
+    with pytest.raises(ValueError, match="u has a non-finite entry"):
+        hinge(f, [0, np.inf, 0, 0], 3)
+    us = np.zeros((5, 4))
+    us[2, 1] = -np.inf
+    with pytest.raises(ValueError, match="us has a non-finite entry"):
+        hinge_batch(f, us, 3)
