@@ -20,7 +20,7 @@ from .setfn import SetFunction, _checked_label, as_collection
 
 
 def descending_order(x: np.ndarray) -> np.ndarray:
-    """Indices sorting x descending, ties by ascending index."""
+    """Indices sorting x descending along its last axis, ties by ascending index."""
     return np.argsort(-np.asarray(x), kind="stable")
 
 
@@ -33,7 +33,7 @@ def chain_gains(fc, W: np.ndarray, y_bits=0) -> tuple[np.ndarray, np.ndarray]:
     present are read. Callers check W and y_bits.
     """
     fc = as_collection(fc)
-    order = np.argsort(-W, axis=1, kind="stable")
+    order = descending_order(W)
     bits = 1 << order
     masks = np.bitwise_or.accumulate(bits, axis=1)  # S_i; masks ^ bits is S_{i-1}
     if fc.symmetric or np.ndim(y_bits) == 0:
