@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .links import LinkConfig, threshold_abstain_link, trim_single_abstain
+from .links import LinkConfig, link_rows, trim_rows
 from .lovasz import hinge_rows, subgradient_rows
 from .setfn import _checked_label, as_collection
 from .targets import AbstainReport
@@ -243,16 +243,15 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
 
 
 def link_reports(W: np.ndarray, X: np.ndarray, tau: float, epsilon: float | None, trim: bool = False):
+    """Threshold-abstain reports of the scores W @ x of the rows x of X, in one
+    link_rows call; trim fills lone abstentions as trim_single_abstain does."""
     k = W.shape[0]
     cfg = LinkConfig(epsilon=epsilon, tau=tau)
-    out = []
-    for x in X:
-        u = W @ x
-        v = threshold_abstain_link(u, cfg)
-        if trim:
-            v = trim_single_abstain(v, u)
-        out.append(v)
-    return out
+    U = (W @ X[..., None])[..., 0]  # one W @ x per row, bit-identical to scoring points one by one
+    pos, zeros = link_rows(U, cfg.resolve_epsilon(k), cfg.tau)
+    if trim:
+        pos, zeros = trim_rows(pos, zeros, U)
+    return [AbstainReport(k, p, z) for p, z in zip(pos.tolist(), zeros.tolist())]
 
 
 def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> list[dict]:

@@ -315,11 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "k", None) is not None and hasattr(args, "collection"):
-        fc = serialize.load_collection(args.collection)
-        if fc.k != args.k:
-            raise SystemExit(f"--k {args.k} does not match the collection (k={fc.k})")
-    args.fn(args)
+    try:
+        if getattr(args, "k", None) is not None and hasattr(args, "collection"):
+            fc = serialize.load_collection(args.collection)
+            if fc.k != args.k:
+                raise SystemExit(f"--k {args.k} does not match the collection (k={fc.k})")
+        args.fn(args)
+    except ValueError as exc:
+        print(f"lovabs {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

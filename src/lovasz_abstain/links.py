@@ -1,12 +1,19 @@
 """Link functions from surrogate points to abstain reports.
 
-Two routes compute the link envelope (the set of reports any calibrated link
-may emit at u): a closed-form gap rule over the sorted magnitudes of the
-clipped point, and a direct geometric route intersecting chain faces whose
-convex hulls pass within eps of the clipped point in the infinity norm.
-
-Both routes clip u first and resolve exact eps-boundary configurations toward
-keeping the vertex (tolerance GAP_TOL), so their outputs agree as sets.
+The production route is one batched kernel, ``gap_levels``: it clips each row
+to [-1, 1]^k, sorts the magnitudes descending (ties by ascending index) and
+pads them with the sentinels 1+eps and -eps. Level i, which keeps the i
+largest magnitudes and abstains on the rest, is in the link envelope when the
+gap below it is >= 2 eps - GAP_TOL. The envelope, its batch forms and the
+threshold-abstain link ``link_rows`` are views of the kernel, and the scalar
+functions are their one-row views. Tie rules are fixed: the sign of an exact 0
+is +1 wherever a +-1 sign is forced (the link leaves an exact 0 abstained),
+and midpoint ties pick the largest index. Entry points raise ValueError naming
+u or us for a wrong number of axes, no coordinates (or more than MAX_K) or a
+non-finite entry. The verification route shares no code with the kernel: it
+intersects the chain faces whose hulls pass within eps of the clipped point
+in the infinity norm. Both routes resolve exact eps boundaries toward keeping
+the vertex (tolerance GAP_TOL), so their outputs agree as sets.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lovasz import clip, descending_order
+from .lovasz import _checked, clip, descending_order
 from .targets import AbstainReport, enumerate_reports, report_index
 
 GAP_TOL = 1e-9
+MAX_K = 62  # reports are packed into int64 bitmasks
 
 
 @dataclass(frozen=True)
@@ -62,32 +70,51 @@ def naive_threshold_link(u, c: float) -> AbstainReport:
     return AbstainReport.from_vector(out.astype(int))
 
 
-def _sorted_gaps(u, eps: float):
-    """Clip, sort |u| descending, and return (order, magnitudes, gaps).
+def _points(u, name: str, ndim: int) -> np.ndarray:
+    """u as finite floats with ndim axes, the last of length k in 1..MAX_K."""
+    u = np.asarray(u, dtype=float)
+    k = u.shape[-1] if u.ndim == ndim else 0
+    if not 1 <= k <= MAX_K:
+        want = ("(k,)", "(n, k)")[ndim - 1]
+        raise ValueError(f"{name} has shape {u.shape}, expected {want} with 1 <= k <= {MAX_K}")
+    return _checked(u, k, name, ndim)
 
-    gaps[i] for i in 0..k compares consecutive sorted magnitudes with the
-    sentinels 1+eps on top and -eps at the bottom.
+
+def gap_levels(us: np.ndarray, eps: float):
+    """(x, order, seq, qualify) of finite (n, k) points us; callers check us.
+
+    x clips us to [-1, 1]; order[j] sorts |x[j]| descending, ties by ascending
+    index; seq[j] is 1+eps, the sorted magnitudes, then -eps; qualify[j, i]
+    marks level i, whose gap seq[j, i] - seq[j, i+1] is >= 2 eps - GAP_TOL.
     """
-    x = clip(u)
+    x = clip(us)
     a = np.abs(x)
     order = descending_order(a)
-    seq = np.concatenate([[1.0 + eps], a[order], [-eps]])
-    return x, order, seq, seq[:-1] - seq[1:]
+    n, k = a.shape
+    seq = np.empty((n, k + 2))
+    seq[:, 0], seq[:, -1] = 1.0 + eps, -eps
+    seq[:, 1:-1] = a[np.arange(n)[:, None], order]
+    return x, order, seq, seq[:, :-1] - seq[:, 1:] >= 2 * eps - GAP_TOL
 
 
-def _prefix_report(order, i: int, signs) -> AbstainReport:
-    k = len(order)
-    pos = zeros = 0
-    chosen = set(int(j) for j in order[:i])
-    for j in range(k):
-        if j in chosen:
-            if signs[j] > 0:
-                pos |= 1 << j
-            elif signs[j] == 0:
-                zeros |= 1 << j
-        else:
-            zeros |= 1 << j
-    return AbstainReport(k, pos, zeros)
+def _level_masks(x: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, zeros) int64 bitmasks, shape (n, k+1), of every level of each row:
+    level i keeps the coordinates order[:i] with their sign* and abstains on the rest."""
+    n, k = x.shape
+    bits = 1 << order
+    kept = np.zeros((n, k + 1), dtype=np.int64)
+    pos = np.zeros_like(kept)
+    np.cumsum(bits, axis=1, out=kept[:, 1:])
+    np.cumsum(bits * (x[np.arange(n)[:, None], order] >= 0), axis=1, out=pos[:, 1:])
+    return pos, ((1 << k) - 1) ^ kept
+
+
+def _one_row(u, cfg: LinkConfig):
+    """The kernel at the single point u, checked: (x, order, qualify, pos, zeros) of its row."""
+    u = _points(u, "u", 1)
+    x, order, _, qualify = gap_levels(u[None], cfg.resolve_epsilon(len(u)))
+    pos, zeros = _level_masks(x, order)
+    return x[0], order[0], qualify[0], pos[0], zeros[0]
 
 
 def envelope(u, cfg: LinkConfig) -> set[AbstainReport]:
@@ -97,36 +124,50 @@ def envelope(u, cfg: LinkConfig) -> set[AbstainReport]:
     is a member exactly when the sorted-magnitude gap at i is >= 2 eps,
     with sentinels 1+eps and -eps closing the two ends.
     """
-    u = np.asarray(u, dtype=float)
-    eps = cfg.resolve_epsilon(len(u))
-    x, order, _, gaps = _sorted_gaps(u, eps)
-    signs = sign_star(x)
-    return {
-        _prefix_report(order, i, signs)
-        for i in range(len(u) + 1)
-        if gaps[i] >= 2 * eps - GAP_TOL
-    }
+    x, _, qualify, pos, zeros = _one_row(u, cfg)
+    return {AbstainReport(len(x), p, z) for p, z in zip(pos[qualify].tolist(), zeros[qualify].tolist())}
 
 
 def envelope_detailed(u, cfg: LinkConfig) -> list[dict]:
     """Envelope members annotated with their (pi, y, i) witness."""
-    u = np.asarray(u, dtype=float)
-    eps = cfg.resolve_epsilon(len(u))
-    x, order, _, gaps = _sorted_gaps(u, eps)
-    signs = sign_star(x)
-    out = []
-    for i in range(len(u) + 1):
-        if gaps[i] >= 2 * eps - GAP_TOL:
-            rep = _prefix_report(order, i, signs)
-            out.append(
-                {
-                    "report": str(rep),
-                    "i": i,
-                    "pi": [int(j) + 1 for j in order],
-                    "y": "".join("+" if s > 0 else "-" for s in signs),
-                }
-            )
-    return out
+    x, order, qualify, pos, zeros = _one_row(u, cfg)
+    return [
+        {
+            "report": str(AbstainReport(len(x), int(pos[i]), int(zeros[i]))),
+            "i": int(i),
+            "pi": [int(j) + 1 for j in order],
+            "y": "".join("+" if s >= 0 else "-" for s in x),
+        }
+        for i in np.flatnonzero(qualify)
+    ]
+
+
+def link_rows(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold-abstain link of each row of us, as (pos, zeros) int64 bitmasks.
+
+    Picks the qualifying level whose gap midpoint is closest to tau (one
+    number, or one per row); ties go to the largest index. Kept coordinates
+    take the sign of the clipped point, so an exact 0 stays abstained. Raises
+    ValueError when a row has no qualifying level; eps <= 1/(2k) rules that out.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not ((0.0 <= tau) & (tau <= 1.0)).all():
+        raise ValueError("tau must lie in [0, 1]")
+    return _link(_points(us, "us", 2), eps, tau)
+
+
+def _link(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
+    """link_rows of checked points us and a checked tau."""
+    n, k = us.shape
+    x, order, seq, qualify = gap_levels(us, eps)
+    if not qualify.any(axis=1).all():
+        raise ValueError(f"no gap of size 2*eps: eps={eps} exceeds 1/(2k)={1 / (2 * k)}")
+    dist = np.where(qualify, np.abs(np.reshape(tau, (-1, 1)) - (seq[:, :-1] + seq[:, 1:]) / 2.0), np.inf)
+    level = k - np.argmax(dist[:, ::-1] == dist.min(axis=1, keepdims=True), axis=1)
+    # Exact zeros sort last; keeping none of them leaves them abstained.
+    level = np.minimum(level, (x != 0.0).sum(axis=1))
+    pos, zeros = _level_masks(x, order)
+    return pos[np.arange(n), level], zeros[np.arange(n), level]
 
 
 def threshold_abstain_link(u, cfg: LinkConfig) -> AbstainReport:
@@ -134,46 +175,59 @@ def threshold_abstain_link(u, cfg: LinkConfig) -> AbstainReport:
 
     Output is the prefix indicator at that level times sign of the clipped
     point, so coordinates at exactly zero stay abstained. Well defined for
-    eps <= 1/(2k); larger eps can leave no qualifying gap.
+    eps <= 1/(2k); larger eps can leave no qualifying gap. One-row view of
+    link_rows.
     """
-    u = np.asarray(u, dtype=float)
-    k = len(u)
-    eps = cfg.resolve_epsilon(k)
-    x, order, seq, gaps = _sorted_gaps(u, eps)
-    candidates = [i for i in range(k + 1) if gaps[i] >= 2 * eps - GAP_TOL]
-    if not candidates:
-        raise ValueError(f"no gap of size 2*eps: eps={eps} exceeds 1/(2k)={1 / (2 * k)}")
-    best_i, best_d = candidates[0], None
-    for i in candidates:
-        d = abs(cfg.tau - (seq[i] + seq[i + 1]) / 2.0)
-        if best_d is None or d <= best_d:  # ties move to the larger index
-            best_i, best_d = i, d
-    return _prefix_report(order, best_i, np.sign(x))
+    u = _points(u, "u", 1)
+    pos, zeros = _link(u[None], cfg.resolve_epsilon(len(u)), cfg.tau)
+    return AbstainReport(len(u), int(pos[0]), int(zeros[0]))
+
+
+def trim_rows(pos: np.ndarray, zeros: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of (pos, zeros) bitmasks with exactly one abstention take sign* of
+    the matching row of us there; other rows are returned unchanged."""
+    us = _points(us, "us", 2)
+    lone = (zeros != 0) & (zeros & (zeros - 1) == 0)
+    plus = np.where(us >= 0, 1 << np.arange(us.shape[1]), 0).sum(axis=1)
+    return np.where(lone, pos | (zeros & plus), pos), np.where(lone, 0, zeros)
 
 
 def trim_single_abstain(v: AbstainReport, u) -> AbstainReport:
-    """Replace a lone abstention by the sign of the corresponding coordinate."""
-    if v.n_abstain() != 1:
-        return v
-    u = np.asarray(u, dtype=float)
-    i = v.zeros.bit_length() - 1
-    pos = v.pos | (v.zeros if sign_star(u)[i] > 0 else 0)
-    return AbstainReport(v.k, pos, 0)
+    """Replace a lone abstention by the sign of the corresponding coordinate;
+    one-row view of trim_rows."""
+    u = _checked(u, v.k, "u", 1)
+    pos, zeros = trim_rows(np.array([v.pos]), np.array([v.zeros]), u[None])
+    return v if zeros[0] == v.zeros else AbstainReport(v.k, int(pos[0]), 0)
+
+
+@lru_cache(maxsize=None)
+def _report_id_table(k: int) -> np.ndarray:
+    """Dense (pos, zeros) -> canonical report id lookup; -1 off the domain."""
+    table = np.full((1 << k, 1 << k), -1, dtype=np.int64)
+    for (pos, zeros), i in report_index(k).items():
+        table[pos, zeros] = i
+    return table
+
+
+def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
+    """(n, n_reports) boolean membership of the gap-rule envelope, row-wise."""
+    us = _points(us, "us", 2)
+    x, order, _, qualify = gap_levels(us, eps)
+    pos, zeros = _level_masks(x, order)
+    ids = _report_id_table(us.shape[1])
+    out = np.zeros((len(us), ids.max() + 1), dtype=bool)
+    out[np.nonzero(qualify)[0], ids[pos[qualify], zeros[qualify]]] = True
+    return out
+
+
+def envelope_nonempty_batch(us: np.ndarray, eps: float) -> np.ndarray:
+    """Vectorized gap-rule nonemptiness check over rows of us."""
+    return gap_levels(_points(us, "us", 2), eps)[3].any(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Geometric route: chain faces and exact infinity-norm hull distances.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaceVertexSet:
-    """Reports lying on a common signed chain, with an ordering witness."""
-
-    k: int
-    members: frozenset[AbstainReport]
-    pi: tuple[int, ...]
-    y_bits: int
 
 
 class _Face:
@@ -248,23 +302,6 @@ def chain_faces(k: int) -> tuple:
     return tuple(faces)
 
 
-def face_vertex_sets(k: int) -> list[FaceVertexSet]:
-    """chain_faces dressed up with reports and an ordering witness."""
-    reports = enumerate_reports(k, "V")
-    out = []
-    for f in chain_faces(k):
-        members = frozenset(reports[i] for i in f.member_ids)
-        order = []
-        prev = 0
-        for t in f.supports:
-            order.extend(i for i in range(k) if (t & ~prev) >> i & 1)
-            prev = t
-        order.extend(i for i in range(k) if not f.supports[-1] >> i & 1)
-        y_bits = f.sigma | (((1 << k) - 1) & ~f.supports[-1])  # +1 off the top support
-        out.append(FaceVertexSet(k, members, tuple(order), y_bits))
-    return out
-
-
 def face_distances(x_rows: np.ndarray, faces) -> np.ndarray:
     """Exact d_inf from each row of x_rows (clipped points) to each face hull.
 
@@ -313,47 +350,11 @@ def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
 
 
 @lru_cache(maxsize=None)
-def _report_id_table(k: int) -> np.ndarray:
-    """Dense (pos, zeros) -> canonical report id lookup; -1 off the domain."""
-    table = np.full((1 << k, 1 << k), -1, dtype=np.int64)
-    for (pos, zeros), i in report_index(k).items():
-        table[pos, zeros] = i
-    return table
-
-
-@lru_cache(maxsize=None)
 def _face_member_matrix(k: int) -> np.ndarray:
     faces = chain_faces(k)
     out = np.zeros((len(faces), len(enumerate_reports(k, "V"))), dtype=bool)
     for fi, f in enumerate(faces):
         out[fi, f.member_ids] = True
-    return out
-
-
-def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
-    """(n, n_reports) boolean membership of the gap-rule envelope, row-wise."""
-    us = np.atleast_2d(np.asarray(us, dtype=float))
-    n, k = us.shape
-    x = clip(us)
-    a = np.abs(x)
-    order = np.argsort(-a, axis=1, kind="stable")
-    asort = np.take_along_axis(a, order, axis=1)
-    seq = np.concatenate([np.full((n, 1), 1.0 + eps), asort, np.full((n, 1), -eps)], axis=1)
-    qualify = (seq[:, :-1] - seq[:, 1:]) >= 2 * eps - GAP_TOL
-    bitvals = (1 << order).astype(np.int64)
-    possign = np.take_along_axis(x >= 0, order, axis=1)
-    pos_cum = np.cumsum(np.where(possign, bitvals, 0), axis=1)
-    chosen_cum = np.cumsum(bitvals, axis=1)
-    full = (1 << k) - 1
-    ids = _report_id_table(k)
-    out = np.zeros((n, ids.max() + 1), dtype=bool)
-    rows = np.arange(n)
-    for i in range(k + 1):
-        pos = pos_cum[:, i - 1] if i > 0 else np.zeros(n, dtype=np.int64)
-        zeros = full ^ (chosen_cum[:, i - 1] if i > 0 else np.zeros(n, dtype=np.int64))
-        level_ids = ids[pos, zeros]
-        sel = qualify[:, i]
-        out[rows[sel], level_ids[sel]] = True
     return out
 
 
@@ -366,14 +367,3 @@ def envelope_members_oracle(us: np.ndarray, eps: float) -> np.ndarray:
     qualified = (d < eps - GAP_TOL).astype(np.float32)
     missing = (~_face_member_matrix(k)).astype(np.float32)
     return (qualified @ missing) < 0.5
-
-
-def envelope_nonempty_batch(us: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorized gap-rule nonemptiness check over rows of us."""
-    a = np.abs(np.clip(np.asarray(us, dtype=float), -1.0, 1.0))
-    a.sort(axis=1)
-    seq = np.concatenate(
-        [np.full((len(a), 1), 1.0 + eps), a[:, ::-1], np.full((len(a), 1), -eps)], axis=1
-    )
-    gaps = seq[:, :-1] - seq[:, 1:]
-    return (gaps >= 2 * eps - GAP_TOL).any(axis=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .links import GAP_TOL, LinkConfig, chain_faces, face_distances, threshold_abstain_link
+from .links import GAP_TOL, LinkConfig, _report_id_table, chain_faces, face_distances, link_rows
 from .lovasz import clip, expected_hinge, hinge_batch
 from .setfn import PolymatroidCollection, SetFunction, as_collection, mean_value, validate_polymatroid
 from .setfn import check_condition1
@@ -488,34 +488,34 @@ def calibration_sweep(
     epsilon: float | None = None,
 ) -> VerificationReport:
     """Perturb every optimal report by less than eps and demand the
-    threshold-abstain link lands back in the optimal set, for each tau."""
+    threshold-abstain link lands back in the optimal set, for each tau. Each
+    report's perturbations are linked in one call, in case order (perturbation-major)."""
     fc = as_collection(fc)
     k = fc.k
     rng = rng if rng is not None else np.random.default_rng(0)
-    eps = epsilon if epsilon is not None else 1.0 / (2 * k)
+    eps = LinkConfig(epsilon=epsilon).resolve_epsilon(k)
     reports = enumerate_reports(k, "V")
-    ridx = report_index(k)
+    id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
-    cfgs = [LinkConfig(epsilon=eps, tau=t) for t in taus]
+    taus = np.asarray(taus, dtype=float)
     cases = 0
     for p in grid_distributions(k, grid_m):
         ids = argmin_ids(table @ p)
         for vid in sorted(ids):
-            vec = reports[vid].vector()
-            deltas = rng.uniform(-0.99 * eps, 0.99 * eps, size=(n_perturb, k))
-            for delta in deltas:
-                u = vec + delta
-                for cfg in cfgs:
-                    cases += 1
-                    out = threshold_abstain_link(u, cfg)
-                    if ridx[(out.pos, out.zeros)] not in ids:
-                        return VerificationReport(
-                            "calibration",
-                            False,
-                            cases,
-                            {"p": p.tolist(), "v": str(reports[vid]), "u": u.tolist(),
-                             "tau": cfg.tau, "linked": str(out)},
-                        )
+            us = reports[vid].vector() + rng.uniform(-0.99 * eps, 0.99 * eps, size=(n_perturb, k))
+            pos, zeros = link_rows(np.repeat(us, len(taus), axis=0), eps, np.tile(taus, n_perturb))
+            missed = np.flatnonzero(~np.isin(id_of[pos, zeros], list(ids)))
+            if missed.size:
+                j = int(missed[0])
+                linked = AbstainReport(k, int(pos[j]), int(zeros[j]))
+                return VerificationReport(
+                    "calibration",
+                    False,
+                    cases + j + 1,
+                    {"p": p.tolist(), "v": str(reports[vid]), "u": us[j // len(taus)].tolist(),
+                     "tau": float(taus[j % len(taus)]), "linked": str(linked)},
+                )
+            cases += len(pos)
     return VerificationReport("calibration", True, cases)
 
 

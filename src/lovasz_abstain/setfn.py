@@ -46,7 +46,10 @@ class Label:
 
     @classmethod
     def from_string(cls, s: str) -> "Label":
-        return cls.from_signs([{"+": 1, "-": -1}[c] for c in s])
+        try:
+            return cls.from_signs([{"+": 1, "-": -1}[c] for c in s])
+        except KeyError as exc:
+            raise ValueError(f"label {s!r} has the character {exc.args[0]!r}; expected + or -") from None
 
     def signs(self) -> np.ndarray:
         return np.array([1.0 if self.bits >> i & 1 else -1.0 for i in range(self.k)])

@@ -49,7 +49,10 @@ class AbstainReport:
 
     @classmethod
     def from_string(cls, s: str) -> "AbstainReport":
-        return cls.from_vector([{"+": 1, "-": -1, "0": 0}[c] for c in s])
+        try:
+            return cls.from_vector([{"+": 1, "-": -1, "0": 0}[c] for c in s])
+        except KeyError as exc:
+            raise ValueError(f"report {s!r} has the character {exc.args[0]!r}; expected +, - or 0") from None
 
     @classmethod
     def from_label(cls, y: Label) -> "AbstainReport":

@@ -141,3 +141,16 @@ def test_train_metrics_sweep(files, capsys, tmp_path):
                                   "--out", str(metrics_path)]))
     assert out["accuracy"] == pytest.approx(0.5)
     assert json.loads(metrics_path.read_text())["rejection_rate"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [(["link", "--u=nan,0.2"], "non-finite"), (["eval-hinge", "--collection", None, "--u=0,0", "--y=+x"], "'x'")],
+    ids=["link-nan", "eval-hinge-bad-label"],
+)
+def test_value_errors_exit_with_status_2(files, capsys, argv, word):
+    argv = [str(files["sqrt2"]) if a is None else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and word in captured.err

@@ -16,11 +16,11 @@ from lovasz_abstain import (
     trim_single_abstain,
 )
 from lovasz_abstain.links import (
+    chain_faces,
     envelope_detailed,
     envelope_members_gap,
     envelope_members_oracle,
     envelope_nonempty_batch,
-    face_vertex_sets,
 )
 
 
@@ -179,15 +179,18 @@ def test_envelope_signed_permutation_equivariance(rng):
         assert lhs == rhs
 
 
-def test_face_vertex_sets_are_chains():
+def test_chain_faces_are_signed_chains():
     for k in (1, 2, 3):
-        for fv in face_vertex_sets(k):
-            supports = sorted(
-                ((1 << k) - 1) ^ v.zeros for v in fv.members
-            )
-            for a, b in zip(supports, supports[1:]):
-                assert a & b == a  # nested
-            assert len(fv.pi) == k
+        full = (1 << k) - 1
+        reports = enumerate_reports(k, "V")
+        for f in chain_faces(k):
+            for a, b in zip(f.supports, f.supports[1:]):
+                assert a & b == a and a != b  # strictly nested
+            assert f.sigma & ~f.supports[-1] == 0
+            members = [reports[i] for i in f.member_ids]
+            assert sorted(full & ~v.zeros for v in members) == sorted(f.supports)  # one per support
+            for v in members:  # committed coordinates take their signs from sigma
+                assert v.pos == full & ~v.zeros & f.sigma
 
 
 def test_containment_in_per_loss_envelope(rng):
@@ -210,3 +213,21 @@ def test_naive_link_inconsistency_witness():
     assert wit.gaps[-1] < 1e-4
     ridx = report_index(2)
     assert ridx[(wit.bad_report.pos, wit.bad_report.zeros)] not in wit.optimal_ids
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: threshold_abstain_link([np.nan, 0.2, 0.3], LinkConfig()), "u"),
+        (lambda: threshold_abstain_link([np.inf, 0.2, 0.3], LinkConfig()), "u"),
+        (lambda: threshold_abstain_link([], LinkConfig()), "u"),
+        (lambda: threshold_abstain_link([[0.9, 0.1]], LinkConfig()), "u"),
+        (lambda: envelope_members_gap([[0.9, 0.1], [np.nan, 0.1]], 0.25), "us"),
+        (lambda: envelope_nonempty_batch([0.9, 0.1], 0.25), "us"),
+        (lambda: trim_single_abstain(AbstainReport.from_string("+0"), [0.9, 0.1, 0.3]), "u"),
+    ],
+    ids=["nan", "inf", "empty", "two-axes", "members-nan-row", "nonempty-one-axis", "trim-length"],
+)
+def test_link_entry_points_reject_bad_points(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} has"):
+        call()

@@ -207,3 +207,10 @@ def test_report_round_trip():
     assert AbstainReport.from_vector(v.vector()).pos == v.pos
     with pytest.raises(ValueError):
         AbstainReport(2, 0b01, 0b01)
+
+
+def test_report_and_label_strings_reject_bad_characters():
+    with pytest.raises(ValueError, match="'x'"):
+        Label.from_string("+x")
+    with pytest.raises(ValueError, match="'x'"):
+        AbstainReport.from_string("+0x")
