@@ -257,8 +257,9 @@ def link_reports(W: np.ndarray, X: np.ndarray, tau: float, epsilon: float | None
 def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> list[dict]:
     """Metric rows per tau over the test split.
 
-    Asserts the link-level monotonicity (per-point abstention count cannot
-    drop as tau grows); metric monotonicity is reported, never asserted.
+    Raises ValueError when the link-level monotonicity fails (per-point
+    abstention count cannot drop as tau grows); metric monotonicity is
+    reported, never checked.
     """
     cfg = result.config
     _, _, te = split_indices(cfg.n_samples, cfg.seed)
@@ -270,7 +271,7 @@ def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> l
         reports = link_reports(result.best_weights, X, tau, cfg.epsilon, trim=trim)
         n_abs = np.array([v.n_abstain() for v in reports])
         if not trim and prev_abs is not None and np.any(n_abs < prev_abs):
-            raise AssertionError("abstention count decreased as tau increased")
+            raise ValueError(f"abstention count decreased as tau increased to {tau}")
         if not trim:
             prev_abs = n_abs
         rec = metrics([(v, int(y)) for v, y in zip(reports, y_bits)])

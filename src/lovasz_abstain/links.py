@@ -231,47 +231,15 @@ def envelope_nonempty_batch(us: np.ndarray, eps: float) -> np.ndarray:
 
 
 class _Face:
-    """Internal face record prepared for vectorized distance queries."""
+    """Internal face record: a signed chain and the ids of its member reports."""
 
-    __slots__ = ("prefix", "blocks", "suffix", "sign", "member_ids", "supports", "sigma")
+    __slots__ = ("supports", "sigma", "member_ids")
 
     def __init__(self, k, supports, sigma, ridx):
         self.supports = supports  # strictly nested tuple of bitmasks
         self.sigma = sigma  # sign bitmask over the largest support
-        sign = np.ones(k)
-        top = supports[-1]
-        for j in range(k):
-            if top >> j & 1 and not sigma >> j & 1:
-                sign[j] = -1.0
-        self.sign = sign
-        chain = list(supports)
-        if chain[0] == 0:
-            prefix = 0
-            chain = chain[1:]
-        elif chain:
-            prefix = chain[0]
-        else:
-            prefix = 0
-        self.prefix = _mask_idx(k, prefix)
-        blocks = []
-        prev = prefix if supports[0] != 0 else 0
-        start = 1 if supports[0] != 0 else 0
-        for t in supports[start:]:
-            if t != prev:
-                blocks.append(_mask_idx(k, t & ~prev))
-            prev = t
-        self.blocks = blocks
-        self.suffix = _mask_idx(k, ((1 << k) - 1) & ~top)
-        ids = []
-        for t in supports:
-            pos = t & sigma
-            zeros = ((1 << k) - 1) & ~t
-            ids.append(ridx[(pos, zeros)])
-        self.member_ids = np.array(sorted(ids))
-
-
-def _mask_idx(k: int, mask: int) -> np.ndarray:
-    return np.array([i for i in range(k) if mask >> i & 1], dtype=np.intp)
+        full = (1 << k) - 1
+        self.member_ids = np.array(sorted(ridx[(t & sigma, full & ~t)] for t in supports))
 
 
 def _chains_ending_at(top: int, k: int) -> list[tuple[int, ...]]:
@@ -302,51 +270,104 @@ def chain_faces(k: int) -> tuple:
     return tuple(faces)
 
 
-def face_distances(x_rows: np.ndarray, faces) -> np.ndarray:
-    """Exact d_inf from each row of x_rows (clipped points) to each face hull.
+@lru_cache(maxsize=None)
+def _face_plan(k: int):
+    """Subset-table rows of every chain face, for face_distances.
+
+    Returns (levels, prefix, union, suffix). levels[L-1] = (ids, parents,
+    blocks) covers the faces with L free blocks: ids are their positions in
+    chain_faces(k), parents the positions of the same face without its last
+    support (sigma restricted to what is left), blocks the table rows of the
+    last block. prefix, union and suffix hold, per face, the rows of
+    its forced prefix (the first support), of all its free blocks together
+    and of its forced-zero suffix. A table row is (neg << k) | S for the
+    subset S and the face's sign pattern neg = top & ~sigma; the suffix reads
+    a table without signs, so its row is S alone.
+    """
+    faces = chain_faces(k)
+    position = {(f.supports, f.sigma): i for i, f in enumerate(faces)}
+    full = (1 << k) - 1
+    levels = [([], [], []) for _ in range(k)]
+    prefix, union, suffix = [], [], []
+    for i, f in enumerate(faces):
+        first, top = f.supports[0], f.supports[-1]
+        neg = (top & ~f.sigma) << k
+        prefix.append(neg | first)
+        union.append(neg | (top & ~first))
+        suffix.append(full & ~top)
+        if len(f.supports) > 1:
+            below = f.supports[-2]
+            ids, parents, blocks = levels[len(f.supports) - 2]
+            ids.append(i)
+            parents.append(position[(f.supports[:-1], f.sigma & below)])
+            blocks.append(neg | (top & ~below))
+    levels = tuple(tuple(np.array(c, dtype=np.intp) for c in level) for level in levels)
+    return levels, np.array(prefix), np.array(union), np.array(suffix)
+
+
+def _subset_tables(x: np.ndarray):
+    """(lo, hi, one_gap, size) subset tables of clipped (n, k) points x, one
+    row per subset and one column per point.
+
+    With s = x with the coordinates in neg negated, row (neg << k) | S of lo,
+    hi and one_gap holds min s_j, max s_j and max |1 - s_j| over j in S; row S
+    of size holds max |x_j| over S. The empty set reads +inf, -inf, 0 and 0.
+    Each bit j fills the subsets whose highest bit is j from those below it,
+    so the tables take k steps.
+    """
+    n, k = x.shape
+    neg = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    s = np.where(neg, -1.0, 1.0)[:, :, None] * x.T
+    lo, hi, one_gap = (np.empty((1 << k, 1 << k, n)) for _ in range(3))
+    size = np.empty((1 << k, n))
+    lo[:, 0], hi[:, 0], one_gap[:, 0], size[0] = np.inf, -np.inf, 0.0, 0.0
+    for j in range(k):
+        below, block = slice(0, 1 << j), slice(1 << j, 2 << j)
+        sj = s[:, j, None]
+        np.minimum(lo[:, below], sj, out=lo[:, block])
+        np.maximum(hi[:, below], sj, out=hi[:, block])
+        np.maximum(one_gap[:, below], np.abs(1.0 - sj), out=one_gap[:, block])
+        np.maximum(size[below], np.abs(x[:, j]), out=size[block])
+    return lo.reshape(-1, n), hi.reshape(-1, n), one_gap.reshape(-1, n), size
+
+
+def face_distances(x_rows: np.ndarray) -> np.ndarray:
+    """Exact d_inf from each row of x_rows (clipped points) to each face hull,
+    with faces in chain_faces(k) order.
 
     The hull of a chain-face is cut out by a forced prefix (signed value 1),
     free blocks with a nonincreasing value chain in [0, 1], and a forced-zero
     suffix; the distance is the smallest slack making the per-block intervals
-    admit a nonincreasing selection.
+    admit a nonincreasing selection. Faces are processed level by level:
+    each one extends its parent's running block minimum and its largest
+    (max of a block - running min) / 2 by its last block, so the only loop
+    is over chain lengths. Every term is >= 0 through the prefix and suffix
+    terms, which read 0 when empty.
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    n = x_rows.shape[0]
-    out = np.empty((n, len(faces)))
-    for fi, f in enumerate(faces):
-        s = x_rows * f.sign
-        d = np.zeros(n)
-        if len(f.prefix):
-            d = np.abs(1.0 - s[:, f.prefix]).max(axis=1)
-        if len(f.suffix):
-            d = np.maximum(d, np.abs(x_rows[:, f.suffix]).max(axis=1))
-        if f.blocks:
-            ms = np.stack([s[:, b].min(axis=1) for b in f.blocks], axis=1)
-            Ms = np.stack([s[:, b].max(axis=1) for b in f.blocks], axis=1)
-            run_min = np.minimum.accumulate(ms, axis=1)
-            chain = ((Ms - run_min) / 2.0).max(axis=1)
-            chain = np.maximum(chain, (Ms - 1.0).max(axis=1))
-            chain = np.maximum(chain, (-ms).max(axis=1))
-            d = np.maximum(d, np.maximum(chain, 0.0))
-        out[:, fi] = d
-    return out
+    n, k = x_rows.shape
+    levels, prefix, union, suffix = _face_plan(k)
+    lo, hi, one_gap, size = _subset_tables(x_rows)
+    run_min = np.full((len(prefix), n), np.inf)
+    spread = np.zeros((len(prefix), n))
+    for ids, parents, blocks in levels:
+        m = np.minimum(run_min[parents], lo[blocks])
+        run_min[ids] = m
+        spread[ids] = np.maximum(spread[parents], (hi[blocks] - m) / 2.0)
+    d = np.maximum(one_gap[prefix], size[suffix])
+    np.maximum(d, spread, out=d)
+    np.maximum(d, np.maximum(hi - 1.0, -lo)[union], out=d)
+    return d.T
 
 
 def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
     """Direct-definition envelope: intersect every face hull within eps of
-    the clipped point. Exponential in k; the verification route."""
+    the clipped point. Exponential in k; the verification route. One-row
+    view of envelope_members_oracle."""
     u = np.asarray(u, dtype=float)
-    k = len(u)
-    eps = cfg.resolve_epsilon(k)
-    faces = chain_faces(k)
-    d = face_distances(clip(u)[None, :], faces)[0]
-    reports = enumerate_reports(k, "V")
-    keep = np.ones(len(reports), dtype=bool)
-    for fi in np.nonzero(d < eps - GAP_TOL)[0]:
-        mask = np.zeros(len(reports), dtype=bool)
-        mask[faces[fi].member_ids] = True
-        keep &= mask
-    return {reports[i] for i in np.nonzero(keep)[0]}
+    members = envelope_members_oracle(u[None], cfg.resolve_epsilon(len(u)))[0]
+    reports = enumerate_reports(len(u), "V")
+    return {reports[i] for i in np.flatnonzero(members)}
 
 
 @lru_cache(maxsize=None)
@@ -358,12 +379,19 @@ def _face_member_matrix(k: int) -> np.ndarray:
     return out
 
 
+_ORACLE_ROWS = 64  # rows per face_distances call; at k = 4 it ran faster than 32, 128, 256 or all rows
+
+
 def envelope_members_oracle(us: np.ndarray, eps: float) -> np.ndarray:
-    """Row-wise face-intersection envelope membership; matches the gap route."""
+    """Row-wise face-intersection envelope membership; matches the gap route.
+
+    Rows go through face_distances in blocks of _ORACLE_ROWS, so the (n, faces)
+    distance matrix is never held whole."""
     us = np.atleast_2d(np.asarray(us, dtype=float))
-    k = us.shape[1]
-    faces = chain_faces(k)
-    d = face_distances(clip(us), faces)
-    qualified = (d < eps - GAP_TOL).astype(np.float32)
-    missing = (~_face_member_matrix(k)).astype(np.float32)
-    return (qualified @ missing) < 0.5
+    missing = (~_face_member_matrix(us.shape[1])).astype(np.float32)
+    out = np.empty((len(us), missing.shape[1]), dtype=bool)
+    for start in range(0, len(us), _ORACLE_ROWS):
+        rows = slice(start, start + _ORACLE_ROWS)
+        qualified = (face_distances(clip(us[rows])) < eps - GAP_TOL).astype(np.float32)
+        out[rows] = (qualified @ missing) < 0.5
+    return out

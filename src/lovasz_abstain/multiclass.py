@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .links import LinkConfig, threshold_abstain_link
+from .links import LinkConfig, _points, threshold_abstain_link
 from .lovasz import hinge
 from .oracle import VerificationReport
 from .setfn import PolymatroidCollection, SetFunction
@@ -222,7 +222,7 @@ def multiclass_surrogate(g, codec: BlockCodec, u, y: ClassLabel) -> float:
 def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
     """Threshold-abstain link followed by per-block trimming: any abstained
     bit inside a block abstains the whole prediction, else the block decodes."""
-    u = np.asarray(u, dtype=float)
+    u = _points(u, "u", 1)
     d = codec.d
     if len(u) % d:
         raise ValueError("surrogate point length must be a multiple of the block size")
@@ -375,8 +375,10 @@ def bep_ova_incompatibility(g_single: SetFunction) -> BepOvaIncompatibility:
     yb, vb, vfb = (encode_bep(lbl, codec) for lbl in (y, v, v_far))
     close = yb ^ vb
     far = yb ^ vfb
-    assert close == 0b010 and far == 0b110  # bits 2 and {2,3} in 1-based terms
-    assert mis_class(v, y, 5) == 0b1 and mis_class(v_far, y, 5) == 0
+    if not (close == 0b010 and far == 0b110):  # bits 2 and {2,3} in 1-based terms
+        raise RuntimeError(f"block code changed: label 7 differs from 5 in {close:#05b} and from 4 in {far:#05b}")
+    if not (mis_class(v, y, 5) == 0b1 and mis_class(v_far, y, 5) == 0):
+        raise RuntimeError("one-vs-all error pattern for class 5 changed")
     forced_close = g_single.eval(mis_class(v, y, 5))
     forced_far = g_single.eval(mis_class(v_far, y, 5))
     incompatible = forced_far < forced_close - 1e-12

@@ -588,7 +588,7 @@ def thickened_envelope_grid(fc, u, epsilon: float, grid_m: int = 8) -> set[int]:
     table = surrogate_loss_table(fc)
     optimal_sets = {frozenset(argmin_ids(table @ p)) for p in grid_distributions(k, grid_m)}
     x = clip(np.asarray(u, dtype=float))[None, :]
-    d_faces = face_distances(x, faces)[0]
+    d_faces = face_distances(x)[0]
     out = set(range(len(enumerate_reports(k, "V"))))
     for ids in optimal_sets:
         inside = [fi for fi, f in enumerate(faces) if set(f.member_ids.tolist()) <= ids]

@@ -106,11 +106,6 @@ class SetFunction:
         return float(self.values[-1])
 
 
-def eval(f: SetFunction, subset: int) -> float:
-    """Table lookup f(S) with range checking."""
-    return f.eval(subset)
-
-
 def make_modular(w) -> SetFunction:
     """f(S) = sum of w_i over i in S, for nonnegative weights w."""
     w = np.asarray(w, dtype=float)
@@ -269,8 +264,15 @@ def validate_polymatroid(f: SetFunction, strict: bool = False) -> ValidationRepo
     f(S+i) + f(S+j) >= f(S+i+j) + f(S), equivalent to the all-pairs
     inequality; strictness over exchanges is equivalent to strictness on
     incomparable pairs (telescoping). Modularity = every exchange tight.
+    A table with a NaN or inf entry is not checked further: every axiom
+    reads False and the one violation names the first such entry.
     """
     k, vals = f.k, f.values
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        s = int(bad[0])
+        return ValidationReport(k, False, False, False, False, False,
+                                violations=[f"non-finite value {vals[s]} at S={s:#x}"])
     masks = np.arange(1 << k)
     report = ValidationReport(
         k=k,

@@ -17,6 +17,7 @@ from lovasz_abstain import (
     train,
     TrainConfig,
 )
+from lovasz_abstain import bench
 from lovasz_abstain.bench import link_reports, mean_hinge, split_indices
 from lovasz_abstain.links import LinkConfig, threshold_abstain_link
 
@@ -136,6 +137,19 @@ def test_tau_sweep_monotone_and_rows():
     assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
     single = tau_sweep(res, data, [0.5])
     assert len(single) == 1
+
+
+def test_tau_sweep_rejects_a_drop_in_abstentions(monkeypatch):
+    cfg = TrainConfig(k=3, feature_dim=6, n_samples=60, epochs=1, seed=2)
+    data = synth_data(cfg)
+    res = train(cfg, make_sqrt_card(3), data)
+
+    def dropping(W, X, tau, epsilon, trim=False):
+        return [AbstainReport.from_string("000" if tau < 0.5 else "+0+")] * len(X)
+
+    monkeypatch.setattr(bench, "link_reports", dropping)
+    with pytest.raises(ValueError, match="abstention count decreased"):
+        tau_sweep(res, data, [0.0, 1.0])
 
 
 def test_trimmed_reports_have_no_lone_abstention():

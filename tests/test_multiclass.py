@@ -23,6 +23,7 @@ from lovasz_abstain import (
     validate_polymatroid,
     verify_block_domination,
 )
+from lovasz_abstain import multiclass
 from lovasz_abstain.multiclass import (
     decode_bep,
     mis_class,
@@ -144,6 +145,12 @@ def test_trimmed_link():
         trimmed_link([0.9, 0.9, 0.9], LinkConfig(epsilon=0.5, tau=0.5), codec)
 
 
+@pytest.mark.parametrize("u", [[], [[0.7, -0.7, 0.7]], [0.7, np.nan, 0.7]], ids=["empty", "2-d", "nan"])
+def test_trimmed_link_rejects_bad_u(u):
+    with pytest.raises(ValueError, match="^u has"):
+        trimmed_link(u, LinkConfig(epsilon=0.1), BlockCodec(4))
+
+
 def test_block_domination():
     cases = [
         (ClassCosts.from_setfn(make_sqrt_card(2)), BlockCodec(2), 2),
@@ -234,6 +241,12 @@ def test_bep_ova_incompatibility():
     assert rep.forced_far < rep.forced_close
     trivial = bep_ova_incompatibility(make_modular([0.0]))
     assert not trivial.incompatible
+
+
+def test_bep_ova_incompatibility_checks_its_worked_example(monkeypatch):
+    monkeypatch.setattr(multiclass, "mis_class", lambda v, y, c: 0)
+    with pytest.raises(RuntimeError, match="one-vs-all"):
+        bep_ova_incompatibility(make_zero_one(1))
 
 
 def test_class_label_parsing():

@@ -170,6 +170,13 @@ def test_validator_catches_non_submodular():
     assert rep.violations
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validator_reports_non_finite_values(bad):
+    rep = validate_polymatroid(SetFunction(2, np.array([0.0, 1.0, bad, 2.0])))
+    assert not rep.valid
+    assert rep.violations == [f"non-finite value {bad} at S=0x2"]
+
+
 def test_zero_singletons_reported():
     f = SetFunction.from_values(2, [0, 0, 1, 1])
     assert validate_polymatroid(f).zero_singletons == [1]
