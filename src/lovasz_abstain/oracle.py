@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .links import GAP_TOL, LinkConfig, _report_id_table, chain_faces, face_distances, link_rows
+from .links import GAP_TOL, LinkConfig, _face_member_matrix, _report_id_table, face_distances, link_rows
 from .lovasz import clip, expected_hinge, hinge_batch
 from .setfn import PolymatroidCollection, SetFunction, as_collection, mean_value, validate_polymatroid
 from .setfn import check_condition1
@@ -33,15 +33,6 @@ MARGIN = 1e-9  # strict-uniqueness margin between best and second best
 # ---------------------------------------------------------------------------
 # Label distributions
 # ---------------------------------------------------------------------------
-
-
-def validate_distribution(p, k: int) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (1 << k,):
-        raise ValueError(f"distribution has shape {p.shape}, expected ({1 << k},)")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("distribution entries must be nonnegative and sum to 1")
-    return p
 
 
 def uniform(k: int) -> np.ndarray:
@@ -68,19 +59,35 @@ def flip(p, r_bits: int, k: int) -> np.ndarray:
     return p[masks ^ (((1 << k) - 1) ^ r_bits)]
 
 
-def grid_distributions(k: int, m: int):
-    """All compositions of m into 2^k parts, normalized; deterministic order."""
+_GRID_ROWS = 1024  # distributions per grid block
+
+
+def _grid_blocks(k: int, m: int):
+    """All compositions of m into 2^k parts, normalized, as (B, 2^k) blocks
+    of at most _GRID_ROWS rows; deterministic order. Each row is read from
+    its n-1 cut positions in itertools.combinations order: part i is the gap
+    between cut i-1 and cut i, with cuts -1 and m+n-1 at the ends."""
+    if k < 1:
+        raise ValueError(f"distribution grid needs k >= 1, got k={k}")
     if k > 4:
         raise ValueError("distribution grid capped at k <= 4")
+    if m < 1:
+        raise ValueError(f"distribution grid needs m >= 1, got m={m}")
     n = 1 << k
-    for cuts in itertools.combinations(range(m + n - 1), n - 1):
-        parts = []
-        prev = -1
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(m + n - 2 - prev)
-        yield np.array(parts, dtype=float) / m
+    combos = itertools.combinations(range(m + n - 1), n - 1)
+    while True:
+        cuts = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _GRID_ROWS)),
+                           dtype=np.int64).reshape(-1, n - 1)
+        if not len(cuts):
+            return
+        edges = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, m + n - 1))
+        yield (np.diff(edges, axis=1) - 1) / m
+
+
+def grid_distributions(k: int, m: int):
+    """All compositions of m into 2^k parts, normalized; the rows of _grid_blocks."""
+    for block in _grid_blocks(k, m):
+        yield from block
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +131,11 @@ def argmin_ids(values: np.ndarray, tol: float = ARGMIN_TOL) -> set[int]:
     return set(np.nonzero(values <= best + tol)[0].tolist())
 
 
+def _argmin_mask(values: np.ndarray) -> np.ndarray:
+    """Row-wise argmin_ids of a (distributions, reports) value matrix, as a mask."""
+    return values <= values.min(axis=1, keepdims=True) + ARGMIN_TOL
+
+
 def _lattice(k: int, step: float = 0.25) -> np.ndarray:
     axis = np.arange(-1.0, 1.0 + step / 2, step)
     return np.array(list(itertools.product(axis, repeat=k)))
@@ -160,20 +172,17 @@ def verify_embedding(fc, grid_m: int | None = None) -> VerificationReport:
         lat = _lattice(k)
         lat_table = np.stack([hinge_batch(fc, lat, y) for y in range(1 << k)], axis=1)
         worst_lattice = 0.0
-        for p in grid_distributions(k, m):
-            cases += 1
-            a = argmin_ids(surr @ p)
-            b = argmin_ids(disc @ p)
-            if a != b:
-                return VerificationReport(
-                    "embedding", False, cases, {"p": p.tolist(), "mismatch": True}
-                )
-            shortfall = (disc @ p).min() - (lat_table @ p).min()
-            worst_lattice = max(worst_lattice, shortfall)
-            if shortfall > MARGIN:
-                return VerificationReport(
-                    "embedding", False, cases, {"p": p.tolist(), "lattice_beats_reports": True}
-                )
+        for P in _grid_blocks(k, m):
+            disc_vals = P @ disc.T
+            mismatch = (_argmin_mask(P @ surr.T) != _argmin_mask(disc_vals)).any(axis=1)
+            shortfall = disc_vals.min(axis=1) - (P @ lat_table.T).min(axis=1)
+            failed = mismatch | (shortfall > MARGIN)
+            if failed.any():
+                i = int(failed.argmax())
+                kind = "mismatch" if mismatch[i] else "lattice_beats_reports"
+                return VerificationReport("embedding", False, cases + i + 1, {"p": P[i].tolist(), kind: True})
+            worst_lattice = max(worst_lattice, shortfall.max())
+            cases += len(P)
         details["worst_lattice_shortfall"] = float(worst_lattice)
     return VerificationReport("embedding", True, cases, None, details)
 
@@ -185,27 +194,24 @@ def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
     if k > 3:
         raise ValueError("representativeness check capped at k <= 3")
     ridx = report_index(k)
-    candidate_ids = {ridx[(v.pos, v.zeros)] for v in reports}
+    candidates = np.zeros(len(ridx), dtype=bool)
+    candidates[[ridx[(v.pos, v.zeros)] for v in reports]] = True
     surr = surrogate_loss_table(fc)
     cases = 0
-    for p in grid_distributions(k, grid_m):
-        cases += 1
-        if not (argmin_ids(surr @ p) & candidate_ids):
-            return VerificationReport("representative", False, cases, {"p": p.tolist()})
+    for P in _grid_blocks(k, grid_m):
+        missed = ~(_argmin_mask(P @ surr.T) & candidates).any(axis=1)
+        if missed.any():
+            i = int(missed.argmax())
+            return VerificationReport("representative", False, cases + i + 1, {"p": P[i].tolist()})
+        cases += len(P)
     return VerificationReport("representative", True, cases)
 
 
 def tightness_witness(v: AbstainReport) -> np.ndarray:
     """Distribution that agrees with v where it commits and randomizes signs
     on its abstentions: uniquely minimized at v for strict polymatroids."""
-    k = v.k
-    committed = ((1 << k) - 1) & ~v.zeros
-    p = np.zeros(1 << k)
-    weight = 1.0 / (1 << v.n_abstain())
-    for y in range(1 << k):
-        if y & committed == v.pos:
-            p[y] = weight
-    return p
+    committed = ((1 << v.k) - 1) & ~v.zeros
+    return np.where(np.arange(1 << v.k) & committed == v.pos, 1.0 / (1 << v.n_abstain()), 0.0)
 
 
 def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
@@ -239,17 +245,20 @@ def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
             )
 
     one_zero = [v for v in reports if v.n_abstain() == 1]
-    for p in grid_distributions(k, grid_m) if k <= 3 else [uniform(k)]:
-        vals = table @ p
-        for v in one_zero:
-            cases += 1
-            vid = ridx[(v.pos, v.zeros)]
-            plus = ridx[(v.pos | v.zeros, 0)]
-            minus = ridx[(v.pos, 0)]
-            if min(vals[plus], vals[minus]) > vals[vid] + 1e-12:
-                return VerificationReport(
-                    "tightness", False, cases, {"v": str(v), "p": p.tolist(), "dominated": False}
-                )
+    vid = [ridx[(v.pos, v.zeros)] for v in one_zero]
+    plus = [ridx[(v.pos | v.zeros, 0)] for v in one_zero]
+    minus = [ridx[(v.pos, 0)] for v in one_zero]
+    for P in _grid_blocks(k, grid_m) if k <= 3 else [uniform(k)[None]]:
+        vals = P @ table.T
+        failed = np.minimum(vals[:, plus], vals[:, minus]) > vals[:, vid] + 1e-12
+        if failed.any():
+            f = int(failed.argmax())
+            i, j = divmod(f, len(one_zero))
+            return VerificationReport(
+                "tightness", False, cases + f + 1,
+                {"v": str(one_zero[j]), "p": P[i].tolist(), "dominated": False},
+            )
+        cases += failed.size
     return VerificationReport("tightness", True, cases)
 
 
@@ -274,14 +283,9 @@ class SymmetricCounterexample:
 def restrict_to_coords(f: SetFunction, coords: list[int]) -> SetFunction:
     """Set function induced on a subset of the ground set."""
     kk = len(coords)
-    vals = np.empty(1 << kk)
-    for s in range(1 << kk):
-        mask = 0
-        for b, i in enumerate(coords):
-            if s >> b & 1:
-                mask |= 1 << i
-        vals[s] = f.values[mask]
-    return SetFunction(kk, vals)
+    bits = (np.arange(1 << kk)[:, None] >> np.arange(kk)) & 1
+    masks = np.bitwise_or.reduce(bits << np.array(coords, dtype=np.int64), axis=1)
+    return SetFunction(kk, f.values[masks])
 
 
 def counterexample_symmetric(f) -> SymmetricCounterexample:
@@ -499,12 +503,12 @@ def calibration_sweep(
     table = abstain_loss_table(fc)
     taus = np.asarray(taus, dtype=float)
     cases = 0
-    for p in grid_distributions(k, grid_m):
-        ids = argmin_ids(table @ p)
-        for vid in sorted(ids):
+    for P in _grid_blocks(k, grid_m):
+        optimal = _argmin_mask(P @ table.T)
+        for i, vid in zip(*np.nonzero(optimal)):
             us = reports[vid].vector() + rng.uniform(-0.99 * eps, 0.99 * eps, size=(n_perturb, k))
             pos, zeros = link_rows(np.repeat(us, len(taus), axis=0), eps, np.tile(taus, n_perturb))
-            missed = np.flatnonzero(~np.isin(id_of[pos, zeros], list(ids)))
+            missed = np.flatnonzero(~optimal[i, id_of[pos, zeros]])
             if missed.size:
                 j = int(missed[0])
                 linked = AbstainReport(k, int(pos[j]), int(zeros[j]))
@@ -512,7 +516,7 @@ def calibration_sweep(
                     "calibration",
                     False,
                     cases + j + 1,
-                    {"p": p.tolist(), "v": str(reports[vid]), "u": us[j // len(taus)].tolist(),
+                    {"p": P[i].tolist(), "v": str(reports[vid]), "u": us[j // len(taus)].tolist(),
                      "tau": float(taus[j % len(taus)]), "linked": str(linked)},
                 )
             cases += len(pos)
@@ -545,32 +549,32 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
     ridx = report_index(k)
     table = abstain_loss_table(fc)
     zero_id = ridx[(0, (1 << k) - 1)]
-    for p in grid_distributions(k, grid_m):
-        vals = table @ p
-        ids = argmin_ids(vals)
-        if zero_id not in ids:
-            continue
-        for yid in sorted(ids):
-            y = reports[yid]
-            if y.zeros:
-                continue
-            signs = y.vector()
-            for j in range(k):
-                dropped = AbstainReport(k, y.pos & ~(1 << j), 1 << j)
-                if ridx[(dropped.pos, dropped.zeros)] in ids:
+    for P in _grid_blocks(k, grid_m):
+        vals_block = P @ table.T
+        optimal = _argmin_mask(vals_block)
+        for i in np.flatnonzero(optimal[:, zero_id]):
+            p, vals, ids = P[i], vals_block[i], set(np.flatnonzero(optimal[i]).tolist())
+            for yid in sorted(ids):
+                y = reports[yid]
+                if y.zeros:
                     continue
-                gaps = []
-                witness_ok = True
-                for t in (1e-3, 1e-4, 1e-5):
-                    u = (c + t) * signs
-                    u[j] = (c - t) * signs[j]
-                    out = naive_threshold_link(u, c)
-                    if (out.pos, out.zeros) != (dropped.pos, dropped.zeros):
-                        witness_ok = False
-                        break
-                    gaps.append(expected_hinge(fc, u, p) - vals.min())
-                if witness_ok and gaps[-1] < 1e-4 and all(g >= -1e-12 for g in gaps):
-                    return NaiveLinkWitness(c, p, c * signs, dropped, ids, gaps)
+                signs = y.vector()
+                for j in range(k):
+                    dropped = AbstainReport(k, y.pos & ~(1 << j), 1 << j)
+                    if ridx[(dropped.pos, dropped.zeros)] in ids:
+                        continue
+                    gaps = []
+                    witness_ok = True
+                    for t in (1e-3, 1e-4, 1e-5):
+                        u = (c + t) * signs
+                        u[j] = (c - t) * signs[j]
+                        out = naive_threshold_link(u, c)
+                        if (out.pos, out.zeros) != (dropped.pos, dropped.zeros):
+                            witness_ok = False
+                            break
+                        gaps.append(expected_hinge(fc, u, p) - vals.min())
+                    if witness_ok and gaps[-1] < 1e-4 and all(g >= -1e-12 for g in gaps):
+                        return NaiveLinkWitness(c, p, c * signs, dropped, ids, gaps)
     raise RuntimeError("no naive-link failure found on this grid")
 
 
@@ -581,19 +585,18 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
 
 def thickened_envelope_grid(fc, u, epsilon: float, grid_m: int = 8) -> set[int]:
     """Approximate per-loss link envelope, with optimal sets sampled on the
-    distribution grid. Never a production link; used to falsify containment."""
+    distribution grid. Never a production link; used to falsify containment.
+
+    A face lies inside an optimal set when none of its member reports lies
+    outside it; every set with an inside face within epsilon of u cuts the
+    envelope down to itself."""
     fc = as_collection(fc)
     k = fc.k
-    faces = chain_faces(k)
     table = surrogate_loss_table(fc)
-    optimal_sets = {frozenset(argmin_ids(table @ p)) for p in grid_distributions(k, grid_m)}
-    x = clip(np.asarray(u, dtype=float))[None, :]
-    d_faces = face_distances(x)[0]
-    out = set(range(len(enumerate_reports(k, "V"))))
-    for ids in optimal_sets:
-        inside = [fi for fi, f in enumerate(faces) if set(f.member_ids.tolist()) <= ids]
-        if not inside:
-            continue
-        if d_faces[inside].min() < epsilon - GAP_TOL:
-            out &= ids
-    return out
+    optimal = np.zeros((0, len(table)), dtype=bool)
+    for P in _grid_blocks(k, grid_m):
+        optimal = np.unique(np.vstack([optimal, _argmin_mask(P @ table.T)]), axis=0)
+    members = _face_member_matrix(k).astype(np.float32)
+    inside = (~optimal).astype(np.float32) @ members.T < 0.5
+    near = face_distances(clip(np.asarray(u, dtype=float))[None, :])[0] < epsilon - GAP_TOL
+    return set(np.flatnonzero(optimal[(inside & near).any(axis=1)].all(axis=0)).tolist())

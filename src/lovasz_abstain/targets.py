@@ -182,26 +182,33 @@ def report_index(k: int) -> dict[tuple[int, int], int]:
 
 
 def abstain_loss_table(fc, reports=None) -> np.ndarray:
-    """(len(reports), 2^k) matrix of abstain losses, labels along columns."""
+    """(len(reports), 2^k) matrix of abstain losses, labels along columns.
+
+    Bitmask arithmetic over the (report, label) grid: the same two lookups as
+    target_abstain, read from fc.table_matrix() for every cell at once.
+    """
     fc = as_collection(fc)
-    reports = enumerate_reports(fc.k, "V") if reports is None else reports
-    table = np.empty((len(reports), 1 << fc.k))
-    for i, v in enumerate(reports):
-        for y in range(1 << fc.k):
-            table[i, y] = target_abstain(fc, v, y)
-    return table
+    reports = enumerate_reports(fc.k, "V") if reports is None else [_report(v) for v in reports]
+    for v in reports:
+        if v.k != fc.k:
+            raise ValueError(f"report has k={v.k}, collection has k={fc.k}")
+    full = (1 << fc.k) - 1
+    if not reports:
+        return np.empty((0, full + 1))
+    F, y = fc.table_matrix(), np.arange(full + 1)
+    pos = np.array([v.pos for v in reports])[:, None]
+    zeros = np.array([v.zeros for v in reports])[:, None]
+    neg = full & ~(pos | zeros)
+    m = full & ~((pos & y) | (neg & ~y & full))
+    return F[y, m & ~zeros] + F[y, m]
 
 
 def plain_loss_table(fc) -> np.ndarray:
-    """(2^k, 2^k) matrix of plain structured losses, reports r along rows."""
+    """(2^k, 2^k) matrix of plain structured losses, reports r along rows:
+    f_y(r xor y), the misprediction set of a +-1 report."""
     fc = as_collection(fc)
-    n = 1 << fc.k
-    table = np.empty((n, n))
-    for r in range(n):
-        rep = AbstainReport(fc.k, r, 0)
-        for y in range(n):
-            table[r, y] = target_plain(fc, rep, y)
-    return table
+    y = np.arange(1 << fc.k)
+    return fc.table_matrix()[y, y[:, None] ^ y]
 
 
 def expected_target(loss, reports, p, tol: float = ARGMIN_TOL):

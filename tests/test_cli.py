@@ -145,8 +145,9 @@ def test_train_metrics_sweep(files, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv, word",
-    [(["link", "--u=nan,0.2"], "non-finite"), (["eval-hinge", "--collection", None, "--u=0,0", "--y=+x"], "'x'")],
-    ids=["link-nan", "eval-hinge-bad-label"],
+    [(["link", "--u=nan,0.2"], "non-finite"), (["eval-hinge", "--collection", None, "--u=0,0", "--y=+x"], "'x'"),
+     (["verify", "embedding", "--collection", None, "--grid", "0"], "m=0")],
+    ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files["sqrt2"]) if a is None else a for a in argv]
