@@ -11,9 +11,9 @@ Run:  python3 demos/02_hinge_embeds_abstain_loss.py
 import numpy as np
 
 from lovasz_abstain import (
+    AbstainReport,
     Label,
     enumerate_reports,
-    expected_target,
     hinge,
     lovasz_extension,
     make_sqrt_card,
@@ -22,6 +22,8 @@ from lovasz_abstain import (
     target_abstain,
     uniform,
 )
+from lovasz_abstain.oracle import argmin_ids
+from lovasz_abstain.targets import abstain_loss_table
 
 k = 3
 f = make_sqrt_card(k)
@@ -37,8 +39,6 @@ print("== report-level identity ==")
 y = Label.from_string("++-")
 print(f"label y = {y}, reports v, hinge(v) vs f(mis\\abs)+f(mis):")
 for s in ("++-", "+0-", "00-", "000", "--+"):
-    from lovasz_abstain import AbstainReport
-
     v = AbstainReport.from_string(s)
     h = hinge(f, v.vector(), y)
     t = target_abstain(f, v, y)
@@ -47,8 +47,8 @@ for s in ("++-", "+0-", "00-", "000", "--+"):
 print()
 print("== optimal reports move toward abstention as uncertainty grows ==")
 reports = enumerate_reports(k, "V")
+table = abstain_loss_table(f)
 for eps, desc in [(1.0, "point mass on y"), (0.5, "half uniform"), (0.0, "uniform")]:
     p = mix(uniform(k), point_mass(y.bits, k), eps)
-    values, argmin = expected_target(lambda v, yy: target_abstain(f, v, yy), reports, p)
-    names = ", ".join(str(v) for v in argmin)
+    names = ", ".join(str(reports[i]) for i in sorted(argmin_ids(table @ p)))
     print(f"  {desc:18s} optimal reports: {names}")

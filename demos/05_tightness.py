@@ -13,31 +13,31 @@ import numpy as np
 from lovasz_abstain import (
     AbstainReport,
     enumerate_reports,
-    expected_target,
     make_sqrt_card,
-    target_abstain,
     verify_tightness,
 )
-from lovasz_abstain.oracle import tightness_witness
+from lovasz_abstain.oracle import argmin_ids, tightness_witness
+from lovasz_abstain.targets import abstain_loss_table
 
 k = 3
 f = make_sqrt_card(k)
 reports = enumerate_reports(k, "V")
+table = abstain_loss_table(f)
 
 print("witness distributions pin each no-lone-abstention report uniquely:")
 for s in ("00+", "000", "+-+"):
     v = AbstainReport.from_string(s)
     p = tightness_witness(v)
-    values, argmin = expected_target(lambda r, y: target_abstain(f, r, y), reports, p)
+    values = table @ p
     second = np.partition(values, 1)[1]
-    print(f"  v={s}: optimal set {[str(r) for r in argmin]}, "
+    print(f"  v={s}: optimal set {[str(reports[i]) for i in sorted(argmin_ids(values))]}, "
           f"margin to runner-up {second - values.min():.4f}")
 
 print()
 print("a lone abstention is always dominated by its sign completions:")
 v = AbstainReport.from_string("+0-")
 p = tightness_witness(AbstainReport.from_string("000"))  # uniform over signs
-values, _ = expected_target(lambda r, y: target_abstain(f, r, y), reports, p)
+values = table @ p
 idx = {str(r): i for i, r in enumerate(reports)}
 print(f"  at one distribution: value(+0-) = {values[idx['+0-']]:.4f}, "
       f"value(++-) = {values[idx['++-']]:.4f}, value(+--) = {values[idx['+--']]:.4f}")

@@ -21,14 +21,11 @@ from .lovasz import (
     hinge,
     hinge_subgradient,
     lovasz_extension,
-    simplex_decompose,
 )
 from .targets import (
     AbstainReport,
     abs_set,
-    bep_loss,
     enumerate_reports,
-    expected_target,
     mis,
     target_abstain,
     target_plain,
@@ -38,7 +35,6 @@ from .links import (
     envelope,
     envelope_oracle,
     naive_threshold_link,
-    sign_star,
     threshold_abstain_link,
     trim_single_abstain,
 )
@@ -60,6 +56,7 @@ from .multiclass import (
     ClassCosts,
     ClassLabel,
     MulticlassReport,
+    bep_loss,
     bep_ova_incompatibility,
     encode_bep,
     lift_polymatroid,

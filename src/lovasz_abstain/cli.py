@@ -38,8 +38,6 @@ def _jsonable(x):
         return x.item()
     if isinstance(x, set):
         return sorted(str(v) for v in x)
-    if isinstance(x, targets.AbstainReport):
-        return str(x)
     return str(x)
 
 

@@ -19,15 +19,15 @@ the vertex (tolerance GAP_TOL), so their outputs agree as sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._tol import GAP_TOL
 from .lovasz import _checked, clip, descending_order
-from .targets import AbstainReport, enumerate_reports, report_index
+from .targets import AbstainReport, _report_masks, enumerate_reports
 
-GAP_TOL = 1e-9
 MAX_K = 62  # reports are packed into int64 bitmasks
 
 
@@ -43,8 +43,6 @@ class LinkConfig:
 
     epsilon: float | None = None
     tau: float = 0.5
-    sign_tie: int = field(default=1, init=False)
-    argmin_tie: str = field(default="largest-index", init=False)
 
     def __post_init__(self):
         if self.epsilon is not None and not (self.epsilon > 0):
@@ -54,11 +52,6 @@ class LinkConfig:
 
     def resolve_epsilon(self, k: int) -> float:
         return self.epsilon if self.epsilon is not None else 1.0 / (2 * k)
-
-
-def sign_star(u) -> np.ndarray:
-    """Coordinate signs with the fixed deterministic choice 0 -> +1."""
-    return np.where(np.asarray(u, dtype=float) >= 0.0, 1.0, -1.0)
 
 
 def naive_threshold_link(u, c: float) -> AbstainReport:
@@ -202,10 +195,11 @@ def trim_single_abstain(v: AbstainReport, u) -> AbstainReport:
 
 @lru_cache(maxsize=None)
 def _report_id_table(k: int) -> np.ndarray:
-    """Dense (pos, zeros) -> canonical report id lookup; -1 off the domain."""
+    """Dense (pos, zeros) -> canonical report id lookup; -1 off the domain. Read-only."""
+    pos, zeros = _report_masks(k)
     table = np.full((1 << k, 1 << k), -1, dtype=np.int64)
-    for (pos, zeros), i in report_index(k).items():
-        table[pos, zeros] = i
+    table[pos, zeros] = np.arange(len(pos))
+    table.setflags(write=False)
     return table
 
 
@@ -215,14 +209,9 @@ def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
     x, order, _, qualify = gap_levels(us, eps)
     pos, zeros = _level_masks(x, order)
     ids = _report_id_table(us.shape[1])
-    out = np.zeros((len(us), ids.max() + 1), dtype=bool)
+    out = np.zeros((len(us), 3**us.shape[1]), dtype=bool)
     out[np.nonzero(qualify)[0], ids[pos[qualify], zeros[qualify]]] = True
     return out
-
-
-def envelope_nonempty_batch(us: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorized gap-rule nonemptiness check over rows of us."""
-    return gap_levels(_points(us, "us", 2), eps)[3].any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +224,11 @@ class _Face:
 
     __slots__ = ("supports", "sigma", "member_ids")
 
-    def __init__(self, k, supports, sigma, ridx):
+    def __init__(self, k, supports, sigma, ids):
         self.supports = supports  # strictly nested tuple of bitmasks
         self.sigma = sigma  # sign bitmask over the largest support
         full = (1 << k) - 1
-        self.member_ids = np.array(sorted(ridx[(t & sigma, full & ~t)] for t in supports))
+        self.member_ids = np.array(sorted(ids[t & sigma][full & ~t] for t in supports))
 
 
 def _chains_ending_at(top: int, k: int) -> list[tuple[int, ...]]:
@@ -256,7 +245,7 @@ def chain_faces(k: int) -> tuple:
     """Every distinct nonempty subset of a signed chain, as _Face records."""
     if k > 4:
         raise ValueError("face enumeration capped at k <= 4")
-    ridx = report_index(k)
+    ids = _report_id_table(k).tolist()  # nested lists: per-face lookups stay in Python
     faces = []
     for top in range(1 << k):
         bits = [i for i in range(k) if top >> i & 1]
@@ -266,7 +255,7 @@ def chain_faces(k: int) -> tuple:
                 for b, i in zip(combo, bits):
                     if b:
                         sigma |= 1 << i
-                faces.append(_Face(k, chain, sigma, ridx))
+                faces.append(_Face(k, chain, sigma, ids))
     return tuple(faces)
 
 
@@ -373,7 +362,7 @@ def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
 @lru_cache(maxsize=None)
 def _face_member_matrix(k: int) -> np.ndarray:
     faces = chain_faces(k)
-    out = np.zeros((len(faces), len(enumerate_reports(k, "V"))), dtype=bool)
+    out = np.zeros((len(faces), 3**k), dtype=bool)
     for fi, f in enumerate(faces):
         out[fi, f.member_ids] = True
     return out

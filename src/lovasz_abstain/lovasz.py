@@ -1,5 +1,4 @@
-"""Lovasz extension, the hinge surrogate built on it, subgradients, and the
-simplex decomposition of the unit cube along sorted coordinates.
+"""Lovasz extension, the hinge surrogate built on it, and its subgradients.
 
 The extension, hinge and subgradient, scalar or batched, are views of one
 batched kernel, ``chain_gains``: it sorts each row descending with ties broken
@@ -12,10 +11,9 @@ entry or a label bitmask outside [0, 2^k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._tol import EXACT_TOL
 from .setfn import SetFunction, _checked_label, as_collection
 
 
@@ -106,7 +104,7 @@ def expected_hinge(fc, u, p) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != (1 << fc.k,):
         raise ValueError(f"p has shape {p.shape}, expected ({1 << fc.k},)")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+    if np.any(p < 0) or abs(p.sum() - 1.0) > EXACT_TOL:
         raise ValueError("p must be a probability vector summing to 1")
     ys = np.nonzero(p)[0]
     return float(p[ys] @ _hinge(fc, np.broadcast_to(u, (len(ys), fc.k)), ys))
@@ -128,43 +126,6 @@ def _subgradient(fc, us: np.ndarray, y_bits) -> np.ndarray:
     g = np.empty_like(margins)
     g[np.arange(len(g))[:, None], order] = gains
     return np.where(margins > 0.0, -signs * g, 0.0)
-
-
-@dataclass(frozen=True)
-class OrderedDecomposition:
-    """A point of [0,1]^k written as a convex combination of sorted-prefix
-    indicator vertices: x = sum_{i>=1} alphas[i] * 1_{pi,i}, alphas[0] = 1 - max(x)."""
-
-    pi: tuple[int, ...]
-    alphas: np.ndarray
-    vertices: tuple[int, ...]  # bitmask of 1_{pi,i} for i = 0..k
-
-    def reconstruct(self) -> np.ndarray:
-        k = len(self.pi)
-        x = np.zeros(k)
-        for i in range(1, k + 1):
-            for j in self.pi[:i]:
-                x[j] += self.alphas[i]
-        return x
-
-
-def simplex_decompose(x) -> OrderedDecomposition:
-    """Decompose x in [0,1]^k over the chain of sorted-prefix vertices."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("simplex decomposition needs x in [0,1]^k")
-    order = descending_order(x)
-    xs = x[order]
-    k = len(x)
-    alphas = np.empty(k + 1)
-    alphas[0] = 1.0 - xs[0]
-    alphas[1:k] = xs[:-1] - xs[1:]
-    alphas[k] = xs[-1]
-    vertices, mask = [0], 0
-    for i in order:
-        mask |= 1 << int(i)
-        vertices.append(mask)
-    return OrderedDecomposition(tuple(int(i) for i in order), alphas, tuple(vertices))
 
 
 def _checked(a, k: int, name: str, ndim: int, nonnegative: bool = False) -> np.ndarray:

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tol import EXACT_TOL
 from .links import LinkConfig, _points, _report_id_table, threshold_abstain_link
 from .lovasz import hinge
 from .oracle import VerificationReport
-from .setfn import PolymatroidCollection, SetFunction
-from .targets import abstain_loss_table, enumerate_reports
+from .setfn import PolymatroidCollection, SetFunction, make_jaccard, make_modular
+from .targets import AbstainReport, _report_masks, abstain_loss_table
 
 ABSTAIN = 0  # class slot reserved for the abstain answer
 _PAIR_ROWS = 4096  # (report, block) pairs per block-domination comparison; 16 MiB of rows at d*k = 9
@@ -114,9 +115,23 @@ class BlockCodec:
     def decode_bits(self, bits: int) -> int:
         return self._decode[bits]
 
-    def block_slice(self, i: int) -> slice:
-        """Positions of prediction i (0-based) inside a dk-vector."""
-        return slice(i * self.d, (i + 1) * self.d)
+
+def bep_loss(r, y, n: int) -> float:
+    """Abstain-aware multiclass 0-1 loss: 0 if correct, 1/2 on abstain, else 1."""
+    if not (1 <= y <= n):
+        raise ValueError(f"label {y} outside [1, {n}]")
+    if r is None:
+        return 0.5
+    if not (1 <= r <= n):
+        raise ValueError(f"report {r} outside [1, {n}]")
+    return 0.0 if r == y else 1.0
+
+
+def bep_surrogate(u, code) -> float:
+    """(max_j code_j * u_j + 1)_+, the max-margin surrogate over a sign codeword."""
+    u = np.asarray(u, dtype=float)
+    code = np.asarray(code, dtype=float)
+    return float(max(np.max(code * u) + 1.0, 0.0))
 
 
 def encode_bep(y: ClassLabel, codec: BlockCodec) -> int:
@@ -161,8 +176,6 @@ class ClassCosts:
     def for_label(self, y: ClassLabel) -> SetFunction:
         if self.shared is not None:
             return self.shared
-        from .setfn import make_modular
-
         return make_modular([self.weights[c - 1] for c in y.classes])
 
 
@@ -228,7 +241,7 @@ def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
     if len(u) % d:
         raise ValueError("surrogate point length must be a multiple of the block size")
     k = len(u) // d
-    if cfg.epsilon is not None and cfg.epsilon > 1.0 / (2 * d * k) + 1e-12:
+    if cfg.epsilon is not None and cfg.epsilon > 1.0 / (2 * d * k) + EXACT_TOL:
         raise ValueError("epsilon exceeds the lifted-dimension bound 1/(2dk)")
     v = threshold_abstain_link(u, cfg)
     entries = []
@@ -248,12 +261,10 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     n = d * k
     if n > 9:
         raise ValueError("block domination check capped at d*k <= 9")
-    reports = enumerate_reports(n, "V")
     labels = np.array([encode_bep(ClassLabel(codec.C, tuple(c + 1 for c in t)), codec)
                        for t in np.ndindex(*([codec.C] * k))])
-    table = abstain_loss_table(lift_polymatroid(g, codec, k), reports)[:, labels]
-    pos = np.array([v.pos for v in reports])
-    zeros = np.array([v.zeros for v in reports])
+    table = abstain_loss_table(lift_polymatroid(g, codec, k))[:, labels]
+    pos, zeros = _report_masks(n)
     block = (1 << d) - 1
     shifts = np.arange(k) * d
     in_block = (zeros[:, None] >> shifts) & block
@@ -264,13 +275,14 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     cases = 0
     for start in range(0, len(vids), _PAIR_ROWS):
         rows = slice(start, start + _PAIR_ROWS)
-        worse = table[full_ids[rows]] > table[vids[rows]] + 1e-12
+        worse = table[full_ids[rows]] > table[vids[rows]] + EXACT_TOL
         if worse.any():
             f = int(worse.argmax())
             pair, y = start + f // len(labels), labels[f % len(labels)]
             return VerificationReport(
                 "block-domination", False, cases + f + 1,
-                {"v": str(reports[vids[pair]]), "block": int(blocks[pair]), "y": int(y)},
+                {"v": str(AbstainReport(n, int(pos[vids[pair]]), int(zeros[vids[pair]]))),
+                 "block": int(blocks[pair]), "y": int(y)},
             )
         cases += worse.size
     return VerificationReport("block-domination", True, cases)
@@ -313,8 +325,6 @@ def ova_target(g_by_class, yp: ClassLabel, y: ClassLabel) -> float:
 
 def ova_jaccard_costs(C: int, k: int):
     """Per-class Jaccard cost g_{c,y}(S) = |S| / |S u {i : y_i = c}|."""
-    from .setfn import make_jaccard
-
     jac = make_jaccard(k)
 
     def g(c: int, y: ClassLabel) -> SetFunction:
@@ -384,7 +394,7 @@ def bep_ova_incompatibility(g_single: SetFunction) -> BepOvaIncompatibility:
         raise RuntimeError("one-vs-all error pattern for class 5 changed")
     forced_close = g_single.eval(mis_class(v, y, 5))
     forced_far = g_single.eval(mis_class(v_far, y, 5))
-    incompatible = forced_far < forced_close - 1e-12
+    incompatible = forced_far < forced_close - EXACT_TOL
     return BepOvaIncompatibility(
         bit_mis_close=close,
         bit_mis_far=far,

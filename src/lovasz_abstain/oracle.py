@@ -14,20 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .links import GAP_TOL, LinkConfig, _face_member_matrix, _report_id_table, face_distances, link_rows
-from .lovasz import clip, expected_hinge, hinge_batch
-from .setfn import PolymatroidCollection, SetFunction, as_collection, mean_value, validate_polymatroid
-from .setfn import check_condition1
-from .targets import (
-    ARGMIN_TOL,
-    AbstainReport,
-    abstain_loss_table,
-    enumerate_reports,
-    plain_loss_table,
-    report_index,
+from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
+from .links import (
+    LinkConfig,
+    _face_member_matrix,
+    _report_id_table,
+    face_distances,
+    link_rows,
+    naive_threshold_link,
 )
-
-MARGIN = 1e-9  # strict-uniqueness margin between best and second best
+from .lovasz import clip, expected_hinge, hinge_batch
+from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
+from .setfn import popcounts, validate_polymatroid
+from .targets import AbstainReport, _report_masks, abstain_loss_table, enumerate_reports, plain_loss_table
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +125,15 @@ def surrogate_loss_table(fc) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def argmin_ids(values: np.ndarray, tol: float = ARGMIN_TOL) -> set[int]:
-    best = values.min()
-    return set(np.nonzero(values <= best + tol)[0].tolist())
-
-
 def _argmin_mask(values: np.ndarray) -> np.ndarray:
-    """Row-wise argmin_ids of a (distributions, reports) value matrix, as a mask."""
+    """Row-wise optimal sets of a (distributions, reports) value matrix, as a
+    mask: every value within ARGMIN_TOL of its row's minimum."""
     return values <= values.min(axis=1, keepdims=True) + ARGMIN_TOL
+
+
+def argmin_ids(values: np.ndarray) -> set[int]:
+    """Ids of the optimal entries of one value vector; one-row view of _argmin_mask."""
+    return set(np.flatnonzero(_argmin_mask(values[None])[0]).tolist())
 
 
 def _lattice(k: int, step: float = 0.25) -> np.ndarray:
@@ -153,12 +153,17 @@ def verify_embedding(fc, grid_m: int | None = None) -> VerificationReport:
     k = fc.k
     if k > 4:
         raise ValueError("embedding verification capped at k <= 4")
+    F = fc.table_matrix()
+    bad = np.argwhere(~np.isfinite(F))
+    if len(bad):
+        y, s = bad[0]
+        raise ValueError(f"collection has the non-finite value {F[y, s]} at f_y(S) with y={y:#x}, S={s:#x}")
     reports = enumerate_reports(k, "V")
     surr = surrogate_loss_table(fc)
     disc = abstain_loss_table(fc)
     gap = np.abs(surr - disc).max()
     cases = surr.size
-    if gap > 1e-12:
+    if gap > EXACT_TOL:
         i, y = np.unravel_index(np.abs(surr - disc).argmax(), surr.shape)
         return VerificationReport(
             "embedding",
@@ -193,9 +198,8 @@ def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
     k = fc.k
     if k > 3:
         raise ValueError("representativeness check capped at k <= 3")
-    ridx = report_index(k)
-    candidates = np.zeros(len(ridx), dtype=bool)
-    candidates[[ridx[(v.pos, v.zeros)] for v in reports]] = True
+    candidates = np.zeros(3**k, dtype=bool)
+    candidates[_report_id_table(k)[[v.pos for v in reports], [v.zeros for v in reports]]] = True
     surr = surrogate_loss_table(fc)
     cases = 0
     for P in _grid_blocks(k, grid_m):
@@ -229,7 +233,7 @@ def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
         raise ValueError("tightness verification capped at k <= 4")
     fc = as_collection(f)
     reports = enumerate_reports(k, "V")
-    ridx = report_index(k)
+    id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
     cases = 0
 
@@ -237,26 +241,25 @@ def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
         cases += 1
         p = tightness_witness(v)
         vals = table @ p
-        vid = ridx[(v.pos, v.zeros)]
+        vid = id_of[v.pos, v.zeros]
         others = np.delete(vals, vid)
         if not vals[vid] < others.min() - MARGIN:
             return VerificationReport(
                 "tightness", False, cases, {"v": str(v), "p": p.tolist(), "unique": False}
             )
 
-    one_zero = [v for v in reports if v.n_abstain() == 1]
-    vid = [ridx[(v.pos, v.zeros)] for v in one_zero]
-    plus = [ridx[(v.pos | v.zeros, 0)] for v in one_zero]
-    minus = [ridx[(v.pos, 0)] for v in one_zero]
+    pos, zeros = _report_masks(k)
+    vid = np.flatnonzero(popcounts(zeros) == 1)  # the lone-abstention reports
+    plus, minus = id_of[pos[vid] | zeros[vid], 0], id_of[pos[vid], 0]
     for P in _grid_blocks(k, grid_m) if k <= 3 else [uniform(k)[None]]:
         vals = P @ table.T
-        failed = np.minimum(vals[:, plus], vals[:, minus]) > vals[:, vid] + 1e-12
+        failed = np.minimum(vals[:, plus], vals[:, minus]) > vals[:, vid] + EXACT_TOL
         if failed.any():
             f = int(failed.argmax())
-            i, j = divmod(f, len(one_zero))
+            i, j = divmod(f, len(vid))
             return VerificationReport(
                 "tightness", False, cases + f + 1,
-                {"v": str(one_zero[j]), "p": P[i].tolist(), "dominated": False},
+                {"v": str(reports[vid[j]]), "p": P[i].tolist(), "dominated": False},
             )
         cases += failed.size
     return VerificationReport("tightness", True, cases)
@@ -306,7 +309,7 @@ def counterexample_symmetric(f) -> SymmetricCounterexample:
     if base.modular:
         return SymmetricCounterexample(consistent_case=True)
 
-    coords = [i for i in range(f.k) if f.values[1 << i] > 1e-9]
+    coords = [i for i in range(f.k) if f.values[1 << i] > ATOL]
     fr = restrict_to_coords(f, coords) if len(coords) < f.k else f
     if validate_polymatroid(fr).modular:
         raise RuntimeError("non-modular table became modular after discarding null coordinates")
@@ -317,7 +320,6 @@ def counterexample_symmetric(f) -> SymmetricCounterexample:
 
     fc = as_collection(fr)
     reports = enumerate_reports(k, "V")
-    ridx = report_index(k)
     table = abstain_loss_table(fc)
     plain = plain_loss_table(fc)
 
@@ -402,13 +404,13 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
 
     full = (1 << k) - 1
     reports = enumerate_reports(k, "V")
-    ridx = report_index(k)
+    id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
     plain = plain_loss_table(fc)
-    zero_id = ridx[(0, full)]
+    zero_id, plus_id = int(id_of[0, full]), int(id_of[full, 0])
 
     base = table @ uniform(k)
-    lemma_ok = argmin_ids(base) <= {zero_id, ridx[(full, 0)]}
+    lemma_ok = argmin_ids(base) <= {zero_id, plus_id}
     if not lemma_ok:
         raise RuntimeError("optimal set at the uniform distribution escapes {0, all-plus}")
 
@@ -422,7 +424,7 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
             # inequality holds with a zero left side.
             term = table[:, 0]
             ineq_b = term[zero_id] > 0 and np.all(eps * term < (1.0 - eps) * base)
-            ineq_a = vals[ridx[(full, 0)]] > vals[zero_id] + MARGIN
+            ineq_a = vals[plus_id] > vals[zero_id] + MARGIN
             if ineq_a and ineq_b:
                 chosen = (eps, p_eps, vals)
                 break
@@ -470,7 +472,7 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
     for t in (1.0, 0.5, 0.25, 1e-3):
         g = expected_hinge(fc, t * signs, p_eps) - vals[zero_id]
         gaps.append(g)
-        if abs(g - t * ray_gap) > 1e-9:
+        if abs(g - t * ray_gap) > ATOL:
             raise RuntimeError("hinge is not affine along the witness ray")
     return AsymmetricCounterexample(
         "sequence", eps, p_eps, v_opt, y_hat, bad_sign_bits=y_out,
@@ -541,14 +543,12 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
     whose thresholded report stays outside the optimal set while their
     expected hinge converges to the optimum.
     """
-    from .links import naive_threshold_link
-
     fc = as_collection(fc)
     k = fc.k
     reports = enumerate_reports(k, "V")
-    ridx = report_index(k)
+    id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
-    zero_id = ridx[(0, (1 << k) - 1)]
+    zero_id = id_of[0, (1 << k) - 1]
     for P in _grid_blocks(k, grid_m):
         vals_block = P @ table.T
         optimal = _argmin_mask(vals_block)
@@ -561,7 +561,7 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
                 signs = y.vector()
                 for j in range(k):
                     dropped = AbstainReport(k, y.pos & ~(1 << j), 1 << j)
-                    if ridx[(dropped.pos, dropped.zeros)] in ids:
+                    if id_of[dropped.pos, dropped.zeros] in ids:
                         continue
                     gaps = []
                     witness_ok = True
@@ -573,7 +573,7 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
                             witness_ok = False
                             break
                         gaps.append(expected_hinge(fc, u, p) - vals.min())
-                    if witness_ok and gaps[-1] < 1e-4 and all(g >= -1e-12 for g in gaps):
+                    if witness_ok and gaps[-1] < 1e-4 and all(g >= -EXACT_TOL for g in gaps):
                         return NaiveLinkWitness(c, p, c * signs, dropped, ids, gaps)
     raise RuntimeError("no naive-link failure found on this grid")
 

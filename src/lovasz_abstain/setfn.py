@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ATOL = 1e-9  # separates real ties from float noise; tables hold small rationals
+from ._tol import ATOL
 
 
 def popcounts(masks: np.ndarray) -> np.ndarray:
@@ -88,13 +88,12 @@ class SetFunction:
             raise ValueError(f"need 2^{self.k} values, got shape {vals.shape}")
 
     @classmethod
-    def from_values(cls, k: int, values, validate: bool = True) -> "SetFunction":
+    def from_values(cls, k: int, values) -> "SetFunction":
         f = cls(k, np.asarray(values, dtype=float))
-        if validate:
-            if abs(f.values[0]) > ATOL:
-                raise ValueError(f"not normalized: f(empty) = {f.values[0]}")
-            if np.any(f.values < -ATOL):
-                raise ValueError("set function has negative values")
+        if abs(f.values[0]) > ATOL:
+            raise ValueError(f"not normalized: f(empty) = {f.values[0]}")
+        if np.any(f.values < -ATOL):
+            raise ValueError("set function has negative values")
         return f
 
     def eval(self, subset: int) -> float:
@@ -322,6 +321,9 @@ def validate_polymatroid(f: SetFunction, strict: bool = False) -> ValidationRepo
     return report
 
 
+_CONDITION1_CELLS = 1 << 20  # (label, subset) cells per check_condition1 block; 8 MiB of float64
+
+
 @dataclass
 class Condition1Report:
     """Result of the complementary-error lower-bound check on a collection."""
@@ -339,23 +341,31 @@ def check_condition1(fc) -> Condition1Report:
 
     The inequality must be strict unless S is empty or full, or y is the
     all-minus label, the all-plus label, or the label that is -1 exactly on S.
+    Labels go in blocks of _CONDITION1_CELLS / 2^k; the witness is the first
+    failing (y, S) in label-major order, with the f_y([k]) > f_y(0) check of
+    a label ahead of its subsets.
     """
     fc = as_collection(fc)
     k = fc.k
     full = (1 << k) - 1
-    for y in range(1 << k):
-        fy = fc.for_label(y)
-        if not fy.values[full] > fy.values[0] + ATOL:
-            return Condition1Report(False, (y, full), "f_y([k]) > f_y(empty) fails")
-        fneg = fc.for_label(full ^ y)
-        for s in range(1 << k):
-            lhs = fy.values[s] + fneg.values[full ^ s]
-            rhs = fy.values[full]
-            if lhs < rhs - ATOL:
-                return Condition1Report(False, (y, s), "complementary sum below f_y([k])")
-            exempt = s in (0, full) or y in (0, full, full ^ s)
-            if not exempt and lhs <= rhs + ATOL:
-                return Condition1Report(False, (y, s), "strictness fails")
+    F = fc.table_matrix()
+    s = np.arange(full + 1)
+    rows = max(1, _CONDITION1_CELLS >> k)
+    for start in range(0, full + 1, rows):
+        y = s[start:start + rows, None]
+        top = F[y, full]
+        lhs = F[y, s] + F[full ^ y, full ^ s]  # f_{-y} is the table of label full ^ y
+        flat = ~(top[:, 0] > F[y[:, 0], 0] + ATOL)
+        below = lhs < top - ATOL
+        weak = (lhs <= top + ATOL) & ~((s == 0) | (s == full) | (y == 0) | (y == full) | (y == full ^ s))
+        failed = flat | (below | weak).any(axis=1)
+        if failed.any():
+            i = int(failed.argmax())
+            if flat[i]:
+                return Condition1Report(False, (int(y[i, 0]), full), "f_y([k]) > f_y(empty) fails")
+            j = int((below[i] | weak[i]).argmax())
+            reason = "complementary sum below f_y([k])" if below[i, j] else "strictness fails"
+            return Condition1Report(False, (int(y[i, 0]), j), reason)
     return Condition1Report(True)
 
 

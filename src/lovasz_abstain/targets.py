@@ -11,12 +11,12 @@ which the Lovasz hinge reproduces exactly at the points of {-1,0,1}^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .setfn import Label, _checked_label, as_collection
-
-ARGMIN_TOL = 1e-9  # expected losses are small rationals; genuine ties are exact
+from ._tol import ARGMIN_TOL  # kept importable from here; the tie rule itself is oracle._argmin_mask
+from .setfn import Label, _checked_label, as_collection, popcounts
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,6 @@ class AbstainReport:
 
     def n_abstain(self) -> int:
         return self.zeros.bit_count()
-
-    def sign_completion(self, signs_bits: int) -> "AbstainReport":
-        """Fill abstained coordinates with signs taken from the given bitmask."""
-        return AbstainReport(self.k, self.pos | (self.zeros & signs_bits), 0)
 
     def __str__(self) -> str:
         return "".join(
@@ -131,22 +127,28 @@ def target_abstain(fc, v, y) -> float:
     return f.eval(m & ~v.zeros) + f.eval(m)
 
 
-def bep_loss(r, y, n: int) -> float:
-    """Abstain-aware multiclass 0-1 loss: 0 if correct, 1/2 on abstain, else 1."""
-    if not (1 <= y <= n):
-        raise ValueError(f"label {y} outside [1, {n}]")
-    if r is None:
-        return 0.5
-    if not (1 <= r <= n):
-        raise ValueError(f"report {r} outside [1, {n}]")
-    return 0.0 if r == y else 1.0
+@lru_cache(maxsize=None)
+def _report_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 (pos, zeros) bitmasks of the canonical "V" order.
 
-
-def bep_surrogate(u, code) -> float:
-    """(max_j code_j * u_j + 1)_+, the max-margin surrogate over a sign codeword."""
-    u = np.asarray(u, dtype=float)
-    code = np.asarray(code, dtype=float)
-    return float(max(np.max(code * u) + 1.0, 0.0))
+    Reports are sorted by (zeros, pos): each abstention mask in turn, then the
+    subsets of its free coordinates in increasing order. The n-th subset of
+    a free mask scatters the bits of n over the free positions, lowest first.
+    """
+    if k > 12:
+        raise ValueError("report enumeration capped at k <= 12")
+    masks = np.arange(1 << k, dtype=np.int64)
+    sizes = 1 << (k - popcounts(masks))
+    zeros = np.repeat(masks, sizes)
+    n = np.arange(len(zeros)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pos = np.zeros_like(zeros)
+    for i in range(k):
+        free = 1 - ((zeros >> i) & 1)
+        pos |= (n & free) << i
+        n >>= free
+    pos.setflags(write=False)
+    zeros.setflags(write=False)
+    return pos, zeros
 
 
 def enumerate_reports(k: int, family: str = "V") -> list[AbstainReport]:
@@ -155,30 +157,21 @@ def enumerate_reports(k: int, family: str = "V") -> list[AbstainReport]:
     "V" is all of {-1,0,1}^k, "V0" removes reports with exactly one zero,
     "Y" is the +-1 labels only.
     """
-    if k > 12:
-        raise ValueError("report enumeration capped at k <= 12")
-    out = []
-    if family == "Y":
-        return [AbstainReport(k, pos, 0) for pos in range(1 << k)]
-    if family not in ("V", "V0"):
+    if family not in ("V", "V0", "Y"):
         raise ValueError(f"unknown report family {family!r}")
-    for zeros in range(1 << k):
-        if family == "V0" and zeros.bit_count() == 1:
-            continue
-        free = [i for i in range(k) if not zeros >> i & 1]
-        for combo in range(1 << len(free)):
-            pos = 0
-            for b, i in enumerate(free):
-                if combo >> b & 1:
-                    pos |= 1 << i
-            out.append(AbstainReport(k, pos, zeros))
-    out.sort(key=lambda v: (v.zeros, v.pos))
-    return out
+    pos, zeros = _report_masks(k)
+    if family == "Y":
+        pos, zeros = pos[:1 << k], zeros[:1 << k]  # zeros == 0 comes first
+    elif family == "V0":
+        keep = popcounts(zeros) != 1
+        pos, zeros = pos[keep], zeros[keep]
+    return [AbstainReport(k, p, z) for p, z in zip(pos.tolist(), zeros.tolist())]
 
 
 def report_index(k: int) -> dict[tuple[int, int], int]:
     """Position of each (pos, zeros) pair in the canonical "V" enumeration."""
-    return {(v.pos, v.zeros): i for i, v in enumerate(enumerate_reports(k, "V"))}
+    pos, zeros = _report_masks(k)
+    return dict(zip(zip(pos.tolist(), zeros.tolist()), range(len(pos))))
 
 
 def abstain_loss_table(fc, reports=None) -> np.ndarray:
@@ -188,16 +181,18 @@ def abstain_loss_table(fc, reports=None) -> np.ndarray:
     target_abstain, read from fc.table_matrix() for every cell at once.
     """
     fc = as_collection(fc)
-    reports = enumerate_reports(fc.k, "V") if reports is None else [_report(v) for v in reports]
-    for v in reports:
-        if v.k != fc.k:
-            raise ValueError(f"report has k={v.k}, collection has k={fc.k}")
     full = (1 << fc.k) - 1
-    if not reports:
-        return np.empty((0, full + 1))
+    if reports is None:
+        pos, zeros = _report_masks(fc.k)
+    else:
+        reports = [_report(v) for v in reports]
+        for v in reports:
+            if v.k != fc.k:
+                raise ValueError(f"report has k={v.k}, collection has k={fc.k}")
+        pos = np.array([v.pos for v in reports], dtype=np.int64)
+        zeros = np.array([v.zeros for v in reports], dtype=np.int64)
     F, y = fc.table_matrix(), np.arange(full + 1)
-    pos = np.array([v.pos for v in reports])[:, None]
-    zeros = np.array([v.zeros for v in reports])[:, None]
+    pos, zeros = pos[:, None], zeros[:, None]
     neg = full & ~(pos | zeros)
     m = full & ~((pos & y) | (neg & ~y & full))
     return F[y, m & ~zeros] + F[y, m]
@@ -209,19 +204,3 @@ def plain_loss_table(fc) -> np.ndarray:
     fc = as_collection(fc)
     y = np.arange(1 << fc.k)
     return fc.table_matrix()[y, y[:, None] ^ y]
-
-
-def expected_target(loss, reports, p, tol: float = ARGMIN_TOL):
-    """Expected losses of each report under p, plus the full argmin set.
-
-    loss is any callable (report, label_bits) -> real. Ties within tol of the
-    minimum are all reported; verification logic needs the whole tied set.
-    """
-    p = np.asarray(p, dtype=float)
-    support = np.nonzero(p)[0]
-    values = np.array(
-        [sum(p[y] * loss(v, int(y)) for y in support) for v in reports]
-    )
-    best = values.min()
-    argmin = [reports[i] for i in np.nonzero(values <= best + tol)[0]]
-    return values, argmin

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lovasz_abstain import make_jaccard, make_sqrt_card, make_zero_one
+from lovasz_abstain import SetFunction, make_jaccard, make_sqrt_card, make_zero_one
 from lovasz_abstain.cli import main
 from lovasz_abstain.serialize import save_collection, save_setfn
 
@@ -19,7 +19,11 @@ def files(tmp_path):
     save_collection(make_jaccard(3), coll)
     sym = tmp_path / "sqrt2.json"
     save_collection(make_sqrt_card(2), sym)
-    return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "dir": tmp_path}
+    nan = tmp_path / "nan3.json"
+    values = make_zero_one(3).values.copy()
+    values[0b011] = np.nan
+    save_collection(SetFunction.from_values(3, values), nan)
+    return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "nan3": nan, "dir": tmp_path}
 
 
 def run(capsys, argv):
@@ -145,12 +149,14 @@ def test_train_metrics_sweep(files, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv, word",
-    [(["link", "--u=nan,0.2"], "non-finite"), (["eval-hinge", "--collection", None, "--u=0,0", "--y=+x"], "'x'"),
-     (["verify", "embedding", "--collection", None, "--grid", "0"], "m=0")],
-    ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid"],
+    [(["link", "--u=nan,0.2"], "non-finite"),
+     (["eval-hinge", "--collection", "sqrt2", "--u=0,0", "--y=+x"], "'x'"),
+     (["verify", "embedding", "--collection", "sqrt2", "--grid", "0"], "m=0"),
+     (["verify", "embedding", "--collection", "nan3"], "non-finite value nan")],
+    ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
-    argv = [str(files["sqrt2"]) if a is None else a for a in argv]
+    argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,7 +11,6 @@ from lovasz_abstain import (
     make_sqrt_card,
     make_zero_one,
     naive_threshold_link,
-    sign_star,
     threshold_abstain_link,
     trim_single_abstain,
 )
@@ -20,7 +19,6 @@ from lovasz_abstain.links import (
     envelope_detailed,
     envelope_members_gap,
     envelope_members_oracle,
-    envelope_nonempty_batch,
 )
 
 
@@ -35,12 +33,6 @@ from lovasz_abstain.targets import enumerate_reports, report_index
 
 def reports_of(s):
     return {str(v) for v in s}
-
-
-def test_sign_star():
-    assert sign_star([0.3, -2.0]).tolist() == [1.0, -1.0]
-    assert sign_star([0.0, 0.0]).tolist() == [1.0, 1.0]
-    assert sign_star([-0.0001, 5.0]).tolist() == [-1.0, 1.0]
 
 
 def test_naive_threshold_link():
@@ -87,7 +79,7 @@ def test_envelope_batch_routes_agree(rng):
 def test_nonemptiness_boundary(rng):
     for k in (2, 3, 4):
         us = rng.uniform(-2, 2, (2000, k))
-        assert envelope_nonempty_batch(us, 1 / (2 * k)).all()
+        assert envelope_members_gap(us, 1 / (2 * k)).any(axis=1).all()
         witness = (2 * np.arange(1, k + 1) - 1) / (2 * k)
         bad_eps = 1 / (2 * k) + 0.01
         assert not envelope(witness, LinkConfig(epsilon=bad_eps))
@@ -223,7 +215,7 @@ def test_naive_link_inconsistency_witness():
         (lambda: threshold_abstain_link([], LinkConfig()), "u"),
         (lambda: threshold_abstain_link([[0.9, 0.1]], LinkConfig()), "u"),
         (lambda: envelope_members_gap([[0.9, 0.1], [np.nan, 0.1]], 0.25), "us"),
-        (lambda: envelope_nonempty_batch([0.9, 0.1], 0.25), "us"),
+        (lambda: envelope_members_gap([0.9, 0.1], 0.25).any(axis=1), "us"),
         (lambda: trim_single_abstain(AbstainReport.from_string("+0"), [0.9, 0.1, 0.3]), "u"),
     ],
     ids=["nan", "inf", "empty", "two-axes", "members-nan-row", "nonempty-one-axis", "trim-length"],

@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lovasz_abstain import (
     Label,
@@ -17,7 +15,6 @@ from lovasz_abstain import (
     make_zero_one,
     random_collection,
     random_polymatroid,
-    simplex_decompose,
 )
 from lovasz_abstain.lovasz import extension_batch, hinge_batch
 from lovasz_abstain.oracle import point_mass, uniform
@@ -233,27 +230,6 @@ def test_hinge_batch_matches_scalar(rng):
         batch = hinge_batch(fc, us, y)
         for u, val in zip(us, batch):
             assert val == pytest.approx(hinge(fc, u, y), abs=1e-12)
-
-
-def test_simplex_decompose_examples():
-    dec = simplex_decompose([0.5, 0.3])
-    assert dec.pi == (0, 1)
-    assert dec.alphas.tolist() == pytest.approx([0.5, 0.2, 0.3])
-    assert dec.vertices == (0, 0b01, 0b11)
-    assert simplex_decompose([1.0, 1.0]).alphas.tolist() == pytest.approx([0, 0, 1])
-    assert simplex_decompose([0.0, 0.0]).alphas.tolist() == pytest.approx([1, 0, 0])
-    with pytest.raises(ValueError):
-        simplex_decompose([1.2, 0.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=6))
-def test_simplex_decompose_reconstruction(xs):
-    x = np.array(xs)
-    dec = simplex_decompose(x)
-    assert np.all(dec.alphas[1:] >= -1e-15)
-    assert dec.alphas.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(dec.reconstruct(), x, atol=1e-12)
 
 
 def test_hinge_rejects_wrong_length_u():

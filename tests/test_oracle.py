@@ -98,6 +98,15 @@ def test_verify_representative():
     assert not (ids & label_ids)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_verify_embedding_rejects_a_non_finite_table(k):
+    """A NaN cell makes every comparison False, so it has to be refused up front."""
+    values = make_zero_one(k).values.copy()
+    values[0b011] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite value nan at f_y\(S\) with y=0x0, S=0x3"):
+        verify_embedding(SetFunction.from_values(k, values))
+
+
 def test_verify_tightness_sqrt():
     for k in (2, 3):
         assert verify_tightness(make_sqrt_card(k), grid_m=8 if k == 2 else 4).passed

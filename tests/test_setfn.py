@@ -16,6 +16,7 @@ from lovasz_abstain import (
     make_sqrt_card,
     make_zero_one,
     mean_value,
+    random_collection,
     random_polymatroid,
     validate_polymatroid,
 )
@@ -198,6 +199,55 @@ def test_condition1_perfect_recall_fails():
         per_label[y] = SetFunction(k, vals)
     fc = PolymatroidCollection.from_per_label(k, per_label)
     assert not check_condition1(fc).passed
+
+
+def loop_condition1(fc):
+    """The per-(y, S) loop check_condition1 replaced, kept as its reference."""
+    from lovasz_abstain.setfn import ATOL, as_collection
+
+    fc = as_collection(fc)
+    full = (1 << fc.k) - 1
+    for y in range(1 << fc.k):
+        fy = fc.for_label(y)
+        if not fy.values[full] > fy.values[0] + ATOL:
+            return False, (y, full), "f_y([k]) > f_y(empty) fails"
+        fneg = fc.for_label(full ^ y)
+        for s in range(1 << fc.k):
+            lhs = fy.values[s] + fneg.values[full ^ s]
+            rhs = fy.values[full]
+            if lhs < rhs - ATOL:
+                return False, (y, s), "complementary sum below f_y([k])"
+            exempt = s in (0, full) or y in (0, full, full ^ s)
+            if not exempt and lhs <= rhs + ATOL:
+                return False, (y, s), "strictness fails"
+    return True, None, ""
+
+
+def condition1_cases():
+    rng = np.random.default_rng(7)
+    for k in range(1, 7):
+        yield f"jaccard{k}", make_jaccard(k)
+        yield f"sqrt{k}", make_sqrt_card(k)
+    for k in (2, 3, 4):
+        yield f"modular{k}", make_modular(np.arange(1, k + 1, dtype=float))
+        yield f"random{k}", random_collection(k, rng)
+    flat = dict(make_jaccard(3).per_label)
+    flat[0b010] = SetFunction(3, np.zeros(8))  # f_y([k]) = f_y(empty) at one label
+    yield "flat-label", PolymatroidCollection.from_per_label(3, flat)
+
+
+@pytest.mark.parametrize("fc", [pytest.param(fc, id=name) for name, fc in condition1_cases()])
+def test_condition1_matches_the_loop(fc):
+    rep = check_condition1(fc)
+    assert (rep.passed, rep.witness, rep.reason) == loop_condition1(fc)
+
+
+def test_condition1_parity_cases_cover_every_verdict():
+    verdicts = {name.rstrip("0123456789"): loop_condition1(fc) for name, fc in condition1_cases()}
+    assert verdicts["jaccard"][0] and verdicts["sqrt"][0]
+    assert verdicts["modular"][2] == "strictness fails"
+    assert verdicts["flat-label"] == (False, (0b010, 0b111), "f_y([k]) > f_y(empty) fails")
+    assert not verdicts["random"][0]
 
 
 def test_mean_value():

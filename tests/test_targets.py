@@ -9,7 +9,6 @@ from lovasz_abstain import (
     abs_set,
     bep_loss,
     enumerate_reports,
-    expected_target,
     hinge,
     make_modular,
     make_sqrt_card,
@@ -20,8 +19,10 @@ from lovasz_abstain import (
     target_abstain,
     target_plain,
 )
-from lovasz_abstain.oracle import grid_distributions, point_mass, uniform
-from lovasz_abstain.targets import bep_surrogate
+from lovasz_abstain.links import _report_id_table
+from lovasz_abstain.multiclass import bep_surrogate
+from lovasz_abstain.oracle import argmin_ids, grid_distributions, point_mass, uniform
+from lovasz_abstain.targets import abstain_loss_table, report_index
 
 from conftest import builtin_collections
 
@@ -132,39 +133,62 @@ def test_enumerate_reports_deterministic():
     assert sorted(set(a)) == sorted(a)
 
 
+def loop_reports(k, family):
+    """The nested-loop enumeration the array form replaced, kept as its reference."""
+    if family == "Y":
+        return [AbstainReport(k, pos, 0) for pos in range(1 << k)]
+    out = []
+    for zeros in range(1 << k):
+        if family == "V0" and zeros.bit_count() == 1:
+            continue
+        free = [i for i in range(k) if not zeros >> i & 1]
+        for combo in range(1 << len(free)):
+            pos = 0
+            for b, i in enumerate(free):
+                if combo >> b & 1:
+                    pos |= 1 << i
+            out.append(AbstainReport(k, pos, zeros))
+    out.sort(key=lambda v: (v.zeros, v.pos))
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_enumerate_reports_matches_the_loop(k):
+    for family in ("V", "V0", "Y"):
+        got, want = enumerate_reports(k, family), loop_reports(k, family)
+        assert [(v.k, v.pos, v.zeros) for v in got] == [(v.k, v.pos, v.zeros) for v in want]
+    ridx, ids = report_index(k), _report_id_table(k)
+    assert len(ridx) == 3**k == (ids >= 0).sum()
+    for i, v in enumerate(enumerate_reports(k, "V")):
+        assert ridx[(v.pos, v.zeros)] == ids[v.pos, v.zeros] == i
+
+
 def test_expected_target_point_mass(rng):
     f = make_sqrt_card(3)
     reports = enumerate_reports(3, "V")
     y = 0b101
-    values, argmin = expected_target(
-        lambda v, yy: target_abstain(f, v, yy), reports, point_mass(y, 3)
-    )
-    assert [str(v) for v in argmin] == [str(AbstainReport(3, y, 0))]
+    argmin = argmin_ids(abstain_loss_table(f) @ point_mass(y, 3))
+    assert [str(reports[i]) for i in argmin] == [str(AbstainReport(3, y, 0))]
 
 
 def test_expected_target_uniform_zero_one():
     f = make_zero_one(3)
     reports = enumerate_reports(3, "V")
-    values, argmin = expected_target(
-        lambda v, yy: target_abstain(f, v, yy), reports, uniform(3)
-    )
+    values = abstain_loss_table(f) @ uniform(3)
     zero = AbstainReport(3, 0, 0b111)
     idx = [i for i, v in enumerate(reports) if str(v) == str(zero)][0]
     assert values[idx] == pytest.approx(1.0)
-    assert any(str(v) == str(zero) for v in argmin)
+    assert idx in argmin_ids(values)
     assert values.min() >= f.full() - 1e-12
 
 
 def test_expected_target_uniform_modular_ties():
     w = [0.5, 1.25]
     f = make_modular(w)
-    reports = enumerate_reports(2, "Y")
-    values, argmin = expected_target(
-        lambda v, yy: target_abstain(f, v, yy), reports, uniform(2)
-    )
+    values = abstain_loss_table(f, enumerate_reports(2, "Y")) @ uniform(2)
     assert np.allclose(values, 2 * mean_value(f))
     assert np.allclose(values, f.full())
-    assert len(argmin) == 4
+    assert len(argmin_ids(values)) == 4
 
 
 def test_one_zero_domination_on_grid(rng):
@@ -172,11 +196,10 @@ def test_one_zero_domination_on_grid(rng):
     for k in (2, 3):
         f = make_sqrt_card(k)
         reports = enumerate_reports(k, "V")
+        table = abstain_loss_table(f)
         m = 8 if k == 2 else 4
         for p in grid_distributions(k, m):
-            values, argmin = expected_target(
-                lambda v, yy: target_abstain(f, v, yy), reports, p
-            )
+            values = table @ p
             best = values.min()
             for i, v in enumerate(reports):
                 if v.n_abstain() == 1 and values[i] <= best + 1e-9:
