@@ -95,6 +95,8 @@ def cmd_envelope(args):
 
 def cmd_verify(args):
     fc = serialize.load_collection(args.collection)
+    if args.k is not None and args.k != fc.k:
+        raise ValueError(f"--k {args.k} does not match the collection (k={fc.k})")
     if args.what == "embedding":
         rep = oracle.verify_embedding(fc, grid_m=args.grid)
     elif args.what == "representative":
@@ -191,7 +193,7 @@ def cmd_metrics(args):
     preds = [targets.AbstainReport.from_string(s) for s in _read_report_csv(args.pred)]
     truths = [setfn.Label.from_string(s) for s in _read_report_csv(args.truth)]
     if len(preds) != len(truths):
-        raise SystemExit("prediction and truth files have different lengths")
+        raise ValueError("prediction and truth files have different lengths")
     rec = bench.metrics(list(zip(preds, truths)))
     Path(args.out).write_text(json.dumps(rec.to_dict(), indent=2))
     _emit(rec.to_dict())
@@ -314,10 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "k", None) is not None and hasattr(args, "collection"):
-            fc = serialize.load_collection(args.collection)
-            if fc.k != args.k:
-                raise SystemExit(f"--k {args.k} does not match the collection (k={fc.k})")
         args.fn(args)
     except ValueError as exc:
         print(f"lovabs {args.command}: error: {exc}", file=sys.stderr)

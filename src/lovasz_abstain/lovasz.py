@@ -27,19 +27,16 @@ def chain_gains(fc, W: np.ndarray, y_bits=0) -> tuple[np.ndarray, np.ndarray]:
 
     order[j] sorts W[j] descending, ties by ascending index; gains[j, i] =
     f(S_i) - f(S_{i-1}) for the prefix S_i = order[j, :i+1] under the table of
-    label y_bits[j] (or of the one label y_bits). Only the tables of labels
-    present are read. Callers check W and y_bits.
+    label y_bits[j] (or of the one label y_bits), read through fc.at. Callers
+    check W and y_bits.
     """
     fc = as_collection(fc)
     order = descending_order(W)
-    bits = 1 << order
-    masks = np.bitwise_or.accumulate(bits, axis=1)  # S_i; masks ^ bits is S_{i-1}
-    if fc.symmetric or np.ndim(y_bits) == 0:
-        table = fc.for_label(0 if fc.symmetric else int(y_bits)).values
-        return order, table[masks] - table[masks ^ bits]
-    labels, inv = np.unique(y_bits, return_inverse=True)
-    tables = np.stack([fc.for_label(int(y)).values for y in labels])
-    return order, tables[inv[:, None], masks] - tables[inv[:, None], masks ^ bits]
+    # rows: empty, S_0, ..., S_{k-1}; one column per row of W, so inner loops run over n
+    chain = np.zeros((order.shape[1] + 1, len(order)), dtype=np.intp)
+    np.bitwise_or.accumulate(1 << order.T, axis=0, out=chain[1:])
+    values = fc.at(y_bits, chain)
+    return order, (values[1:] - values[:-1]).T
 
 
 def lovasz_extension(f: SetFunction, x) -> float:

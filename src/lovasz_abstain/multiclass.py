@@ -169,10 +169,6 @@ class ClassCosts:
     def from_setfn(cls, g: SetFunction) -> "ClassCosts":
         return cls(g.k, shared=g)
 
-    @property
-    def symmetric(self) -> bool:
-        return self.shared is not None
-
     def for_label(self, y: ClassLabel) -> SetFunction:
         if self.shared is not None:
             return self.shared
@@ -197,6 +193,11 @@ def multiclass_target(g, v: MulticlassReport, y: ClassLabel) -> float:
     return gy.eval(m & ~a) + gy.eval(m)
 
 
+def _class_labels(C: int, k: int) -> list[ClassLabel]:
+    """Every class label over k predictions, in np.ndindex order."""
+    return [ClassLabel(C, tuple(c + 1 for c in t)) for t in np.ndindex(*([C] * k))]
+
+
 def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
     """Bit-level collection charging g on the set of blocks a subset touches."""
     g = _as_costs(g)
@@ -204,23 +205,15 @@ def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
     n = d * k
     if n > 12:
         raise ValueError("lifted ground set capped at d*k <= 12")
-    masks = np.arange(1 << n)
-    block_mask = (1 << d) - 1
-    touched = np.zeros((1 << n, k), dtype=bool)
-    for i in range(k):
-        touched[:, i] = (masks >> (i * d)) & block_mask != 0
-
-    def lift_one(gk: SetFunction) -> SetFunction:
-        block_sets = touched @ (1 << np.arange(k))
-        return SetFunction(n, gk.values[block_sets])
-
-    if g.symmetric:
-        return PolymatroidCollection.from_setfn(lift_one(g.shared))
-    per_label = {}
-    for class_tuple in np.ndindex(*([C] * k)):
-        y = ClassLabel(C, tuple(c + 1 for c in class_tuple))
-        per_label[encode_bep(y, codec)] = lift_one(g.for_label(y))
-    return PolymatroidCollection.from_per_label(n, per_label)
+    blocks = np.arange(k)
+    touched = (np.arange(1 << n)[:, None] >> (blocks * d)) & ((1 << d) - 1) != 0
+    block_sets = touched @ (1 << blocks)  # the set of blocks each bit subset touches
+    if g.weights is None:  # every class label reads the one shared table
+        shared = g.for_label(ClassLabel(C, (1,) * k))
+        return PolymatroidCollection.from_setfn(SetFunction(n, shared.values[block_sets]))
+    ys = _class_labels(C, k)
+    values = np.array([g.for_label(y).values for y in ys])[:, block_sets]
+    return PolymatroidCollection.from_tables(n, [encode_bep(y, codec) for y in ys], values)
 
 
 def multiclass_surrogate(g, codec: BlockCodec, u, y: ClassLabel) -> float:
@@ -261,8 +254,7 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     n = d * k
     if n > 9:
         raise ValueError("block domination check capped at d*k <= 9")
-    labels = np.array([encode_bep(ClassLabel(codec.C, tuple(c + 1 for c in t)), codec)
-                       for t in np.ndindex(*([codec.C] * k))])
+    labels = np.array([encode_bep(y, codec) for y in _class_labels(codec.C, k)])
     table = abstain_loss_table(lift_polymatroid(g, codec, k))[:, labels]
     pos, zeros = _report_masks(n)
     block = (1 << d) - 1
@@ -348,17 +340,10 @@ def onehot_lift(g_by_class, C: int, k: int) -> PolymatroidCollection:
     if n > 12:
         raise ValueError("one-hot lift capped at C*k <= 12")
     masks = np.arange(1 << n)
-    per_label = {}
-    for class_tuple in np.ndindex(*([C] * k)):
-        y = ClassLabel(C, tuple(c + 1 for c in class_tuple))
-        total = np.zeros(1 << n)
-        for c in range(1, C + 1):
-            proj = np.zeros(1 << n, dtype=np.int64)
-            for i in range(k):
-                proj |= ((masks >> (i * C + c - 1)) & 1) << i
-            total += g_by_class(c, y).values[proj]
-        per_label[onehot_encode(y)] = SetFunction(n, total / C)
-    return PolymatroidCollection.from_per_label(n, per_label)
+    proj = [np.bitwise_or.reduce([(masks >> (i * C + c) & 1) << i for i in range(k)]) for c in range(C)]
+    ys = _class_labels(C, k)
+    values = np.array([sum(g_by_class(c + 1, y).values[proj[c]] for c in range(C)) for y in ys])
+    return PolymatroidCollection.from_tables(n, [onehot_encode(y) for y in ys], values / C)
 
 
 @dataclass

@@ -153,7 +153,7 @@ def verify_embedding(fc, grid_m: int | None = None) -> VerificationReport:
     k = fc.k
     if k > 4:
         raise ValueError("embedding verification capped at k <= 4")
-    F = fc.table_matrix()
+    F = fc.at(np.arange(1 << k)[:, None], np.arange(1 << k))
     bad = np.argwhere(~np.isfinite(F))
     if len(bad):
         y, s = bad[0]

@@ -4,12 +4,16 @@ Set function objects: {"k", "kind": "table"|"modular"|"zero_one"|"concave_card",
 "values"|"weights"|"exponent"}. Collections: {"k", "symmetric", "per_label":
 {"<label bitmask>": <set function object>}}, or the shorthand
 {"kind": "jaccard", "k"} since that family is label-indexed by construction.
+Tables load into one value matrix; a label key outside [0, 2^k) or a NaN or
+infinite entry is a ValueError naming the label (and the subset).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 from .setfn import (
     PolymatroidCollection,
@@ -29,7 +33,11 @@ def setfn_to_obj(f: SetFunction) -> dict:
 def setfn_from_obj(obj: dict) -> SetFunction:
     kind = obj.get("kind", "table")
     if kind == "table":
-        return SetFunction.from_values(int(obj["k"]), obj["values"])
+        values = np.asarray(obj["values"], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"non-finite value {values.flat[bad[0]]} at S={bad[0]:#x}")
+        return SetFunction.from_values(int(obj["k"]), values)
     if kind == "modular":
         return make_modular(obj["weights"])
     if kind == "zero_one":
@@ -46,13 +54,9 @@ def setfn_from_obj(obj: dict) -> SetFunction:
 
 def collection_to_obj(fc) -> dict:
     fc = as_collection(fc)
-    if fc.symmetric:
-        return {"k": fc.k, "symmetric": True, "per_label": {"0": setfn_to_obj(fc.for_label(0))}}
-    return {
-        "k": fc.k,
-        "symmetric": False,
-        "per_label": {str(y): setfn_to_obj(fc.for_label(y)) for y in fc.labels()},
-    }
+    labels = [0] if fc.symmetric else fc.labels()
+    return {"k": fc.k, "symmetric": fc.symmetric,
+            "per_label": {str(y): setfn_to_obj(fc.for_label(y)) for y in labels}}
 
 
 def collection_from_obj(obj: dict) -> PolymatroidCollection:
@@ -61,12 +65,18 @@ def collection_from_obj(obj: dict) -> PolymatroidCollection:
     if "per_label" not in obj:  # a bare set function doubles as a symmetric collection
         return PolymatroidCollection.from_setfn(setfn_from_obj(obj))
     k = int(obj["k"])
-    per = {int(key): setfn_from_obj(sub) for key, sub in obj["per_label"].items()}
+    per = {}
+    for key, sub in obj["per_label"].items():
+        try:
+            per[int(key)] = setfn_from_obj(sub)
+        except ValueError as exc:  # name the label whose table is bad
+            raise ValueError(f"label {key}: {exc}") from None
+    fc = PolymatroidCollection.from_per_label(k, per)  # checks every label key and table size
     if obj.get("symmetric", False):
         if len(per) != 1:
             raise ValueError("a symmetric collection must carry exactly one table")
         return PolymatroidCollection.from_setfn(next(iter(per.values())))
-    return PolymatroidCollection.from_per_label(k, per)
+    return fc
 
 
 def load_setfn(path) -> SetFunction:

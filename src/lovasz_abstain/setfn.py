@@ -3,12 +3,16 @@
 Subsets of [k] = {1..k} are bitmasks: bit i-1 set <=> element i in the subset.
 Labels y in {-1,1}^k use the same indexing: bit i-1 set <=> y_i = +1, so the
 all-minus label is bitmask 0 and subset/label indexing coincide everywhere.
+
+A collection {f_y} is one (R, 2^k) value matrix plus a label -> row index,
+and PolymatroidCollection.at(y, S) is the one place f_y(S) is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,59 +147,80 @@ def make_sqrt_card(k: int) -> SetFunction:
     return make_concave_card(k, math.sqrt)
 
 
-@dataclass(frozen=True)
-class PolymatroidCollection:
-    """Family {f_y} of set functions indexed by label bitmask.
+@lru_cache(maxsize=None)
+def _shared_rows(k: int) -> np.ndarray:
+    """Read-only zero-stride label -> row index of a symmetric collection: every label reads row 0."""
+    return np.broadcast_to(np.intp(0), (1 << k,))
 
-    A symmetric collection shares one table for every label; an asymmetric one
-    carries a per-label mapping (possibly partial, e.g. only encoded labels).
-    """
+
+@dataclass(frozen=True, eq=False)
+class PolymatroidCollection:
+    """Family {f_y}: label y reads row rows[y] of the read-only (R, 2^k) matrix
+    values, or has no table where rows[y] = -1 (e.g. only encoded labels). A
+    symmetric collection is one row; its index is a zero-stride broadcast."""
 
     k: int
-    shared: SetFunction | None = None
-    per_label: dict[int, SetFunction] | None = None
+    values: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if (self.shared is None) == (self.per_label is None):
-            raise ValueError("exactly one of shared / per_label must be given")
-        members = [self.shared] if self.shared is not None else self.per_label.values()
-        for f in members:
-            if f.k != self.k:
-                raise ValueError(f"member has k={f.k}, collection has k={self.k}")
-
-    @property
-    def symmetric(self) -> bool:
-        return self.shared is not None
+        values = np.ascontiguousarray(self.values, dtype=float)
+        rows = np.asarray(self.rows, dtype=np.intp)
+        if self.k < 1 or values.ndim != 2 or values.shape[1] != 1 << self.k:
+            raise ValueError(f"values has shape {values.shape}, expected (R, 2^k) with k={self.k} >= 1")
+        shared = rows is _shared_rows(self.k)  # total and in range by construction
+        if not shared and (rows.shape != (1 << self.k,) or rows.min() < -1 or rows.max() >= len(values)):
+            raise ValueError(f"rows must map each of the {1 << self.k} labels to -1 or a row of values")
+        values.setflags(write=False)
+        rows.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_partial", not shared and bool(rows.min() < 0))
 
     @classmethod
     def from_setfn(cls, f: SetFunction) -> "PolymatroidCollection":
-        return cls(f.k, shared=f)
+        return cls(f.k, f.values[None], _shared_rows(f.k))
+
+    @classmethod
+    def from_tables(cls, k: int, labels, values) -> "PolymatroidCollection":
+        """Collection where label labels[i] reads row i of values; other labels have no table."""
+        labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+        bad = labels[(labels < 0) | (labels >= 1 << k)]
+        if len(bad):
+            raise ValueError(f"label bitmask {bad[0]} out of range for k={k}")
+        rows = np.full(1 << k, -1, dtype=np.intp)
+        rows[labels] = np.arange(len(labels))
+        return cls(k, np.reshape(values, (len(labels), 1 << k)), rows)
 
     @classmethod
     def from_per_label(cls, k: int, per_label: dict[int, SetFunction]) -> "PolymatroidCollection":
-        return cls(k, per_label=dict(per_label))
+        for y, f in per_label.items():
+            if f.k != k:
+                raise ValueError(f"label {y} has a k={f.k} table, collection has k={k}")
+        labels = sorted(per_label)
+        return cls.from_tables(k, labels, np.array([per_label[y].values for y in labels]))
+
+    def at(self, y, S) -> np.ndarray:
+        """f_y(S) over broadcast integer arrays of label bitmasks y and subsets S."""
+        row = self.rows[y]
+        if self._partial and (row < 0).any():
+            missing = np.asarray(y)[row < 0].min()
+            raise KeyError(f"collection has no table for label bitmask {missing}")
+        return self.values.reshape(-1)[(row << self.k) | S]
+
+    @property
+    def symmetric(self) -> bool:
+        return len(self.values) == 1 and not self._partial
 
     def for_label(self, label_bits: int) -> SetFunction:
-        if not (0 <= label_bits < (1 << self.k)):
-            raise ValueError(f"label bitmask {label_bits} out of range for k={self.k}")
-        if self.shared is not None:
-            return self.shared
-        try:
-            return self.per_label[label_bits]
-        except KeyError:
-            raise KeyError(f"collection has no table for label bitmask {label_bits}")
+        return SetFunction(self.k, self.at(_checked_label(label_bits, self.k), np.arange(1 << self.k)))
 
     def labels(self) -> list[int]:
-        if self.shared is not None:
-            return list(range(1 << self.k))
-        return sorted(self.per_label)
+        return np.flatnonzero(self.rows >= 0).tolist()
 
     def table_matrix(self) -> np.ndarray:
         """(2^k, 2^k) array, row y = value table of f_y. Requires a total collection."""
-        if self.shared is not None:
-            return np.broadcast_to(self.shared.values, (1 << self.k, 1 << self.k))
-        rows = [self.for_label(y).values for y in range(1 << self.k)]
-        return np.stack(rows)
+        return self.at(np.arange(1 << self.k)[:, None], np.arange(1 << self.k))
 
 
 def as_collection(fc) -> PolymatroidCollection:
@@ -210,15 +235,9 @@ def make_jaccard(k: int) -> PolymatroidCollection:
     """Label-indexed Jaccard tables J_y(S) = |S| / |S u {i : y_i = +1}|, with 0/0 = 0."""
     if not 1 <= k <= 12:
         raise ValueError("dense per-label tables are capped at k <= 12")
-    masks = np.arange(1 << k)
-    sizes = popcounts(masks)
-    per_label = {}
-    for y in range(1 << k):
-        union = popcounts(masks | y)
-        with np.errstate(invalid="ignore"):
-            vals = np.where(union > 0, sizes / np.maximum(union, 1), 0.0)
-        per_label[y] = SetFunction(k, vals)
-    return PolymatroidCollection.from_per_label(k, per_label)
+    masks = np.arange(1 << k, dtype=np.uint16)
+    union = np.bitwise_count(masks[:, None] | masks)  # row y, column S
+    return PolymatroidCollection.from_tables(k, masks, np.bitwise_count(masks) / np.maximum(union, 1))
 
 
 @dataclass
@@ -348,14 +367,13 @@ def check_condition1(fc) -> Condition1Report:
     fc = as_collection(fc)
     k = fc.k
     full = (1 << k) - 1
-    F = fc.table_matrix()
     s = np.arange(full + 1)
     rows = max(1, _CONDITION1_CELLS >> k)
     for start in range(0, full + 1, rows):
         y = s[start:start + rows, None]
-        top = F[y, full]
-        lhs = F[y, s] + F[full ^ y, full ^ s]  # f_{-y} is the table of label full ^ y
-        flat = ~(top[:, 0] > F[y[:, 0], 0] + ATOL)
+        top = fc.at(y, full)
+        lhs = fc.at(y, s) + fc.at(full ^ y, full ^ s)  # f_{-y} is the table of label full ^ y
+        flat = ~(top[:, 0] > fc.at(y[:, 0], 0) + ATOL)
         below = lhs < top - ATOL
         weak = (lhs <= top + ATOL) & ~((s == 0) | (s == full) | (y == 0) | (y == full) | (y == full ^ s))
         failed = flat | (below | weak).any(axis=1)
@@ -405,5 +423,5 @@ def random_collection(
     """A random polymatroid collection; asymmetric draws one table per label."""
     if symmetric:
         return PolymatroidCollection.from_setfn(random_polymatroid(k, rng))
-    per_label = {y: random_polymatroid(k, rng) for y in range(1 << k)}
-    return PolymatroidCollection.from_per_label(k, per_label)
+    tables = [random_polymatroid(k, rng).values for _ in range(1 << k)]
+    return PolymatroidCollection.from_tables(k, range(1 << k), np.array(tables))

@@ -112,7 +112,7 @@ def target_plain(fc, r, y) -> float:
     if r.k != fc.k:
         raise ValueError(f"report has k={r.k}, collection has k={fc.k}")
     y_bits = _checked_label(y, r.k)
-    return fc.for_label(y_bits).eval(mis(r, y_bits))
+    return float(fc.at(y_bits, mis(r, y_bits)))
 
 
 def target_abstain(fc, v, y) -> float:
@@ -122,9 +122,8 @@ def target_abstain(fc, v, y) -> float:
     if v.k != fc.k:
         raise ValueError(f"report has k={v.k}, collection has k={fc.k}")
     y_bits = _checked_label(y, v.k)
-    f = fc.for_label(y_bits)
     m = mis(v, y_bits)
-    return f.eval(m & ~v.zeros) + f.eval(m)
+    return float(fc.at(y_bits, m & ~v.zeros) + fc.at(y_bits, m))
 
 
 @lru_cache(maxsize=None)
@@ -174,28 +173,20 @@ def report_index(k: int) -> dict[tuple[int, int], int]:
     return dict(zip(zip(pos.tolist(), zeros.tolist()), range(len(pos))))
 
 
-def abstain_loss_table(fc, reports=None) -> np.ndarray:
-    """(len(reports), 2^k) matrix of abstain losses, labels along columns.
+def abstain_loss_table(fc) -> np.ndarray:
+    """(3^k, 2^k) matrix of abstain losses, reports in the canonical "V" order
+    along rows, labels along columns.
 
     Bitmask arithmetic over the (report, label) grid: the same two lookups as
-    target_abstain, read from fc.table_matrix() for every cell at once.
+    target_abstain, read through fc.at for every cell at once.
     """
     fc = as_collection(fc)
     full = (1 << fc.k) - 1
-    if reports is None:
-        pos, zeros = _report_masks(fc.k)
-    else:
-        reports = [_report(v) for v in reports]
-        for v in reports:
-            if v.k != fc.k:
-                raise ValueError(f"report has k={v.k}, collection has k={fc.k}")
-        pos = np.array([v.pos for v in reports], dtype=np.int64)
-        zeros = np.array([v.zeros for v in reports], dtype=np.int64)
-    F, y = fc.table_matrix(), np.arange(full + 1)
-    pos, zeros = pos[:, None], zeros[:, None]
+    pos, zeros = _report_masks(fc.k)
+    y, pos, zeros = np.arange(full + 1), pos[:, None], zeros[:, None]
     neg = full & ~(pos | zeros)
     m = full & ~((pos & y) | (neg & ~y & full))
-    return F[y, m & ~zeros] + F[y, m]
+    return fc.at(y, m & ~zeros) + fc.at(y, m)
 
 
 def plain_loss_table(fc) -> np.ndarray:
@@ -203,4 +194,4 @@ def plain_loss_table(fc) -> np.ndarray:
     f_y(r xor y), the misprediction set of a +-1 report."""
     fc = as_collection(fc)
     y = np.arange(1 << fc.k)
-    return fc.table_matrix()[y, y[:, None] ^ y]
+    return fc.at(y, y[:, None] ^ y)

@@ -23,7 +23,12 @@ def files(tmp_path):
     values = make_zero_one(3).values.copy()
     values[0b011] = np.nan
     save_collection(SetFunction.from_values(3, values), nan)
-    return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "nan3": nan, "dir": tmp_path}
+    preds = tmp_path / "preds2.csv"
+    preds.write_text("c1,c2\n+,0\n-,-\n")
+    truth = tmp_path / "truth1.csv"
+    truth.write_text("c1,c2\n+,+\n")
+    return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "nan3": nan,
+            "preds2": preds, "truth1": truth, "dir": tmp_path}
 
 
 def run(capsys, argv):
@@ -86,9 +91,9 @@ def test_verify_subcommands(files, capsys):
     assert out["passed"]
 
 
-def test_verify_k_mismatch(files):
-    with pytest.raises(SystemExit):
-        main(["verify", "embedding", "--collection", str(files["sqrt2"]), "--k", "3"])
+def test_verify_k_mismatch(files, capsys):
+    assert main(["verify", "embedding", "--collection", str(files["sqrt2"]), "--k", "3"]) == 2
+    assert "--k 3 does not match the collection (k=2)" in capsys.readouterr().err
 
 
 def test_counterexample(files, capsys):
@@ -152,8 +157,11 @@ def test_train_metrics_sweep(files, capsys, tmp_path):
     [(["link", "--u=nan,0.2"], "non-finite"),
      (["eval-hinge", "--collection", "sqrt2", "--u=0,0", "--y=+x"], "'x'"),
      (["verify", "embedding", "--collection", "sqrt2", "--grid", "0"], "m=0"),
-     (["verify", "embedding", "--collection", "nan3"], "non-finite value nan")],
-    ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table"],
+     (["verify", "embedding", "--collection", "nan3"], "non-finite value nan"),
+     (["eval-hinge", "--collection", "nan3", "--u=0,0,0", "--y=+++"], "label 0: non-finite value nan at S=0x3"),
+     (["metrics", "--pred", "preds2", "--truth", "truth1", "--out", "dir"], "different lengths")],
+    ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
+         "eval-hinge-nan-table", "metrics-length-mismatch"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths

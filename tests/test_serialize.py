@@ -65,3 +65,17 @@ def test_collection_json_is_plain(tmp_path):
     save_collection(make_sqrt_card(2), path)
     obj = json.loads(path.read_text())
     assert set(obj) == {"k", "symmetric", "per_label"}
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_table_entries_are_rejected(bad):
+    """JSON NaN/Infinity in a table names the subset, and in a collection the label too."""
+    table = f'{{"k": 2, "kind": "table", "values": [0, 1, 1, {bad}]}}'
+    word = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[bad]
+    with pytest.raises(ValueError, match=f"^non-finite value {word} at S=0x3$"):
+        setfn_from_obj(json.loads(table))
+    coll = f'{{"k": 2, "symmetric": false, "per_label": {{"0": {table}, "2": {table}}}}}'
+    with pytest.raises(ValueError, match=f"^label 0: non-finite value {word} at S=0x3$"):
+        collection_from_obj(json.loads(coll))
+    with pytest.raises(ValueError, match=f"^label 0: non-finite value {word} at S=0x3$"):
+        collection_from_obj(json.loads(f'{{"k": 2, "symmetric": true, "per_label": {{"0": {table}}}}}'))

@@ -231,7 +231,8 @@ def condition1_cases():
     for k in (2, 3, 4):
         yield f"modular{k}", make_modular(np.arange(1, k + 1, dtype=float))
         yield f"random{k}", random_collection(k, rng)
-    flat = dict(make_jaccard(3).per_label)
+    jac = make_jaccard(3)
+    flat = {y: jac.for_label(y) for y in jac.labels()}
     flat[0b010] = SetFunction(3, np.zeros(8))  # f_y([k]) = f_y(empty) at one label
     yield "flat-label", PolymatroidCollection.from_per_label(3, flat)
 

@@ -185,7 +185,8 @@ def test_expected_target_uniform_zero_one():
 def test_expected_target_uniform_modular_ties():
     w = [0.5, 1.25]
     f = make_modular(w)
-    values = abstain_loss_table(f, enumerate_reports(2, "Y")) @ uniform(2)
+    labels = np.arange(4)  # the "Y" reports: +-1 reports, no abstention
+    values = abstain_loss_table(f)[_report_id_table(2)[labels, 0]] @ uniform(2)
     assert np.allclose(values, 2 * mean_value(f))
     assert np.allclose(values, f.full())
     assert len(argmin_ids(values)) == 4
