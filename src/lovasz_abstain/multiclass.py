@@ -17,7 +17,7 @@ from ._tol import EXACT_TOL
 from .links import LinkConfig, _points, _report_id_table, threshold_abstain_link
 from .lovasz import hinge
 from .oracle import VerificationReport
-from .setfn import PolymatroidCollection, SetFunction, make_jaccard, make_modular
+from .setfn import PolymatroidCollection, SetFunction, _check_weights, make_jaccard, make_modular
 from .targets import AbstainReport, _report_masks, abstain_loss_table
 
 ABSTAIN = 0  # class slot reserved for the abstain answer
@@ -162,8 +162,8 @@ class ClassCosts:
         self.weights = None if weights_by_class is None else np.asarray(weights_by_class, float)
         if self.shared is not None and self.shared.k != k:
             raise ValueError("shared table dimension mismatch")
-        if self.weights is not None and np.any(self.weights < 0):
-            raise ValueError("class weights must be nonnegative")
+        if self.weights is not None:
+            _check_weights(self.weights, "weights_by_class")
 
     @classmethod
     def from_setfn(cls, g: SetFunction) -> "ClassCosts":

@@ -2,10 +2,18 @@
 
 Set function objects: {"k", "kind": "table"|"modular"|"zero_one"|"concave_card",
 "values"|"weights"|"exponent"}. Collections: {"k", "symmetric", "per_label":
-{"<label bitmask>": <set function object>}}, or the shorthand
-{"kind": "jaccard", "k"} since that family is label-indexed by construction.
-Tables load into one value matrix; a label key outside [0, 2^k) or a NaN or
-infinite entry is a ValueError naming the label (and the subset).
+{"<label bitmask>": <set function object>}}, or {"kind": "jaccard", "k"} for
+the label-indexed Jaccard family. A bare set function object also loads as a
+symmetric collection.
+
+Writers emit the spec a set function or collection carries, and tables only
+when it carries none. make_modular, make_zero_one and make_jaccard record a
+spec, as does this loader for the non-table kinds; a symmetric collection
+keeps its {"k", "symmetric", "per_label": {"0": ...}} shape with the spec
+inside. Table files still load, and the table and spec forms of a family load
+to bit-identical values. Tables load into one value matrix; a label key
+outside [0, 2^k) or a NaN or infinite entry is a ValueError naming the label
+(and the subset), and so is an object missing a field it needs.
 """
 
 from __future__ import annotations
@@ -26,27 +34,39 @@ from .setfn import (
 )
 
 
+def _field(obj: dict, name: str, what: str):
+    """obj[name], or a ValueError naming the kind of object and the missing field."""
+    try:
+        return obj[name]
+    except KeyError:
+        raise ValueError(f"{what} object has no {name!r} field") from None
+
+
 def setfn_to_obj(f: SetFunction) -> dict:
+    if f.spec is not None:
+        return dict(f.spec)
     return {"k": f.k, "kind": "table", "values": f.values.tolist()}
 
 
 def setfn_from_obj(obj: dict) -> SetFunction:
     kind = obj.get("kind", "table")
     if kind == "table":
-        values = np.asarray(obj["values"], dtype=float)
+        values = np.asarray(_field(obj, "values", kind), dtype=float)
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             raise ValueError(f"non-finite value {values.flat[bad[0]]} at S={bad[0]:#x}")
-        return SetFunction.from_values(int(obj["k"]), values)
+        return SetFunction.from_values(int(_field(obj, "k", kind)), values)
     if kind == "modular":
-        return make_modular(obj["weights"])
+        return make_modular(_field(obj, "weights", kind))
     if kind == "zero_one":
-        return make_zero_one(int(obj["k"]))
+        return make_zero_one(int(_field(obj, "k", kind)))
     if kind == "concave_card":
+        k = int(_field(obj, "k", kind))
         exponent = float(obj.get("exponent", 0.5))
         if not 0 < exponent <= 1:
             raise ValueError("concave_card exponent must lie in (0, 1]")
-        return make_concave_card(int(obj["k"]), lambda c: float(c) ** exponent)
+        f = make_concave_card(k, lambda c: float(c) ** exponent)
+        return SetFunction(k, f.values, {"k": k, "kind": "concave_card", "exponent": exponent})
     if kind == "jaccard":
         raise ValueError("the jaccard family is label-indexed; load it as a collection")
     raise ValueError(f"unknown set function kind {kind!r}")
@@ -54,17 +74,22 @@ def setfn_from_obj(obj: dict) -> SetFunction:
 
 def collection_to_obj(fc) -> dict:
     fc = as_collection(fc)
-    labels = [0] if fc.symmetric else fc.labels()
-    return {"k": fc.k, "symmetric": fc.symmetric,
-            "per_label": {str(y): setfn_to_obj(fc.for_label(y)) for y in labels}}
+    if fc.spec is None:
+        labels = [0] if fc.symmetric else fc.labels()
+        per_label = {str(y): setfn_to_obj(fc.for_label(y)) for y in labels}
+    elif fc.symmetric:  # a set function's spec, kept in the symmetric shape
+        per_label = {"0": dict(fc.spec)}
+    else:
+        return dict(fc.spec)
+    return {"k": fc.k, "symmetric": fc.symmetric, "per_label": per_label}
 
 
 def collection_from_obj(obj: dict) -> PolymatroidCollection:
     if obj.get("kind") == "jaccard":
-        return make_jaccard(int(obj["k"]))
+        return make_jaccard(int(_field(obj, "k", "jaccard")))
     if "per_label" not in obj:  # a bare set function doubles as a symmetric collection
         return PolymatroidCollection.from_setfn(setfn_from_obj(obj))
-    k = int(obj["k"])
+    k = int(_field(obj, "k", "collection"))
     per = {}
     for key, sub in obj["per_label"].items():
         try:

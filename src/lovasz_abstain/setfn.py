@@ -6,6 +6,10 @@ all-minus label is bitmask 0 and subset/label indexing coincide everywhere.
 
 A collection {f_y} is one (R, 2^k) value matrix plus a label -> row index,
 and PolymatroidCollection.at(y, S) is the one place f_y(S) is read.
+
+A constructor whose output the JSON loader rebuilds bit for bit from a short
+object records that object as ``spec`` (modular, zero-one, Jaccard; the
+loader's concave-of-cardinality); serialize writes it in place of the tables.
 """
 
 from __future__ import annotations
@@ -77,10 +81,12 @@ def _checked_label(y, k: int) -> int:
 
 @dataclass(frozen=True)
 class SetFunction:
-    """A nonnegative normalized set function on 2^[k] as a dense value table."""
+    """A nonnegative normalized set function on 2^[k] as a dense value table,
+    with the JSON object that rebuilds it bit for bit, if one is known."""
 
     k: int
     values: np.ndarray = field(repr=False)
+    spec: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -109,15 +115,25 @@ class SetFunction:
         return float(self.values[-1])
 
 
+def _check_weights(w: np.ndarray, name: str) -> None:
+    """Reject anything but a vector of finite nonnegative weights, naming the argument."""
+    if w.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got shape {w.shape}")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if len(bad):
+        raise ValueError(f"{name} must be finite, got {w[bad[0]]} at index {bad[0]}")
+    if np.any(w < 0):
+        raise ValueError(f"{name} must be nonnegative")
+
+
 def make_modular(w) -> SetFunction:
     """f(S) = sum of w_i over i in S, for nonnegative weights w."""
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("modular weights must be nonnegative")
+    _check_weights(w, "weights")
     k = len(w)
     masks = np.arange(1 << k)
     membership = (masks[:, None] >> np.arange(k)) & 1
-    return SetFunction(k, membership @ w)
+    return SetFunction(k, membership @ w, {"k": k, "kind": "modular", "weights": tuple(w.tolist())})
 
 
 def make_zero_one(k: int) -> SetFunction:
@@ -126,7 +142,7 @@ def make_zero_one(k: int) -> SetFunction:
         raise ValueError("k must be positive")
     values = np.ones(1 << k)
     values[0] = 0.0
-    return SetFunction(k, values)
+    return SetFunction(k, values, {"k": k, "kind": "zero_one"})
 
 
 def make_concave_card(k: int, g) -> SetFunction:
@@ -157,11 +173,13 @@ def _shared_rows(k: int) -> np.ndarray:
 class PolymatroidCollection:
     """Family {f_y}: label y reads row rows[y] of the read-only (R, 2^k) matrix
     values, or has no table where rows[y] = -1 (e.g. only encoded labels). A
-    symmetric collection is one row; its index is a zero-stride broadcast."""
+    symmetric collection is one row; its index is a zero-stride broadcast.
+    spec is the JSON object that rebuilds the collection bit for bit, if known."""
 
     k: int
     values: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
+    spec: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -179,18 +197,25 @@ class PolymatroidCollection:
 
     @classmethod
     def from_setfn(cls, f: SetFunction) -> "PolymatroidCollection":
-        return cls(f.k, f.values[None], _shared_rows(f.k))
+        return cls(f.k, f.values[None], _shared_rows(f.k), f.spec)
 
     @classmethod
     def from_tables(cls, k: int, labels, values) -> "PolymatroidCollection":
-        """Collection where label labels[i] reads row i of values; other labels have no table."""
+        """Collection where label labels[i] reads the table values[i]; other labels have no table.
+
+        Rows are stored in ascending label order, the order a table file lists
+        them in, so a collection and its reloaded file have equal matrices."""
         labels = np.asarray(labels, dtype=np.intp).reshape(-1)
         bad = labels[(labels < 0) | (labels >= 1 << k)]
         if len(bad):
             raise ValueError(f"label bitmask {bad[0]} out of range for k={k}")
+        values = np.reshape(values, (len(labels), 1 << k))
+        if np.any(labels[1:] < labels[:-1]):
+            order = np.argsort(labels, kind="stable")
+            labels, values = labels[order], values[order]
         rows = np.full(1 << k, -1, dtype=np.intp)
         rows[labels] = np.arange(len(labels))
-        return cls(k, np.reshape(values, (len(labels), 1 << k)), rows)
+        return cls(k, values, rows)
 
     @classmethod
     def from_per_label(cls, k: int, per_label: dict[int, SetFunction]) -> "PolymatroidCollection":
@@ -237,7 +262,8 @@ def make_jaccard(k: int) -> PolymatroidCollection:
         raise ValueError("dense per-label tables are capped at k <= 12")
     masks = np.arange(1 << k, dtype=np.uint16)
     union = np.bitwise_count(masks[:, None] | masks)  # row y, column S
-    return PolymatroidCollection.from_tables(k, masks, np.bitwise_count(masks) / np.maximum(union, 1))
+    return PolymatroidCollection(k, np.bitwise_count(masks) / np.maximum(union, 1), np.arange(1 << k),
+                                 {"kind": "jaccard", "k": k})
 
 
 @dataclass

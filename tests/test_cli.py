@@ -6,7 +6,8 @@ import pytest
 
 from lovasz_abstain import SetFunction, make_jaccard, make_sqrt_card, make_zero_one
 from lovasz_abstain.cli import main
-from lovasz_abstain.serialize import save_collection, save_setfn
+from lovasz_abstain.serialize import collection_to_obj, save_collection, save_setfn
+from lovasz_abstain.setfn import PolymatroidCollection
 
 
 @pytest.fixture
@@ -23,12 +24,21 @@ def files(tmp_path):
     values = make_zero_one(3).values.copy()
     values[0b011] = np.nan
     save_collection(SetFunction.from_values(3, values), nan)
+    broken = {"modular_nan": '{"kind": "modular", "weights": [NaN, 1]}',
+              "modular_scalar": '{"kind": "modular", "weights": 3}',
+              "costs_nan": '{"weights_by_class": [NaN, 1, 1, 1]}',
+              "jaccard_no_k": '{"kind": "jaccard"}',
+              "table_no_values": '{"k": 2, "kind": "table"}',
+              "label_no_values": '{"k": 2, "symmetric": false, "per_label": {"0": {"k": 2}}}'}
+    for key, text in broken.items():
+        (tmp_path / f"{key}.json").write_text(text)
     preds = tmp_path / "preds2.csv"
     preds.write_text("c1,c2\n+,0\n-,-\n")
     truth = tmp_path / "truth1.csv"
     truth.write_text("c1,c2\n+,+\n")
     return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "nan3": nan,
-            "preds2": preds, "truth1": truth, "dir": tmp_path}
+            "preds2": preds, "truth1": truth, "dir": tmp_path,
+            **{key: tmp_path / f"{key}.json" for key in broken}}
 
 
 def run(capsys, argv):
@@ -152,6 +162,31 @@ def test_train_metrics_sweep(files, capsys, tmp_path):
     assert json.loads(metrics_path.read_text())["rejection_rate"] == pytest.approx(1 / 3)
 
 
+def test_train_writes_the_jaccard_spec(capsys, tmp_path):
+    """A Jaccard run writes its collection as the spec, not as 2^k tables, and the
+    spec and table forms train and evaluate to the same numbers."""
+    spec = {"kind": "jaccard", "k": 4}
+    jac = make_jaccard(4)
+    tables = collection_to_obj(PolymatroidCollection(jac.k, jac.values, jac.rows))  # the spec-less form
+    traces, hinges = [], []
+    for name, setfn in (("spec", spec), ("tables", tables)):
+        config = {"k": 4, "feature_dim": 4, "n_samples": 60, "epochs": 6, "seed": 0, "setfn": setfn}
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        (tmp_path / f"{name}-collection.json").write_text(json.dumps(setfn))
+        run_dir = tmp_path / f"run-{name}"
+        run(capsys, ["train", "--config", str(tmp_path / f"{name}.json"), "--out", str(run_dir)])
+        assert json.loads((run_dir / "collection.json").read_text()) == setfn  # each form writes itself back
+        traces.append(json.loads((run_dir / "model.json").read_text())["train_trace"])
+        for path in (run_dir / "collection.json", tmp_path / f"{name}-collection.json"):
+            hinges.append(run(capsys, ["eval-hinge", "--collection", str(path),
+                                       "--u=0.3,-0.2,0.9,0", "--y=+-+-"]))
+    assert traces[0] == traces[1]
+    # the trace this config trained to when every collection was written as tables
+    assert traces[0] == pytest.approx([1.0, 0.9335063644882279, 0.8523381385935401, 0.7777585885371788,
+                                       0.706930930480833, 0.637786608850406, 0.5703879103289844], rel=1e-12)
+    assert len(set(hinges)) == 1 and float(hinges[0]) == pytest.approx(2 / 3)
+
+
 @pytest.mark.parametrize(
     "argv, word",
     [(["link", "--u=nan,0.2"], "non-finite"),
@@ -159,9 +194,19 @@ def test_train_metrics_sweep(files, capsys, tmp_path):
      (["verify", "embedding", "--collection", "sqrt2", "--grid", "0"], "m=0"),
      (["verify", "embedding", "--collection", "nan3"], "non-finite value nan"),
      (["eval-hinge", "--collection", "nan3", "--u=0,0,0", "--y=+++"], "label 0: non-finite value nan at S=0x3"),
-     (["metrics", "--pred", "preds2", "--truth", "truth1", "--out", "dir"], "different lengths")],
+     (["metrics", "--pred", "preds2", "--truth", "truth1", "--out", "dir"], "different lengths"),
+     (["eval-hinge", "--collection", "modular_nan", "--u=0,0", "--y=++"], "weights must be finite, got nan"),
+     (["eval-hinge", "--collection", "modular_scalar", "--u=0,0", "--y=++"], "weights must be a vector"),
+     (["mc-eval", "--g", "costs_nan", "--C", "4", "--v=2,_", "--y=1,2"], "weights_by_class must be finite"),
+     (["eval-hinge", "--collection", "jaccard_no_k", "--u=0,0", "--y=++"], "jaccard object has no 'k' field"),
+     (["eval-hinge", "--collection", "table_no_values", "--u=0,0", "--y=++"],
+      "table object has no 'values' field"),
+     (["eval-hinge", "--collection", "label_no_values", "--u=0,0", "--y=++"],
+      "label 0: table object has no 'values' field")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
-         "eval-hinge-nan-table", "metrics-length-mismatch"],
+         "eval-hinge-nan-table", "metrics-length-mismatch", "eval-hinge-nan-weights", "eval-hinge-scalar-weights",
+         "mc-eval-nan-class-weights", "eval-hinge-jaccard-without-k", "eval-hinge-table-without-values",
+         "eval-hinge-label-without-values"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths
