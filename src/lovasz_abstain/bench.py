@@ -3,32 +3,28 @@
 A linear scorer u = W x is fit by full-batch subgradient descent on the mean
 hinge, which keeps the objective convex and every optimization claim
 checkable. Metrics pool counts over all coordinates of all pairs rather than
-averaging per sample.
+averaging per sample. Batches of reports stay (pos, zeros) int64 bitmask
+arrays: the tau sweep pools the link's masks with targets' outcome kernel and
+popcounts, and builds no report objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .links import LinkConfig, link_rows, trim_rows
-from .lovasz import hinge_rows, subgradient_rows
-from .setfn import _checked_label, as_collection
-from .targets import AbstainReport
+from .links import MAX_K, LinkConfig, link_rows, trim_rows
+from .lovasz import _checked_bits, hinge_rows, subgradient_rows
+from .setfn import _checked_label, as_collection, popcounts
+from .targets import AbstainReport, _outcomes, _report
 
 
 def counts(v, y) -> tuple[int, int, int, int]:
-    """(TP, TN, FP, FN) bitmasks over the non-abstained coordinates."""
-    v = v if isinstance(v, AbstainReport) else AbstainReport.from_vector(v)
-    y_bits = _checked_label(y, v.k)
-    full = (1 << v.k) - 1
-    neg = full & ~(v.pos | v.zeros)
-    tp = v.pos & y_bits
-    tn = neg & ~y_bits & full
-    fp = v.pos & ~y_bits & full
-    fn = neg & y_bits
-    return tp, tn, fp, fn
+    """(TP, TN, FP, FN) bitmasks over the non-abstained coordinates; one-pair
+    view of targets._outcomes."""
+    v = _report(v)
+    return _outcomes(v.k, v.pos, v.zeros, _checked_label(y, v.k))
 
 
 @dataclass
@@ -43,16 +39,7 @@ class MetricRecord:
     undefined_flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "recall": self.recall,
-            "precision": self.precision,
-            "iou": self.iou,
-            "rejection_rate": self.rejection_rate,
-            "rejection_rate_pos": self.rejection_rate_pos,
-            "rejection_rate_neg": self.rejection_rate_neg,
-            "undefined_flags": self.undefined_flags,
-        }
+        return asdict(self)
 
 
 def _ratio(num: float, den: float, name: str, flags: list[str]) -> float:
@@ -73,33 +60,28 @@ def metrics(pairs) -> MetricRecord:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("metrics need at least one (report, label) pair")
-    k = None
-    tp = tn = fp = fn = 0
-    n_abs = rej_pos = rej_neg = 0
-    for v, y in pairs:
-        v = v if isinstance(v, AbstainReport) else AbstainReport.from_vector(v)
-        y_bits = _checked_label(y, v.k)
-        if k is None:
-            k = v.k
-        elif v.k != k:
-            raise ValueError("all pairs must share the same k")
-        a, b, c, d = counts(v, y_bits)
-        tp += a.bit_count()
-        tn += b.bit_count()
-        fp += c.bit_count()
-        fn += d.bit_count()
-        n_abs += v.zeros.bit_count()
-        rej_pos += (v.zeros & y_bits).bit_count()
-        rej_neg += (v.zeros & ~y_bits & ((1 << k) - 1)).bit_count()
+    reports = [_report(v) for v, _ in pairs]
+    k = reports[0].k
+    if k > MAX_K or any(v.k != k for v in reports):
+        raise ValueError(f"all pairs must share the same k, at most {MAX_K}")
+    rows = [(v.pos, v.zeros, _checked_label(y, k)) for v, (_, y) in zip(reports, pairs)]
+    return _pooled(k, *np.array(rows, dtype=np.int64).T)
+
+
+def _pooled(k: int, pos: np.ndarray, zeros: np.ndarray, y_bits: np.ndarray) -> MetricRecord:
+    """metrics of the reports (pos, zeros) against the labels y_bits, rows of
+    int64 bitmask arrays; the counts are exact integers."""
+    tp, tn, fp, fn = (int(popcounts(m).sum()) for m in _outcomes(k, pos, zeros, y_bits))
+    n_abs, rej_pos = int(popcounts(zeros).sum()), int(popcounts(zeros & y_bits).sum())
     flags: list[str] = []
     return MetricRecord(
         accuracy=_ratio(tp + tn, tp + tn + fp + fn, "accuracy", flags),
         recall=_ratio(tp, tp + fn, "recall", flags),
         precision=_ratio(tp, tp + fp, "precision", flags),
         iou=_ratio(tp, tp + fp + fn, "iou", flags),
-        rejection_rate=n_abs / (len(pairs) * k),
+        rejection_rate=n_abs / (len(pos) * k),
         rejection_rate_pos=_ratio(rej_pos, n_abs, "rejection_rate_pos", flags),
-        rejection_rate_neg=_ratio(rej_neg, n_abs, "rejection_rate_neg", flags),
+        rejection_rate_neg=_ratio(n_abs - rej_pos, n_abs, "rejection_rate_neg", flags),
         undefined_flags=flags,
     )
 
@@ -128,13 +110,7 @@ class TrainConfig:
             raise ValueError("step-size schedule parameters must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k, "feature_dim": self.feature_dim, "n_samples": self.n_samples,
-            "epochs": self.epochs, "seed": self.seed, "lr_init": self.lr_init,
-            "lr_decay": self.lr_decay, "lr_decay_every": self.lr_decay_every,
-            "grad_clip": self.grad_clip, "noise": self.noise, "margin": self.margin,
-            "label_corr": self.label_corr, "epsilon": self.epsilon, "taus": list(self.taus),
-        }
+        return {**asdict(self), "taus": list(self.taus)}
 
 
 @dataclass
@@ -242,16 +218,19 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     return TrainResult(W, best_W, best_epoch, train_trace, val_trace, cfg)
 
 
-def link_reports(W: np.ndarray, X: np.ndarray, tau: float, epsilon: float | None, trim: bool = False):
-    """Threshold-abstain reports of the scores W @ x of the rows x of X, in one
-    link_rows call; trim fills lone abstentions as trim_single_abstain does."""
-    k = W.shape[0]
+def _link_masks(W: np.ndarray, X: np.ndarray, tau: float, epsilon: float | None, trim: bool):
+    """(pos, zeros) threshold-abstain bitmasks of the scores W @ x of the rows x
+    of X, in one link_rows call; trim fills lone abstentions as trim_single_abstain does."""
     cfg = LinkConfig(epsilon=epsilon, tau=tau)
     U = (W @ X[..., None])[..., 0]  # one W @ x per row, bit-identical to scoring points one by one
-    pos, zeros = link_rows(U, cfg.resolve_epsilon(k), cfg.tau)
-    if trim:
-        pos, zeros = trim_rows(pos, zeros, U)
-    return [AbstainReport(k, p, z) for p, z in zip(pos.tolist(), zeros.tolist())]
+    pos, zeros = link_rows(U, cfg.resolve_epsilon(W.shape[0]), cfg.tau)
+    return trim_rows(pos, zeros, U) if trim else (pos, zeros)
+
+
+def link_reports(W: np.ndarray, X: np.ndarray, tau: float, epsilon: float | None, trim: bool = False):
+    """_link_masks as a list of AbstainReport objects."""
+    pos, zeros = _link_masks(W, X, tau, epsilon, trim)
+    return [AbstainReport(W.shape[0], p, z) for p, z in zip(pos.tolist(), zeros.tolist())]
 
 
 def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> list[dict]:
@@ -263,17 +242,17 @@ def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> l
     """
     cfg = result.config
     _, _, te = split_indices(cfg.n_samples, cfg.seed)
-    X, y_bits = data.X[te], data.y_bits[te]
+    k = result.best_weights.shape[0]
+    X, y_bits = data.X[te], _checked_bits(data.y_bits[te], k)
     taus = sorted(taus)
     rows = []
     prev_abs = None
     for tau in taus:
-        reports = link_reports(result.best_weights, X, tau, cfg.epsilon, trim=trim)
-        n_abs = np.array([v.n_abstain() for v in reports])
+        pos, zeros = _link_masks(result.best_weights, X, tau, cfg.epsilon, trim)
+        n_abs = popcounts(zeros)
         if not trim and prev_abs is not None and np.any(n_abs < prev_abs):
             raise ValueError(f"abstention count decreased as tau increased to {tau}")
         if not trim:
             prev_abs = n_abs
-        rec = metrics([(v, int(y)) for v, y in zip(reports, y_bits)])
-        rows.append({"tau": tau, **rec.to_dict()})
+        rows.append({"tau": tau, **_pooled(k, pos, zeros, y_bits).to_dict()})
     return rows

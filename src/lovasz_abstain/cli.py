@@ -147,7 +147,7 @@ def cmd_mc_encode(args):
 
 def _load_costs(path, k: int):
     obj = json.loads(Path(path).read_text())
-    if "weights_by_class" in obj:
+    if isinstance(obj, dict) and "weights_by_class" in obj:
         return multiclass.ClassCosts(k, weights_by_class=obj["weights_by_class"])
     return multiclass.ClassCosts.from_setfn(serialize.setfn_from_obj(obj))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tol import EXACT_TOL
-from .links import LinkConfig, _points, _report_id_table, threshold_abstain_link
+from .links import LinkConfig, _link, _points, _report_id_table
 from .lovasz import hinge
 from .oracle import VerificationReport
 from .setfn import PolymatroidCollection, SetFunction, _check_weights, make_jaccard, make_modular
@@ -172,6 +172,9 @@ class ClassCosts:
     def for_label(self, y: ClassLabel) -> SetFunction:
         if self.shared is not None:
             return self.shared
+        top = max(y.classes, default=0)
+        if top > len(self.weights):
+            raise ValueError(f"weights_by_class has {len(self.weights)} weights, none for class {top}")
         return make_modular([self.weights[c - 1] for c in y.classes])
 
 
@@ -228,7 +231,8 @@ def multiclass_surrogate(g, codec: BlockCodec, u, y: ClassLabel) -> float:
 
 def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
     """Threshold-abstain link followed by per-block trimming: any abstained
-    bit inside a block abstains the whole prediction, else the block decodes."""
+    bit inside a block abstains the whole prediction, else the block decodes.
+    The k blocks are read off the link's (pos, zeros) bitmasks at once."""
     u = _points(u, "u", 1)
     d = codec.d
     if len(u) % d:
@@ -236,15 +240,10 @@ def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
     k = len(u) // d
     if cfg.epsilon is not None and cfg.epsilon > 1.0 / (2 * d * k) + EXACT_TOL:
         raise ValueError("epsilon exceeds the lifted-dimension bound 1/(2dk)")
-    v = threshold_abstain_link(u, cfg)
-    entries = []
-    for i in range(k):
-        block_zero = (v.zeros >> (i * d)) & ((1 << d) - 1)
-        if block_zero:
-            entries.append(ABSTAIN)
-        else:
-            entries.append(codec.decode_bits((v.pos >> (i * d)) & ((1 << d) - 1)))
-    return MulticlassReport(codec.C, tuple(entries))
+    shifts, block = np.arange(k) * d, (1 << d) - 1
+    pos, zeros = ((m[0] >> shifts) & block for m in _link(u[None], cfg.resolve_epsilon(len(u)), cfg.tau))
+    return MulticlassReport(codec.C, tuple(ABSTAIN if z else codec.decode_bits(p)
+                                           for p, z in zip(pos.tolist(), zeros.tolist())))
 
 
 def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:

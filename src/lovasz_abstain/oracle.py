@@ -10,7 +10,7 @@ representative set for the hinge; a lattice spot-check guards that choice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -103,13 +103,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "cases": self.cases,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def surrogate_loss_table(fc) -> np.ndarray:
@@ -495,33 +489,39 @@ def calibration_sweep(
 ) -> VerificationReport:
     """Perturb every optimal report by less than eps and demand the
     threshold-abstain link lands back in the optimal set, for each tau. Each
-    report's perturbations are linked in one call, in case order (perturbation-major)."""
+    grid block's perturbations are linked in one call, in case order:
+    (distribution, optimal report) pair-major, then perturbation, then tau."""
     fc = as_collection(fc)
     k = fc.k
     rng = rng if rng is not None else np.random.default_rng(0)
     eps = LinkConfig(epsilon=epsilon).resolve_epsilon(k)
     reports = enumerate_reports(k, "V")
+    vectors = np.stack([v.vector() for v in reports])
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
     taus = np.asarray(taus, dtype=float)
+    per_pair = n_perturb * len(taus)
     cases = 0
     for P in _grid_blocks(k, grid_m):
         optimal = _argmin_mask(P @ table.T)
-        for i, vid in zip(*np.nonzero(optimal)):
-            us = reports[vid].vector() + rng.uniform(-0.99 * eps, 0.99 * eps, size=(n_perturb, k))
-            pos, zeros = link_rows(np.repeat(us, len(taus), axis=0), eps, np.tile(taus, n_perturb))
-            missed = np.flatnonzero(~optimal[i, id_of[pos, zeros]])
-            if missed.size:
-                j = int(missed[0])
-                linked = AbstainReport(k, int(pos[j]), int(zeros[j]))
-                return VerificationReport(
-                    "calibration",
-                    False,
-                    cases + j + 1,
-                    {"p": P[i].tolist(), "v": str(reports[vid]), "u": us[j // len(taus)].tolist(),
-                     "tau": float(taus[j % len(taus)]), "linked": str(linked)},
-                )
-            cases += len(pos)
+        rows, vids = np.nonzero(optimal)
+        us = vectors[vids, None] + rng.uniform(-0.99 * eps, 0.99 * eps, size=(len(vids), n_perturb, k))
+        pos, zeros = link_rows(np.repeat(us.reshape(-1, k), len(taus), axis=0), eps,
+                               np.tile(taus, len(vids) * n_perturb))
+        missed = np.flatnonzero(~optimal[np.repeat(rows, per_pair), id_of[pos, zeros]])
+        if missed.size:
+            j = int(missed[0])
+            pair, case = divmod(j, per_pair)
+            linked = AbstainReport(k, int(pos[j]), int(zeros[j]))
+            return VerificationReport(
+                "calibration",
+                False,
+                cases + j + 1,
+                {"p": P[rows[pair]].tolist(), "v": str(reports[vids[pair]]),
+                 "u": us[pair, case // len(taus)].tolist(), "tau": float(taus[case % len(taus)]),
+                 "linked": str(linked)},
+            )
+        cases += len(pos)
     return VerificationReport("calibration", True, cases)
 
 

@@ -13,12 +13,14 @@ keeps its {"k", "symmetric", "per_label": {"0": ...}} shape with the spec
 inside. Table files still load, and the table and spec forms of a family load
 to bit-identical values. Tables load into one value matrix; a label key
 outside [0, 2^k) or a NaN or infinite entry is a ValueError naming the label
-(and the subset), and so is an object missing a field it needs.
+(and the subset), and so is an object missing a field it needs. JSON that is
+not an object where one is expected is a ValueError that shows it.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,13 @@ def _field(obj: dict, name: str, what: str):
         raise ValueError(f"{what} object has no {name!r} field") from None
 
 
+def _object(obj, what: str) -> dict:
+    """obj itself when it is a JSON object, else a ValueError that shows it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {reprlib.repr(obj)}")
+    return obj
+
+
 def setfn_to_obj(f: SetFunction) -> dict:
     if f.spec is not None:
         return dict(f.spec)
@@ -49,7 +58,7 @@ def setfn_to_obj(f: SetFunction) -> dict:
 
 
 def setfn_from_obj(obj: dict) -> SetFunction:
-    kind = obj.get("kind", "table")
+    kind = _object(obj, "a set function").get("kind", "table")
     if kind == "table":
         values = np.asarray(_field(obj, "values", kind), dtype=float)
         bad = np.flatnonzero(~np.isfinite(values))
@@ -85,13 +94,13 @@ def collection_to_obj(fc) -> dict:
 
 
 def collection_from_obj(obj: dict) -> PolymatroidCollection:
-    if obj.get("kind") == "jaccard":
+    if _object(obj, "a collection").get("kind") == "jaccard":
         return make_jaccard(int(_field(obj, "k", "jaccard")))
     if "per_label" not in obj:  # a bare set function doubles as a symmetric collection
         return PolymatroidCollection.from_setfn(setfn_from_obj(obj))
     k = int(_field(obj, "k", "collection"))
     per = {}
-    for key, sub in obj["per_label"].items():
+    for key, sub in _object(obj["per_label"], "per_label").items():
         try:
             per[int(key)] = setfn_from_obj(sub)
         except ValueError as exc:  # name the label whose table is bad

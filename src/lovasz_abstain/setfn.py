@@ -15,7 +15,7 @@ loader's concave-of-cardinality); serialize writes it in place of the tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -286,19 +286,7 @@ class ValidationReport:
         return self.normalized and self.nonnegative and self.increasing and self.submodular
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "valid": self.valid,
-            "normalized": self.normalized,
-            "nonnegative": self.nonnegative,
-            "increasing": self.increasing,
-            "submodular": self.submodular,
-            "modular": self.modular,
-            "strictly_submodular": self.strictly_submodular,
-            "strictly_increasing": self.strictly_increasing,
-            "zero_singletons": self.zero_singletons,
-            "violations": self.violations,
-        }
+        return {"k": self.k, "valid": self.valid, **asdict(self)}
 
 
 def validate_polymatroid(f: SetFunction, strict: bool = False) -> ValidationReport:
@@ -378,7 +366,7 @@ class Condition1Report:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "witness": self.witness, "reason": self.reason}
+        return asdict(self)
 
 
 def check_condition1(fc) -> Condition1Report:

@@ -6,6 +6,12 @@ here charges f_y twice around the misprediction set:
     abstain_loss(v, y) = f_y(mis(v,y) \\ abs(v)) + f_y(mis(v,y))
 
 which the Lovasz hinge reproduces exactly at the points of {-1,0,1}^k.
+
+Report-vs-label bit arithmetic lives in one elementwise kernel, _outcomes,
+which splits the committed coordinates into (TP, TN, FP, FN) bitmasks for
+ints or broadcasting integer arrays alike; mis, abstain_loss_table and
+bench.counts are views of it. The hinge does not use it, so the extension
+route stays independent of the table route.
 """
 
 from __future__ import annotations
@@ -85,17 +91,21 @@ def _report(v) -> AbstainReport:
     return AbstainReport.from_vector(v)
 
 
+def _outcomes(k: int, pos, zeros, y):
+    """(TP, TN, FP, FN) bitmasks of reports (pos, zeros) against labels y over
+    the committed coordinates; ints or broadcasting integer arrays alike."""
+    neg = ((1 << k) - 1) ^ (pos | zeros)
+    return pos & y, neg & ~y, pos & ~y, neg & y
+
+
 def mis(v, y) -> int:
     """Bitmask of coordinates where the report disagrees with the label.
 
     Abstained coordinates always disagree with a +-1 label.
     """
     v = _report(v)
-    y_bits = _checked_label(y, v.k)
-    full = (1 << v.k) - 1
-    neg = full & ~(v.pos | v.zeros)
-    agree = (v.pos & y_bits) | (neg & ~y_bits & full)
-    return full & ~agree
+    _, _, fp, fn = _outcomes(v.k, v.pos, v.zeros, _checked_label(y, v.k))
+    return fp | fn | v.zeros
 
 
 def abs_set(v) -> int:
@@ -177,16 +187,19 @@ def abstain_loss_table(fc) -> np.ndarray:
     """(3^k, 2^k) matrix of abstain losses, reports in the canonical "V" order
     along rows, labels along columns.
 
-    Bitmask arithmetic over the (report, label) grid: the same two lookups as
+    The outcome kernel over the (report, label) grid: the same two lookups as
     target_abstain, read through fc.at for every cell at once.
     """
     fc = as_collection(fc)
-    full = (1 << fc.k) - 1
-    pos, zeros = _report_masks(fc.k)
-    y, pos, zeros = np.arange(full + 1), pos[:, None], zeros[:, None]
-    neg = full & ~(pos | zeros)
-    m = full & ~((pos & y) | (neg & ~y & full))
-    return fc.at(y, m & ~zeros) + fc.at(y, m)
+    # uint16 holds every mask at k <= 12 and keeps the four (3^k, 2^k) outcome
+    # masks at a quarter of int64's size; the d*k = 9 block check builds this table
+    pos, zeros = (m[:, None].astype(np.uint16) for m in _report_masks(fc.k))
+    y = np.arange(1 << fc.k, dtype=np.uint16)
+    fp, fn = _outcomes(fc.k, pos, zeros, y)[2:]
+    wrong = fp | fn
+    out = fc.at(y, wrong)
+    out += fc.at(y, wrong | zeros)
+    return out
 
 
 def plain_loss_table(fc) -> np.ndarray:

@@ -20,6 +20,7 @@ from lovasz_abstain import (
 from lovasz_abstain import bench
 from lovasz_abstain.bench import link_reports, mean_hinge, split_indices
 from lovasz_abstain.links import LinkConfig, threshold_abstain_link
+from lovasz_abstain.targets import _outcomes
 
 
 def test_counts_examples():
@@ -144,10 +145,11 @@ def test_tau_sweep_rejects_a_drop_in_abstentions(monkeypatch):
     data = synth_data(cfg)
     res = train(cfg, make_sqrt_card(3), data)
 
-    def dropping(W, X, tau, epsilon, trim=False):
-        return [AbstainReport.from_string("000" if tau < 0.5 else "+0+")] * len(X)
+    def dropping(us, eps, tau):
+        pos, zeros = (0b000, 0b111) if tau < 0.5 else (0b101, 0b010)  # 000, then +0+
+        return np.full(len(us), pos), np.full(len(us), zeros)
 
-    monkeypatch.setattr(bench, "link_reports", dropping)
+    monkeypatch.setattr(bench, "link_rows", dropping)
     with pytest.raises(ValueError, match="abstention count decreased"):
         tau_sweep(res, data, [0.0, 1.0])
 
@@ -197,3 +199,67 @@ def test_trainer_loss_rejects_out_of_range_y_bits():
                 mean_hinge(fc, W, data.X, y_bits)
             with pytest.raises(ValueError, match="y_bits"):
                 _mean_subgradient(fc, W, data.X, y_bits)
+
+
+def _metrics_per_pair(pairs):
+    """The pooled metrics as one Python loop over (report, label) pairs."""
+    k, tp, tn, fp, fn, n_abs, rej_pos, rej_neg = pairs[0][0].k, 0, 0, 0, 0, 0, 0, 0
+    full = (1 << k) - 1
+    for v, y in pairs:
+        y_bits = y.bits
+        neg = full & ~(v.pos | v.zeros)
+        tp += (v.pos & y_bits).bit_count()
+        tn += (neg & ~y_bits & full).bit_count()
+        fp += (v.pos & ~y_bits & full).bit_count()
+        fn += (neg & y_bits).bit_count()
+        n_abs += v.zeros.bit_count()
+        rej_pos += (v.zeros & y_bits).bit_count()
+        rej_neg += (v.zeros & ~y_bits & full).bit_count()
+    flags = []
+    return bench.MetricRecord(
+        accuracy=bench._ratio(tp + tn, tp + tn + fp + fn, "accuracy", flags),
+        recall=bench._ratio(tp, tp + fn, "recall", flags),
+        precision=bench._ratio(tp, tp + fp, "precision", flags),
+        iou=bench._ratio(tp, tp + fp + fn, "iou", flags),
+        rejection_rate=n_abs / (len(pairs) * k),
+        rejection_rate_pos=bench._ratio(rej_pos, n_abs, "rejection_rate_pos", flags),
+        rejection_rate_neg=bench._ratio(rej_neg, n_abs, "rejection_rate_neg", flags),
+        undefined_flags=flags,
+    )
+
+
+@st.composite
+def report_label_rows(draw):
+    k = draw(st.integers(1, 6))
+    row = st.tuples(st.lists(trit, min_size=k, max_size=k), st.lists(sign, min_size=k, max_size=k))
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    return [(AbstainReport.from_vector(v), Label.from_signs(y)) for v, y in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_label_rows())
+def test_outcome_kernel_on_arrays_matches_counts_row_by_row(pairs):
+    k = pairs[0][0].k
+    pos, zeros, y = (np.array(m, dtype=np.int64) for m in zip(*[(v.pos, v.zeros, t.bits) for v, t in pairs]))
+    batched = np.stack(_outcomes(k, pos, zeros, y), axis=1)
+    assert batched.tolist() == [list(counts(v, t)) for v, t in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_label_rows())
+def test_metrics_match_the_per_pair_loop(pairs):
+    assert metrics(pairs).to_dict() == _metrics_per_pair(pairs).to_dict()
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+@pytest.mark.parametrize("trim", [False, True])
+def test_tau_sweep_rows_are_metrics_of_the_linked_reports(seed, trim):
+    cfg = TrainConfig(k=4, feature_dim=6, n_samples=150, epochs=40, seed=seed, noise=[0.0, 0.8, 1.6, 3.0])
+    data = synth_data(cfg)
+    res = train(cfg, make_sqrt_card(4), data)
+    _, _, te = split_indices(cfg.n_samples, cfg.seed)
+    taus = [0.0, 0.2, 0.5, 0.8, 1.0]
+    rows = tau_sweep(res, data, taus, trim=trim)
+    for tau, row in zip(taus, rows):
+        reports = link_reports(res.best_weights, data.X[te], tau, cfg.epsilon, trim=trim)
+        assert row == {"tau": tau, **metrics(zip(reports, data.y_bits[te].tolist())).to_dict()}

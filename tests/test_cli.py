@@ -29,7 +29,11 @@ def files(tmp_path):
               "costs_nan": '{"weights_by_class": [NaN, 1, 1, 1]}',
               "jaccard_no_k": '{"kind": "jaccard"}',
               "table_no_values": '{"k": 2, "kind": "table"}',
-              "label_no_values": '{"k": 2, "symmetric": false, "per_label": {"0": {"k": 2}}}'}
+              "label_no_values": '{"k": 2, "symmetric": false, "per_label": {"0": {"k": 2}}}',
+              "json_list": '[1, 2]',
+              "per_label_list": '{"k": 2, "symmetric": false, "per_label": [{"k": 2}]}',
+              "per_label_number": '{"k": 2, "symmetric": false, "per_label": {"0": 3}}',
+              "costs_short": '{"weights_by_class": [1]}'}
     for key, text in broken.items():
         (tmp_path / f"{key}.json").write_text(text)
     preds = tmp_path / "preds2.csv"
@@ -202,11 +206,19 @@ def test_train_writes_the_jaccard_spec(capsys, tmp_path):
      (["eval-hinge", "--collection", "table_no_values", "--u=0,0", "--y=++"],
       "table object has no 'values' field"),
      (["eval-hinge", "--collection", "label_no_values", "--u=0,0", "--y=++"],
-      "label 0: table object has no 'values' field")],
+      "label 0: table object has no 'values' field"),
+     (["eval-hinge", "--collection", "json_list", "--u=0,0", "--y=++"], "must be a JSON object, got [1, 2]"),
+     (["eval-hinge", "--collection", "per_label_list", "--u=0,0", "--y=++"], "per_label must be a JSON object"),
+     (["eval-hinge", "--collection", "per_label_number", "--u=0,0", "--y=++"],
+      "label 0: a set function must be a JSON object, got 3"),
+     (["validate", "--setfn", "json_list"], "must be a JSON object, got [1, 2]"),
+     (["mc-eval", "--g", "json_list", "--C", "4", "--v=2,_", "--y=1,3"], "must be a JSON object"),
+     (["mc-eval", "--g", "costs_short", "--C", "4", "--v=2,_", "--y=1,3"], "weights_by_class has 1 weights")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
          "eval-hinge-nan-table", "metrics-length-mismatch", "eval-hinge-nan-weights", "eval-hinge-scalar-weights",
          "mc-eval-nan-class-weights", "eval-hinge-jaccard-without-k", "eval-hinge-table-without-values",
-         "eval-hinge-label-without-values"],
+         "eval-hinge-label-without-values", "eval-hinge-json-list", "eval-hinge-per-label-list",
+         "eval-hinge-per-label-number", "validate-json-list", "mc-eval-json-list", "mc-eval-too-few-class-weights"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths

@@ -31,6 +31,7 @@ from lovasz_abstain.multiclass import (
     ova_jaccard_costs,
     ova_target,
 )
+from lovasz_abstain.links import threshold_abstain_link
 from lovasz_abstain.oracle import argmin_ids
 from lovasz_abstain.targets import enumerate_reports, target_abstain
 
@@ -258,3 +259,24 @@ def test_class_label_parsing():
         ClassLabel(4, (0,))
     with pytest.raises(ValueError):
         MulticlassReport(4, (5,))
+
+
+def test_class_weights_must_cover_the_label():
+    gw = ClassCosts(2, weights_by_class=[0.5, 2.0])
+    assert multiclass_target(gw, MulticlassReport(4, (0, 2)), ClassLabel(4, (1, 2))) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="weights_by_class has 2 weights, none for class 3"):
+        multiclass_target(gw, MulticlassReport(4, (0, 2)), ClassLabel(4, (3, 2)))
+
+
+def test_trimmed_link_matches_the_block_loop_over_the_link(rng):
+    """trimmed_link against the plain link's report, decoded one block at a time."""
+    codec = BlockCodec(4)
+    points = rng.uniform(-1.2, 1.2, (300, 6))
+    points[rng.random(points.shape) < 0.2] = 0.0
+    for tau in (0.0, 0.5, 1.0):
+        cfg = LinkConfig(epsilon=1 / 12, tau=tau)
+        for u in points:
+            v = threshold_abstain_link(u, cfg)
+            blocks = [((v.pos >> (2 * i)) & 3, (v.zeros >> (2 * i)) & 3) for i in range(3)]
+            want = tuple(0 if z else codec.decode_bits(p) for p, z in blocks)
+            assert trimmed_link(u, cfg, codec).entries == want

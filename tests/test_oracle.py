@@ -229,23 +229,22 @@ def test_calibration_sweep_small(rng):
 
 def test_calibration_sweep_reports_the_first_mislinked_case(monkeypatch):
     """Mislink one point: the second perturbation at tau = 0.5 of the fourth
-    (distribution, optimal report) block, where p = (0, 0, 1/2, 1/2) is
-    optimized by -+, ++ and 0+, and the block's report is ++."""
+    (distribution, optimal report) pair, where p = (0, 0, 1/2, 1/2) is
+    optimized by -+, ++ and 0+, and the pair's report is ++."""
     n_perturb, taus, eps = 4, (0.0, 0.5, 1.0), 1 / 4
-    link_rows, calls = oracle.link_rows, []
+    draws = np.random.default_rng(7)
+    deltas = [draws.uniform(-0.99 * eps, 0.99 * eps, size=(n_perturb, 2)) for _ in range(4)]
+    link_rows = oracle.link_rows
 
     def mislink(us, eps, tau):
         pos, zeros = link_rows(us, eps, tau)
-        if len(calls) == 3:
-            pos[4], zeros[4] = 0, 0  # the report --
-        calls.append(len(us))
+        hit = (us == 1.0 + deltas[3][1]).all(axis=1) & (np.broadcast_to(tau, len(us)) == 0.5)
+        pos[hit], zeros[hit] = 0, 0  # the report --
         return pos, zeros
 
     monkeypatch.setattr(oracle, "link_rows", mislink)
     rep = calibration_sweep(make_sqrt_card(2), grid_m=4, taus=taus, n_perturb=n_perturb,
                             rng=np.random.default_rng(7))
-    draws = np.random.default_rng(7)
-    deltas = [draws.uniform(-0.99 * eps, 0.99 * eps, size=(n_perturb, 2)) for _ in range(4)]
     assert rep.passed is False
     assert rep.cases == 3 * n_perturb * len(taus) + 5
     assert rep.witness == {"p": [0.0, 0.0, 0.5, 0.5], "v": "++", "u": (1.0 + deltas[3][1]).tolist(),

@@ -22,7 +22,8 @@ from lovasz_abstain import (
 from lovasz_abstain.links import _report_id_table
 from lovasz_abstain.multiclass import bep_surrogate
 from lovasz_abstain.oracle import argmin_ids, grid_distributions, point_mass, uniform
-from lovasz_abstain.targets import abstain_loss_table, report_index
+from lovasz_abstain.setfn import as_collection
+from lovasz_abstain.targets import _report_masks, abstain_loss_table, report_index
 
 from conftest import builtin_collections
 
@@ -238,3 +239,22 @@ def test_report_and_label_strings_reject_bad_characters():
         Label.from_string("+x")
     with pytest.raises(ValueError, match="'x'"):
         AbstainReport.from_string("+0x")
+
+
+def _loss_table_by_agreement(fc):
+    """abstain_loss_table written out through the agreement set of each cell."""
+    fc = as_collection(fc)
+    full = (1 << fc.k) - 1
+    pos, zeros = _report_masks(fc.k)
+    y, pos, zeros = np.arange(full + 1), pos[:, None], zeros[:, None]
+    neg = full & ~(pos | zeros)
+    m = full & ~((pos & y) | (neg & ~y & full))
+    return fc.at(y, m & ~zeros) + fc.at(y, m)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_abstain_loss_table_matches_the_agreement_formula(k):
+    rng = np.random.default_rng(k)
+    collections = [*builtin_collections(k).values(), random_collection(k, rng, symmetric=False)]
+    for fc in collections:
+        assert np.array_equal(abstain_loss_table(fc), _loss_table_by_agreement(fc))
