@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .links import MAX_K, LinkConfig, link_rows, trim_rows
-from .lovasz import _checked_bits, hinge_rows, subgradient_rows
-from .setfn import _checked_label, as_collection, popcounts
+from .lovasz import hinge_rows, subgradient_rows
+from .setfn import _checked_bits, _checked_label, as_collection, popcounts
 from .targets import AbstainReport, _outcomes, _report
 
 
@@ -243,7 +243,7 @@ def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> l
     cfg = result.config
     _, _, te = split_indices(cfg.n_samples, cfg.seed)
     k = result.best_weights.shape[0]
-    X, y_bits = data.X[te], _checked_bits(data.y_bits[te], k)
+    X, y_bits = data.X[te], _checked_bits(data.y_bits[te], k, "y_bits")
     taus = sorted(taus)
     rows = []
     prev_abs = None

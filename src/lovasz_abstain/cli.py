@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -165,10 +166,18 @@ def cmd_mc_link(args):
     print(multiclass.trimmed_link(_vec(args.u), cfg, codec))
 
 
+def _train_config(obj: dict) -> bench.TrainConfig:
+    """TrainConfig from the fields of a JSON object, or a ValueError naming a field it does not have."""
+    unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(bench.TrainConfig)})
+    if unknown:
+        raise ValueError(f"train config has no field {unknown[0]!r}")
+    return bench.TrainConfig(**{key: tuple(v) if key == "taus" else v for key, v in obj.items()})
+
+
 def cmd_train(args):
-    spec = json.loads(Path(args.config).read_text())
-    fc = serialize.collection_from_obj(spec.pop("setfn"))
-    cfg = bench.TrainConfig(**{key: tuple(v) if key == "taus" else v for key, v in spec.items()})
+    spec = serialize._object(json.loads(Path(args.config).read_text()), "a train config")
+    fc = serialize.collection_from_obj(serialize._field(spec, "setfn", "train config"))
+    cfg = _train_config({key: v for key, v in spec.items() if key != "setfn"})
     data = bench.synth_data(cfg)
     result = bench.train(cfg, fc, data)
     out = Path(args.out)
@@ -202,8 +211,7 @@ def cmd_metrics(args):
 def cmd_sweep(args):
     run = Path(args.model)
     model = json.loads((run / "model.json").read_text())
-    cfg = bench.TrainConfig(**{key: tuple(v) if key == "taus" else v
-                               for key, v in model["config"].items()})
+    cfg = _train_config(model["config"])
     data = bench.synth_data(cfg)
     result = bench.TrainResult(
         weights=np.array(model["weights"]),

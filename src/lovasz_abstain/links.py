@@ -26,9 +26,8 @@ import numpy as np
 
 from ._tol import GAP_TOL
 from .lovasz import _checked, clip, descending_order
+from .setfn import MAX_K
 from .targets import AbstainReport, _report_masks, enumerate_reports
-
-MAX_K = 62  # reports are packed into int64 bitmasks
 
 
 @dataclass(frozen=True)

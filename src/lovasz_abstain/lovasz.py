@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._tol import EXACT_TOL
-from .setfn import SetFunction, _checked_label, as_collection
+from .setfn import SetFunction, _checked_bits, _checked_label, as_collection
 
 
 def descending_order(x: np.ndarray) -> np.ndarray:
@@ -28,14 +28,15 @@ def chain_gains(fc, W: np.ndarray, y_bits=0) -> tuple[np.ndarray, np.ndarray]:
     order[j] sorts W[j] descending, ties by ascending index; gains[j, i] =
     f(S_i) - f(S_{i-1}) for the prefix S_i = order[j, :i+1] under the table of
     label y_bits[j] (or of the one label y_bits), read through fc.at. Callers
-    check W and y_bits.
+    check W and y_bits, and the prefixes are subsets by construction, so the
+    read skips at's range checks.
     """
     fc = as_collection(fc)
     order = descending_order(W)
     # rows: empty, S_0, ..., S_{k-1}; one column per row of W, so inner loops run over n
     chain = np.zeros((order.shape[1] + 1, len(order)), dtype=np.intp)
     np.bitwise_or.accumulate(1 << order.T, axis=0, out=chain[1:])
-    values = fc.at(y_bits, chain)
+    values = fc._at(y_bits, chain)
     return order, (values[1:] - values[:-1]).T
 
 
@@ -74,7 +75,7 @@ def hinge_batch(fc, us: np.ndarray, y) -> np.ndarray:
 def hinge_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
     """hinge of each row of us against its own label bitmask y_bits[j]."""
     fc = as_collection(fc)
-    return _hinge(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k))
+    return _hinge(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k, "y_bits"))
 
 
 def hinge_subgradient(fc, u, y) -> np.ndarray:
@@ -91,7 +92,7 @@ def hinge_subgradient(fc, u, y) -> np.ndarray:
 def subgradient_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
     """hinge_subgradient of each row of us against its own label bitmask y_bits[j]."""
     fc = as_collection(fc)
-    return _subgradient(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k))
+    return _subgradient(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k, "y_bits"))
 
 
 def expected_hinge(fc, u, p) -> float:
@@ -135,14 +136,6 @@ def _checked(a, k: int, name: str, ndim: int, nonnegative: bool = False) -> np.n
     if nonnegative and np.any(a < 0):
         raise ValueError(f"{name} has a negative entry; the extension needs the nonnegative orthant")
     return a
-
-
-def _checked_bits(y_bits, k: int) -> np.ndarray:
-    """Label bitmasks as an integer array, range-checked once per batch."""
-    y_bits = np.asarray(y_bits)
-    if y_bits.size and (y_bits.min() < 0 or y_bits.max() >= 1 << k):
-        raise ValueError(f"y_bits has a label bitmask outside [0, {1 << k}) for k={k}")
-    return y_bits
 
 
 def _signs(y_bits, k: int) -> np.ndarray:

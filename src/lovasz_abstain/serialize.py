@@ -3,8 +3,9 @@
 Set function objects: {"k", "kind": "table"|"modular"|"zero_one"|"concave_card",
 "values"|"weights"|"exponent"}. Collections: {"k", "symmetric", "per_label":
 {"<label bitmask>": <set function object>}}, or {"kind": "jaccard", "k"} for
-the label-indexed Jaccard family. A bare set function object also loads as a
-symmetric collection.
+the label-indexed Jaccard family, which loads for 1 <= k <= 62 as a
+collection read from its rule (no table is built; its dense views stop at
+k = 12). A bare set function object also loads as a symmetric collection.
 
 Writers emit the spec a set function or collection carries, and tables only
 when it carries none. make_modular, make_zero_one and make_jaccard record a

@@ -1,11 +1,15 @@
-"""Set functions on 2^[k] stored as dense tables, and label-indexed collections.
+"""Set functions on 2^[k], and label-indexed collections of them.
 
 Subsets of [k] = {1..k} are bitmasks: bit i-1 set <=> element i in the subset.
 Labels y in {-1,1}^k use the same indexing: bit i-1 set <=> y_i = +1, so the
 all-minus label is bitmask 0 and subset/label indexing coincide everywhere.
 
-A collection {f_y} is one (R, 2^k) value matrix plus a label -> row index,
-and PolymatroidCollection.at(y, S) is the one place f_y(S) is read.
+A set function is a dense table of its 2^k values. A collection {f_y} is read
+through PolymatroidCollection.at(y, S), the one place f_y(S) is read. Most
+collections store one (R, 2^k) value matrix plus a label -> row index; the
+Jaccard family (make_jaccard) is read from its rule instead, so it runs to
+k = MAX_K, and its dense views (values, rows, labels(), for_label,
+table_matrix) are built from that rule on first read and capped at k <= 12.
 
 A constructor whose output the JSON loader rebuilds bit for bit from a short
 object records that object as ``spec`` (modular, zero-one, Jaccard; the
@@ -16,11 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._tol import ATOL
+
+MAX_K = 62  # subsets, labels and reports are packed into int64 bitmasks
+_DENSE_MAX_K = 12  # dense views of a rule-read collection, and sweeps over all 4^k cells
 
 
 def popcounts(masks: np.ndarray) -> np.ndarray:
@@ -77,6 +84,16 @@ def _checked_label(y, k: int) -> int:
     if y.k != k:
         raise ValueError(f"label has k={y.k}, expected k={k}")
     return y.bits
+
+
+def _checked_bits(bits, k: int, name: str) -> np.ndarray:
+    """Bitmasks as an integer array, each checked to lie in [0, 2^k), or a ValueError naming them."""
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer bitmasks, got dtype {bits.dtype}")
+    if bits.size and (bits.min() < 0 or bits.max() >= 1 << k):
+        raise ValueError(f"{name} has a bitmask outside [0, {1 << k}) for k={k}")
+    return bits
 
 
 @dataclass(frozen=True)
@@ -226,7 +243,16 @@ class PolymatroidCollection:
         return cls.from_tables(k, labels, np.array([per_label[y].values for y in labels]))
 
     def at(self, y, S) -> np.ndarray:
-        """f_y(S) over broadcast integer arrays of label bitmasks y and subsets S."""
+        """f_y(S) over broadcast integer arrays of label bitmasks y and subsets S,
+        each checked to lie in [0, 2^k)."""
+        return self._at(_checked_bits(y, self.k, "y"), _checked_bits(S, self.k, "S"))
+
+    def _at(self, y, S) -> np.ndarray:
+        """at without the range checks, for callers whose bitmasks are in range by construction."""
+        if self.symmetric:  # one shared table: no label index to gather
+            S = np.asarray(S)
+            shape = np.broadcast(y, S).shape
+            return self.values[0][S if shape == S.shape else np.broadcast_to(S, shape)]
         row = self.rows[y]
         if self._partial and (row < 0).any():
             missing = np.asarray(y)[row < 0].min()
@@ -237,15 +263,20 @@ class PolymatroidCollection:
     def symmetric(self) -> bool:
         return len(self.values) == 1 and not self._partial
 
+    def _subsets(self) -> np.ndarray:
+        """Every subset bitmask in order: the index of the dense views."""
+        return np.arange(1 << self.k)
+
     def for_label(self, label_bits: int) -> SetFunction:
-        return SetFunction(self.k, self.at(_checked_label(label_bits, self.k), np.arange(1 << self.k)))
+        return SetFunction(self.k, self.at(_checked_label(label_bits, self.k), self._subsets()))
 
     def labels(self) -> list[int]:
         return np.flatnonzero(self.rows >= 0).tolist()
 
     def table_matrix(self) -> np.ndarray:
         """(2^k, 2^k) array, row y = value table of f_y. Requires a total collection."""
-        return self.at(np.arange(1 << self.k)[:, None], np.arange(1 << self.k))
+        s = self._subsets()
+        return self.at(s[:, None], s)
 
 
 def as_collection(fc) -> PolymatroidCollection:
@@ -256,14 +287,46 @@ def as_collection(fc) -> PolymatroidCollection:
     raise TypeError(f"expected SetFunction or PolymatroidCollection, got {type(fc)}")
 
 
+class _JaccardCollection(PolymatroidCollection):
+    """The Jaccard family read from its rule, J_y(S) = |S| / max(|S u y|, 1), at
+    any k <= MAX_K: every label reads the rule and no table is stored. values,
+    rows and the views on them are built from the rule on first read, for k <= 12."""
+
+    symmetric = False
+    _partial = False
+
+    def __init__(self, k: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "spec", {"kind": "jaccard", "k": k})
+
+    def _at(self, y, S) -> np.ndarray:
+        return np.bitwise_count(S) / np.maximum(np.bitwise_count(S | y), 1)
+
+    def _subsets(self) -> np.ndarray:
+        if self.k > _DENSE_MAX_K:
+            raise ValueError(f"dense views of the Jaccard family are capped at k <= {_DENSE_MAX_K}, got k={self.k}")
+        return np.arange(1 << self.k, dtype=np.uint16)  # the narrowest masks keep the 4^k temporaries small
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        s = self._subsets()
+        values = self._at(s[:, None], s)  # row y, column S
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        rows = self._subsets().astype(np.intp)
+        rows.setflags(write=False)
+        return rows
+
+
 def make_jaccard(k: int) -> PolymatroidCollection:
-    """Label-indexed Jaccard tables J_y(S) = |S| / |S u {i : y_i = +1}|, with 0/0 = 0."""
-    if not 1 <= k <= 12:
-        raise ValueError("dense per-label tables are capped at k <= 12")
-    masks = np.arange(1 << k, dtype=np.uint16)
-    union = np.bitwise_count(masks[:, None] | masks)  # row y, column S
-    return PolymatroidCollection(k, np.bitwise_count(masks) / np.maximum(union, 1), np.arange(1 << k),
-                                 {"kind": "jaccard", "k": k})
+    """Label-indexed Jaccard family J_y(S) = |S| / |S u {i : y_i = +1}|, with 0/0 = 0,
+    read from that rule for 1 <= k <= MAX_K."""
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"jaccard needs 1 <= k <= {MAX_K}, got k={k}")
+    return _JaccardCollection(k)
 
 
 @dataclass
@@ -376,10 +439,13 @@ def check_condition1(fc) -> Condition1Report:
     all-minus label, the all-plus label, or the label that is -1 exactly on S.
     Labels go in blocks of _CONDITION1_CELLS / 2^k; the witness is the first
     failing (y, S) in label-major order, with the f_y([k]) > f_y(0) check of
-    a label ahead of its subsets.
+    a label ahead of its subsets. It reads all 4^k (label, subset) cells, so
+    it is capped at k <= 12, as the dense views are.
     """
     fc = as_collection(fc)
     k = fc.k
+    if k > _DENSE_MAX_K:
+        raise ValueError(f"complementary-error check capped at k <= {_DENSE_MAX_K}, got k={k}")
     full = (1 << k) - 1
     s = np.arange(full + 1)
     rows = max(1, _CONDITION1_CELLS >> k)

@@ -20,6 +20,7 @@ from lovasz_abstain import (
 from lovasz_abstain import bench
 from lovasz_abstain.bench import link_reports, mean_hinge, split_indices
 from lovasz_abstain.links import LinkConfig, threshold_abstain_link
+from lovasz_abstain.serialize import collection_from_obj
 from lovasz_abstain.targets import _outcomes
 
 
@@ -108,6 +109,16 @@ def test_train_converges_and_is_deterministic():
     r2 = train(cfg, fc)
     assert r1.train_trace[-1] < 1e-2
     assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
+
+
+def test_benchmark_trainings_reach_their_stored_final_hinges():
+    """The train-chain and train-wide workloads' configs at seed 0, which the
+    benchmark checks against these stored final hinges."""
+    chain = TrainConfig(k=4, feature_dim=8, n_samples=500, epochs=25, seed=0, noise=[0.0, 0.4, 1.0, 2.5])
+    final = train(chain, collection_from_obj({"kind": "concave_card", "k": 4, "exponent": 0.5})).train_trace[-1]
+    assert abs(final - 0.6882530618874289) <= 1e-9
+    wide = TrainConfig(k=10, feature_dim=16, n_samples=250, epochs=30, seed=0)
+    assert train(wide, collection_from_obj({"kind": "jaccard", "k": 10})).train_trace[-1] == 0.27511906482186177
 
 
 def test_trace_nonincreasing_with_small_step():

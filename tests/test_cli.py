@@ -33,7 +33,11 @@ def files(tmp_path):
               "json_list": '[1, 2]',
               "per_label_list": '{"k": 2, "symmetric": false, "per_label": [{"k": 2}]}',
               "per_label_number": '{"k": 2, "symmetric": false, "per_label": {"0": 3}}',
-              "costs_short": '{"weights_by_class": [1]}'}
+              "costs_short": '{"weights_by_class": [1]}',
+              "jaccard20": '{"kind": "jaccard", "k": 20}',
+              "train_list": '[1]',
+              "train_no_setfn": '{"k": 2}',
+              "train_unknown_field": '{"k": 2, "epoch": 3, "setfn": {"kind": "zero_one", "k": 2}}'}
     for key, text in broken.items():
         (tmp_path / f"{key}.json").write_text(text)
     preds = tmp_path / "preds2.csv"
@@ -191,6 +195,18 @@ def test_train_writes_the_jaccard_spec(capsys, tmp_path):
     assert len(set(hinges)) == 1 and float(hinges[0]) == pytest.approx(2 / 3)
 
 
+def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
+    """At k = 20 the Jaccard family has no dense table; training reads its rule and writes its spec."""
+    spec = {"kind": "jaccard", "k": 20}
+    config = {"k": 20, "feature_dim": 20, "n_samples": 40, "epochs": 2, "seed": 0, "setfn": spec}
+    (tmp_path / "train.json").write_text(json.dumps(config))
+    out = run(capsys, ["train", "--config", str(tmp_path / "train.json"), "--out", str(tmp_path / "run")])
+    assert out.startswith("final train hinge")
+    assert json.loads((tmp_path / "run" / "collection.json").read_text()) == spec
+    trace = json.loads((tmp_path / "run" / "model.json").read_text())["train_trace"]
+    assert len(trace) == 3 and trace[-1] < trace[0]
+
+
 @pytest.mark.parametrize(
     "argv, word",
     [(["link", "--u=nan,0.2"], "non-finite"),
@@ -213,12 +229,18 @@ def test_train_writes_the_jaccard_spec(capsys, tmp_path):
       "label 0: a set function must be a JSON object, got 3"),
      (["validate", "--setfn", "json_list"], "must be a JSON object, got [1, 2]"),
      (["mc-eval", "--g", "json_list", "--C", "4", "--v=2,_", "--y=1,3"], "must be a JSON object"),
-     (["mc-eval", "--g", "costs_short", "--C", "4", "--v=2,_", "--y=1,3"], "weights_by_class has 1 weights")],
+     (["mc-eval", "--g", "costs_short", "--C", "4", "--v=2,_", "--y=1,3"], "weights_by_class has 1 weights"),
+     (["condition1", "--collection", "jaccard20"], "complementary-error check capped at k <= 12, got k=20"),
+     (["train", "--config", "train_list", "--out", "dir"], "a train config must be a JSON object, got [1]"),
+     (["train", "--config", "train_no_setfn", "--out", "dir"], "train config object has no 'setfn' field"),
+     (["train", "--config", "train_unknown_field", "--out", "dir"], "train config has no field 'epoch'")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
          "eval-hinge-nan-table", "metrics-length-mismatch", "eval-hinge-nan-weights", "eval-hinge-scalar-weights",
          "mc-eval-nan-class-weights", "eval-hinge-jaccard-without-k", "eval-hinge-table-without-values",
          "eval-hinge-label-without-values", "eval-hinge-json-list", "eval-hinge-per-label-list",
-         "eval-hinge-per-label-number", "validate-json-list", "mc-eval-json-list", "mc-eval-too-few-class-weights"],
+         "eval-hinge-per-label-number", "validate-json-list", "mc-eval-json-list", "mc-eval-too-few-class-weights",
+         "condition1-jaccard-above-the-dense-cap", "train-config-list", "train-config-without-setfn",
+         "train-config-unknown-field"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths

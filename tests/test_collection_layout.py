@@ -222,6 +222,20 @@ def test_symmetric_index_is_a_broadcast():
     assert not fc.values.flags.writeable and not fc.rows.flags.writeable
 
 
+@pytest.mark.parametrize("fc", [make_jaccard(3), PolymatroidCollection.from_setfn(make_sqrt_card(3)),
+                                random_collection(3, np.random.default_rng(1))],
+                         ids=["rule", "shared-table", "per-label"])
+def test_at_rejects_bitmasks_outside_the_range(fc):
+    """A subset past 2^k used to read the next label's row, and a negative label wrapped to the last one."""
+    for y, S, name in ((0, 9, "S"), (-1, 0, "y"), (8, 0, "y"), (0, -1, "S"),
+                       (np.array([0, 8]), np.array([1, 2]), "y"), (0, np.array([[3], [8]]), "S")):
+        with pytest.raises(ValueError, match=rf"^{name} has a bitmask outside \[0, 8\) for k=3$"):
+            fc.at(y, S)
+    with pytest.raises(ValueError, match="S must be integer bitmasks, got dtype float64"):
+        fc.at(0, 1.0)
+    assert fc.at(7, 7) == fc.for_label(7).values[7]
+
+
 def test_from_per_label_rejects_labels_outside_the_range():
     f = make_zero_one(2)
     for bad in (7, -1, 4):

@@ -101,8 +101,11 @@ def test_jaccard_full_is_one_and_condition1():
         for y in range(1 << k):
             assert jac.for_label(y).full() == pytest.approx(1.0)
         assert check_condition1(jac).passed
-    with pytest.raises(ValueError):
-        make_jaccard(13)
+    with pytest.raises(ValueError, match="k=13"):
+        make_jaccard(13).values  # the rule reads past k = 12; the dense views do not
+    for k in (0, 63):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            make_jaccard(k)
 
 
 def test_builtins_validate_up_to_k6(rng):
