@@ -2,7 +2,9 @@
 
 A linear scorer u = W x is fit by full-batch subgradient descent on the mean
 hinge, which keeps the objective convex and every optimization claim
-checkable. Metrics pool counts over all coordinates of all pairs rather than
+checkable. Each epoch scores the train and validation rows and reads the train
+loss, the validation loss and the train subgradient from one chain-kernel
+call over both. Metrics pool counts over all coordinates of all pairs rather than
 averaging per sample. Batches of reports stay (pos, zeros) int64 bitmask
 arrays: the tau sweep pools the link's masks with targets' outcome kernel and
 popcounts, and builds no report objects.
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .links import MAX_K, LinkConfig, link_rows, trim_rows
-from .lovasz import hinge_rows, subgradient_rows
+from .lovasz import hinge_and_subgradient_rows, hinge_rows, subgradient_rows
 from .setfn import _checked_bits, _checked_label, as_collection, popcounts
 from .targets import AbstainReport, _outcomes, _report
 
@@ -106,8 +108,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.k < 1 or self.feature_dim < self.k or self.n_samples < 10:
             raise ValueError("need k >= 1, feature_dim >= k, n_samples >= 10")
-        if self.lr_init <= 0 or not (0 < self.lr_decay <= 1) or self.lr_decay_every < 1:
+        if not (self.lr_init > 0) or not (0 < self.lr_decay <= 1) or self.lr_decay_every < 1:
             raise ValueError("step-size schedule parameters must be positive")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (self.grad_clip > 0):
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
+        if not (0 <= self.label_corr <= 1):
+            raise ValueError(f"label_corr must lie in [0, 1], got {self.label_corr}")
+        if not (0 <= self.margin < np.inf):
+            raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
+        noise = np.asarray(self.noise, dtype=float)
+        if noise.ndim > 1 or noise.size not in (1, self.k):
+            raise ValueError(f"noise must be one scale or a list of k={self.k}, got {self.noise}")
+        if not (np.isfinite(noise).all() and (noise >= 0).all()):
+            raise ValueError(f"noise scales must be finite and nonnegative, got {self.noise}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "taus": list(self.taus)}
@@ -185,37 +200,61 @@ def _mean_subgradient(fc, W, X, y_bits) -> np.ndarray:
 def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     """Full-batch subgradient descent on the mean hinge; one step per epoch.
 
-    Keeps the weights with the best validation loss. Deterministic given the
-    seed; raises when the weights diverge (turn non-finite).
+    Each epoch makes one hinge_and_subgradient_rows call on the stacked train
+    and validation scores. Keeps the weights with the best validation loss.
+    Deterministic given the seed; raises when the weights diverge (turn
+    non-finite) and rejects a data set whose shape does not match cfg.
     """
     fc = as_collection(fc)
     if fc.k != cfg.k:
         raise ValueError("collection dimension does not match the config")
     data = data if data is not None else synth_data(cfg)
+    _check_data(cfg, data)
     tr, va, _ = split_indices(cfg.n_samples, cfg.seed)
+    Xtr, Xva = data.X[tr], data.X[va]
+    y_bits = np.concatenate([data.y_bits[tr], data.y_bits[va]])
+    n_tr = len(tr)
+
+    def scores(W):
+        # two matmuls, not one over the stacked rows: BLAS row blocking could
+        # change the last bit of a score, and each row's score must not depend
+        # on which block it is computed in
+        return np.concatenate([Xtr @ W.T, Xva @ W.T])
+
     W = np.zeros((cfg.k, cfg.feature_dim))
     best_W, best_val, best_epoch = W.copy(), np.inf, 0
     train_trace, val_trace = [], []
     for epoch in range(cfg.epochs):
         if not np.isfinite(W).all():
             raise RuntimeError(f"training diverged at epoch {epoch}")
-        loss = mean_hinge(fc, W, data.X[tr], data.y_bits[tr])
-        val = mean_hinge(fc, W, data.X[va], data.y_bits[va])
-        train_trace.append(loss)
+        h, S = hinge_and_subgradient_rows(fc, scores(W), y_bits)
+        val = float(h[n_tr:].mean())
+        train_trace.append(float(h[:n_tr].mean()))
         val_trace.append(val)
         if val < best_val:
             best_val, best_W, best_epoch = val, W.copy(), epoch
         lr = cfg.lr_init * cfg.lr_decay ** (epoch // cfg.lr_decay_every)
-        G = _mean_subgradient(fc, W, data.X[tr], data.y_bits[tr])
+        G = S[:n_tr].T @ Xtr / n_tr
         np.clip(G, -cfg.grad_clip, cfg.grad_clip, out=G)
         W = W - lr * G
-    final = mean_hinge(fc, W, data.X[tr], data.y_bits[tr])
-    final_val = mean_hinge(fc, W, data.X[va], data.y_bits[va])
-    train_trace.append(final)
+    h = hinge_rows(fc, scores(W), y_bits)
+    final_val = float(h[n_tr:].mean())
+    train_trace.append(float(h[:n_tr].mean()))
     val_trace.append(final_val)
     if final_val < best_val:
         best_W, best_epoch = W.copy(), cfg.epochs
     return TrainResult(W, best_W, best_epoch, train_trace, val_trace, cfg)
+
+
+def _check_data(cfg: TrainConfig, data: Dataset) -> None:
+    """ValueError naming data unless it has cfg.n_samples finite rows of
+    cfg.feature_dim features and one label bitmask per row."""
+    X, y_bits = np.asarray(data.X), np.asarray(data.y_bits)
+    if X.shape != (cfg.n_samples, cfg.feature_dim) or y_bits.shape != (cfg.n_samples,):
+        raise ValueError(f"data has X of shape {X.shape} and y_bits of shape {y_bits.shape}, expected "
+                         f"({cfg.n_samples}, {cfg.feature_dim}) and ({cfg.n_samples},) from the config")
+    if not np.isfinite(X).all():
+        raise ValueError("data has a non-finite feature")
 
 
 def _link_masks(W: np.ndarray, X: np.ndarray, tau: float, epsilon: float | None, trim: bool):

@@ -3,10 +3,12 @@
 The extension, hinge and subgradient, scalar or batched, are views of one
 batched kernel, ``chain_gains``: it sorts each row descending with ties broken
 by ascending index (stable), which makes every kink-point output
-deterministic, and reads the table gains along the sorted prefixes. Exact
-kinks (1 - u_i y_i = 0) count as inactive in the subgradient. Entry points
-raise ValueError naming the argument for a wrong last axis, a non-finite
-entry or a label bitmask outside [0, 2^k).
+deterministic, and reads the table gains along the sorted prefixes. The hinge
+and its subgradient at the same points come from one ``chain_gains`` call
+(``hinge_and_subgradient_rows``). Exact kinks (1 - u_i y_i = 0) count as
+inactive in the subgradient. Entry points raise ValueError naming the
+argument for a wrong last axis, a non-finite entry or a label bitmask outside
+[0, 2^k).
 """
 
 from __future__ import annotations
@@ -86,13 +88,19 @@ def hinge_subgradient(fc, u, y) -> np.ndarray:
     hinge is inactive; exact kinks (1 - u_i y_i = 0) count as inactive.
     """
     fc = as_collection(fc)
-    return _subgradient(fc, _checked(u, fc.k, "u", 1)[None], _checked_label(y, fc.k))[0]
+    return _hinge_and_subgradient(fc, _checked(u, fc.k, "u", 1)[None], _checked_label(y, fc.k))[1][0]
 
 
 def subgradient_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
     """hinge_subgradient of each row of us against its own label bitmask y_bits[j]."""
+    return hinge_and_subgradient_rows(fc, us, y_bits)[1]
+
+
+def hinge_and_subgradient_rows(fc, us: np.ndarray, y_bits) -> tuple[np.ndarray, np.ndarray]:
+    """(hinge_rows, subgradient_rows) of us against the label bitmasks y_bits,
+    from one chain_gains call; the hinge is bit-identical to hinge_rows'."""
     fc = as_collection(fc)
-    return _subgradient(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k, "y_bits"))
+    return _hinge_and_subgradient(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k, "y_bits"))
 
 
 def expected_hinge(fc, u, p) -> float:
@@ -109,7 +117,11 @@ def expected_hinge(fc, u, p) -> float:
 
 
 def _extension(fc, W: np.ndarray, y_bits) -> np.ndarray:
-    _, gains = chain_gains(fc, W, y_bits)
+    return _sorted_sum(W, chain_gains(fc, W, y_bits)[1])
+
+
+def _sorted_sum(W: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """sum_i W[j, pi_i] gains[j, i] per row: the extension from chain_gains' gains."""
     return (np.sort(W, axis=1)[:, ::-1] * gains).sum(axis=1)
 
 
@@ -117,13 +129,14 @@ def _hinge(fc, us: np.ndarray, y_bits) -> np.ndarray:
     return _extension(fc, np.maximum(1.0 - us * _signs(y_bits, fc.k), 0.0), y_bits)
 
 
-def _subgradient(fc, us: np.ndarray, y_bits) -> np.ndarray:
+def _hinge_and_subgradient(fc, us: np.ndarray, y_bits) -> tuple[np.ndarray, np.ndarray]:
     signs = _signs(y_bits, fc.k)
     margins = 1.0 - us * signs
-    order, gains = chain_gains(fc, np.maximum(margins, 0.0), y_bits)
+    W = np.maximum(margins, 0.0)
+    order, gains = chain_gains(fc, W, y_bits)
     g = np.empty_like(margins)
     g[np.arange(len(g))[:, None], order] = gains
-    return np.where(margins > 0.0, -signs * g, 0.0)
+    return _sorted_sum(W, gains), np.where(margins > 0.0, -signs * g, 0.0)
 
 
 def _checked(a, k: int, name: str, ndim: int, nonnegative: bool = False) -> np.ndarray:

@@ -188,7 +188,8 @@ def abstain_loss_table(fc) -> np.ndarray:
     along rows, labels along columns.
 
     The outcome kernel over the (report, label) grid: the same two lookups as
-    target_abstain, read through fc.at for every cell at once.
+    target_abstain for every cell at once. The masks are in range by
+    construction, so the reads skip at's range checks.
     """
     fc = as_collection(fc)
     # uint16 holds every mask at k <= 12 and keeps the four (3^k, 2^k) outcome
@@ -197,14 +198,15 @@ def abstain_loss_table(fc) -> np.ndarray:
     y = np.arange(1 << fc.k, dtype=np.uint16)
     fp, fn = _outcomes(fc.k, pos, zeros, y)[2:]
     wrong = fp | fn
-    out = fc.at(y, wrong)
-    out += fc.at(y, wrong | zeros)
+    out = fc._at(y, wrong)
+    out += fc._at(y, wrong | zeros)
     return out
 
 
 def plain_loss_table(fc) -> np.ndarray:
     """(2^k, 2^k) matrix of plain structured losses, reports r along rows:
-    f_y(r xor y), the misprediction set of a +-1 report."""
+    f_y(r xor y), the misprediction set of a +-1 report; the masks are in
+    range by construction, so the read skips at's range checks."""
     fc = as_collection(fc)
     y = np.arange(1 << fc.k)
-    return fc.at(y, y[:, None] ^ y)
+    return fc._at(y, y[:, None] ^ y)

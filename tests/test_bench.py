@@ -17,7 +17,7 @@ from lovasz_abstain import (
     train,
     TrainConfig,
 )
-from lovasz_abstain import bench
+from lovasz_abstain import bench, lovasz
 from lovasz_abstain.bench import link_reports, mean_hinge, split_indices
 from lovasz_abstain.links import LinkConfig, threshold_abstain_link
 from lovasz_abstain.serialize import collection_from_obj
@@ -192,6 +192,67 @@ def test_trainconfig_validation():
         TrainConfig(k=2, feature_dim=1)
     with pytest.raises(ValueError):
         TrainConfig(lr_init=0.0)
+
+
+@pytest.mark.parametrize(
+    "fields, word",
+    [({"lr_init": float("nan")}, "step-size"),
+     ({"epochs": -1}, "epochs"),
+     ({"grad_clip": -1.0}, "grad_clip"),
+     ({"grad_clip": float("nan")}, "grad_clip"),
+     ({"label_corr": 2.0}, "label_corr"),
+     ({"label_corr": -0.5}, "label_corr"),
+     ({"k": 3, "noise": [0.1, 0.2]}, "noise"),
+     ({"k": 3, "noise": [0.1, float("inf"), 0.2]}, "noise"),
+     ({"margin": float("nan")}, "margin"),
+     ({"margin": -1.0}, "margin")],
+    ids=["nan-lr-init", "negative-epochs", "negative-grad-clip", "nan-grad-clip", "label-corr-above-1",
+         "negative-label-corr", "noise-of-wrong-length", "infinite-noise", "nan-margin", "negative-margin"],
+)
+def test_trainconfig_rejects_a_bad_field_by_name(fields, word):
+    with pytest.raises(ValueError, match=word):
+        TrainConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "n_samples, feature_dim",
+    [(39, 4), (41, 4), (40, 5)],
+    ids=["too-few-rows", "too-many-rows", "wrong-width"],
+)
+def test_train_rejects_data_that_does_not_match_the_config(n_samples, feature_dim):
+    cfg = TrainConfig(k=2, feature_dim=4, n_samples=40, epochs=2, seed=1)
+    data = synth_data(TrainConfig(k=2, feature_dim=feature_dim, n_samples=n_samples, seed=1))
+    with pytest.raises(ValueError, match="data"):
+        train(cfg, make_modular([1.0, 1.0]), data)
+
+
+def test_train_rejects_non_finite_features_and_out_of_range_labels():
+    cfg = TrainConfig(k=2, feature_dim=4, n_samples=40, epochs=2, seed=1)
+    data = synth_data(cfg)
+    data.X[3, 1] = np.nan
+    with pytest.raises(ValueError, match="data"):
+        train(cfg, make_modular([1.0, 1.0]), data)
+    data = synth_data(cfg)
+    data.y_bits[3] = 4
+    with pytest.raises(ValueError, match="y_bits"):
+        train(cfg, make_modular([1.0, 1.0]), data)
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 6])
+def test_train_makes_one_chain_kernel_call_per_epoch(epochs, monkeypatch):
+    """One call per epoch over the train and validation rows, plus the final
+    evaluation; not three per epoch."""
+    calls = []
+    counted = lovasz.chain_gains
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(lovasz, "chain_gains", counting)
+    cfg = TrainConfig(k=3, feature_dim=5, n_samples=60, epochs=epochs, seed=2)
+    res = train(cfg, make_sqrt_card(3))
+    assert len(calls) == epochs + 1 and len(res.train_trace) == epochs + 1
 
 
 def test_trainer_loss_rejects_out_of_range_y_bits():

@@ -5,15 +5,21 @@ used before every chain evaluation went through ``lovasz.chain_gains``. The
 batched forms must agree with them to 1e-12 on exact ties, exact kinks
 (1 - u_i y_i = 0, which stay inactive), clipped coordinates (|u_i| > 1) and
 zero margins, for symmetric, per-label and partial per-label collections.
+
+The joint hinge-and-subgradient call is held bit for bit to the separate
+routes it replaced: the batched subgradient route and the trainer's loop of
+three chain-kernel calls per epoch, both copied below.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lovasz_abstain import PolymatroidCollection, random_polymatroid
-from lovasz_abstain.bench import _mean_subgradient, mean_hinge
-from lovasz_abstain.lovasz import extension_batch, subgradient_rows
+from lovasz_abstain import PolymatroidCollection, TrainConfig, hinge, hinge_subgradient, random_polymatroid, train
+from lovasz_abstain.bench import _mean_subgradient, mean_hinge, split_indices, synth_data
+from lovasz_abstain.lovasz import chain_gains, extension_batch, hinge_and_subgradient_rows, hinge_rows, subgradient_rows
+from lovasz_abstain.serialize import collection_from_obj
 from lovasz_abstain.setfn import as_collection
 
 from conftest import builtin_collections
@@ -132,3 +138,79 @@ def test_extension_batch_matches_loop(batch):
         f = fc.for_label(y)
         vals = extension_batch(f, xs)
         assert np.abs(vals - [loop_extension(f, x) for x in xs]).max() <= TOL
+
+
+def separate_subgradient_rows(fc, U, y_bits):
+    """The batched subgradient route with a chain_gains call of its own."""
+    signs = np.where((y_bits[:, None] >> np.arange(fc.k)) & 1 == 1, 1.0, -1.0)
+    margins = 1.0 - U * signs
+    order, gains = chain_gains(fc, np.maximum(margins, 0.0), y_bits)
+    g = np.empty_like(margins)
+    g[np.arange(len(g))[:, None], order] = gains
+    return np.where(margins > 0.0, -signs * g, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches())
+@example(KINKS)
+@example(TIES)
+def test_hinge_and_subgradient_rows_match_the_separate_routes(batch):
+    """Bit for bit, with the scalar hinge and hinge_subgradient as one-row views."""
+    fc, U, y_bits = batch
+    h, G = hinge_and_subgradient_rows(fc, U, y_bits)
+    assert np.array_equal(h, hinge_rows(fc, U, y_bits))
+    assert np.array_equal(G, separate_subgradient_rows(fc, U, y_bits))
+    assert np.array_equal(subgradient_rows(fc, U, y_bits), G)
+    for u, y, hj, g in zip(U, y_bits.tolist(), h, G):
+        assert hinge(fc, u, y) == hj
+        assert np.array_equal(hinge_subgradient(fc, u, y), g)
+
+
+def three_call_train(cfg, fc):
+    """bench.train with three chain-kernel calls per epoch: the train hinge,
+    the validation hinge and the train subgradient, each on its own rows."""
+    data = synth_data(cfg)
+    tr, va, _ = split_indices(cfg.n_samples, cfg.seed)
+    W = np.zeros((cfg.k, cfg.feature_dim))
+    best_W, best_val, best_epoch = W.copy(), np.inf, 0
+    train_trace, val_trace = [], []
+    for epoch in range(cfg.epochs):
+        loss = mean_hinge(fc, W, data.X[tr], data.y_bits[tr])
+        val = mean_hinge(fc, W, data.X[va], data.y_bits[va])
+        train_trace.append(loss)
+        val_trace.append(val)
+        if val < best_val:
+            best_val, best_W, best_epoch = val, W.copy(), epoch
+        lr = cfg.lr_init * cfg.lr_decay ** (epoch // cfg.lr_decay_every)
+        X, y_bits = data.X[tr], data.y_bits[tr]
+        G = separate_subgradient_rows(fc, X @ W.T, y_bits).T @ X / len(X)
+        np.clip(G, -cfg.grad_clip, cfg.grad_clip, out=G)
+        W = W - lr * G
+    train_trace.append(mean_hinge(fc, W, data.X[tr], data.y_bits[tr]))
+    val_trace.append(mean_hinge(fc, W, data.X[va], data.y_bits[va]))
+    if val_trace[-1] < best_val:
+        best_W, best_epoch = W.copy(), cfg.epochs
+    return W, best_W, best_epoch, train_trace, val_trace
+
+
+TRAINER_RUNS = {
+    "sqrt_card4": (dict(k=4, feature_dim=8, n_samples=500, epochs=25, noise=[0.0, 0.4, 1.0, 2.5]),
+                   {"kind": "concave_card", "k": 4, "exponent": 0.5}),
+    "jaccard10": (dict(k=10, feature_dim=16, n_samples=250, epochs=30), {"kind": "jaccard", "k": 10}),
+    "modular1234": (dict(k=4, feature_dim=8, n_samples=300, epochs=30, noise=1.0),
+                    {"kind": "modular", "weights": [1, 2, 3, 4]}),
+    "jaccard20": (dict(k=20, feature_dim=40, n_samples=200, epochs=15, noise=0.5), {"kind": "jaccard", "k": 20}),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("run", list(TRAINER_RUNS))
+def test_one_call_trainer_is_bit_identical_to_three_calls(run, seed):
+    fields, spec = TRAINER_RUNS[run]
+    cfg = TrainConfig(**fields, seed=seed)
+    fc = collection_from_obj(spec)
+    res = train(cfg, fc)
+    W, best_W, best_epoch, train_trace, val_trace = three_call_train(cfg, fc)
+    assert res.train_trace == train_trace and res.val_trace == val_trace
+    assert np.array_equal(res.weights, W) and np.array_equal(res.best_weights, best_W)
+    assert res.best_epoch == best_epoch

@@ -37,7 +37,11 @@ def files(tmp_path):
               "jaccard20": '{"kind": "jaccard", "k": 20}',
               "train_list": '[1]',
               "train_no_setfn": '{"k": 2}',
-              "train_unknown_field": '{"k": 2, "epoch": 3, "setfn": {"kind": "zero_one", "k": 2}}'}
+              "train_unknown_field": '{"k": 2, "epoch": 3, "setfn": {"kind": "zero_one", "k": 2}}',
+              **{f"train_{name}": json.dumps({"k": 2, field: value, "setfn": {"kind": "zero_one", "k": 2}})
+                 for name, field, value in [("negative_epochs", "epochs", -1), ("negative_grad_clip", "grad_clip", -1),
+                                            ("label_corr_2", "label_corr", 2), ("noise_3", "noise", [0, 1, 2]),
+                                            ("nan_margin", "margin", float("nan"))]}}
     for key, text in broken.items():
         (tmp_path / f"{key}.json").write_text(text)
     preds = tmp_path / "preds2.csv"
@@ -233,14 +237,20 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["condition1", "--collection", "jaccard20"], "complementary-error check capped at k <= 12, got k=20"),
      (["train", "--config", "train_list", "--out", "dir"], "a train config must be a JSON object, got [1]"),
      (["train", "--config", "train_no_setfn", "--out", "dir"], "train config object has no 'setfn' field"),
-     (["train", "--config", "train_unknown_field", "--out", "dir"], "train config has no field 'epoch'")],
+     (["train", "--config", "train_unknown_field", "--out", "dir"], "train config has no field 'epoch'"),
+     (["train", "--config", "train_negative_epochs", "--out", "dir"], "epochs must be >= 0, got -1"),
+     (["train", "--config", "train_negative_grad_clip", "--out", "dir"], "grad_clip must be positive, got -1"),
+     (["train", "--config", "train_label_corr_2", "--out", "dir"], "label_corr must lie in [0, 1], got 2"),
+     (["train", "--config", "train_noise_3", "--out", "dir"], "noise must be one scale or a list of k=2"),
+     (["train", "--config", "train_nan_margin", "--out", "dir"], "margin must be finite and nonnegative, got nan")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
          "eval-hinge-nan-table", "metrics-length-mismatch", "eval-hinge-nan-weights", "eval-hinge-scalar-weights",
          "mc-eval-nan-class-weights", "eval-hinge-jaccard-without-k", "eval-hinge-table-without-values",
          "eval-hinge-label-without-values", "eval-hinge-json-list", "eval-hinge-per-label-list",
          "eval-hinge-per-label-number", "validate-json-list", "mc-eval-json-list", "mc-eval-too-few-class-weights",
          "condition1-jaccard-above-the-dense-cap", "train-config-list", "train-config-without-setfn",
-         "train-config-unknown-field"],
+         "train-config-unknown-field", "train-negative-epochs", "train-negative-grad-clip", "train-label-corr-above-1",
+         "train-noise-of-wrong-length", "train-nan-margin"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths

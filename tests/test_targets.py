@@ -22,8 +22,8 @@ from lovasz_abstain import (
 from lovasz_abstain.links import _report_id_table
 from lovasz_abstain.multiclass import bep_surrogate
 from lovasz_abstain.oracle import argmin_ids, grid_distributions, point_mass, uniform
-from lovasz_abstain.setfn import as_collection
-from lovasz_abstain.targets import _report_masks, abstain_loss_table, report_index
+from lovasz_abstain.setfn import PolymatroidCollection, as_collection
+from lovasz_abstain.targets import _report_masks, abstain_loss_table, plain_loss_table, report_index
 
 from conftest import builtin_collections
 
@@ -258,3 +258,22 @@ def test_abstain_loss_table_matches_the_agreement_formula(k):
     collections = [*builtin_collections(k).values(), random_collection(k, rng, symmetric=False)]
     for fc in collections:
         assert np.array_equal(abstain_loss_table(fc), _loss_table_by_agreement(fc))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_loss_tables_skip_the_checked_read(k, monkeypatch):
+    """Both tables build their masks in range, so they read the collection
+    without at's range checks, and give the same tables as the checked read."""
+    rng = np.random.default_rng(10 + k)
+    collections = [as_collection(f) for f in builtin_collections(k).values()]
+    collections.append(random_collection(k, rng, symmetric=False))
+    y = np.arange(1 << k)
+    expected = [(_loss_table_by_agreement(fc), fc.at(y, y[:, None] ^ y)) for fc in collections]
+
+    def checked_read(self, y, S):
+        raise AssertionError("the loss tables must not pay for at's range checks")
+
+    monkeypatch.setattr(PolymatroidCollection, "at", checked_read)
+    for fc, (abstain, plain) in zip(collections, expected):
+        assert np.array_equal(abstain_loss_table(fc), abstain)
+        assert np.array_equal(plain_loss_table(fc), plain)
