@@ -13,6 +13,7 @@ popcounts, and builds no report objects.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -106,6 +107,16 @@ class TrainConfig:
     taus: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def __post_init__(self):
+        for name in ("k", "feature_dim", "n_samples", "epochs", "seed", "lr_decay_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (isinstance(self.taus, (list, tuple))
+                and all(isinstance(t, Real) and not isinstance(t, bool) for t in self.taus)):
+            raise ValueError(f"taus must be a list of numbers, got {self.taus!r}")
+        self.taus = tuple(self.taus)
         if self.k < 1 or self.feature_dim < self.k or self.n_samples < 10:
             raise ValueError("need k >= 1, feature_dim >= k, n_samples >= 10")
         if not (self.lr_init > 0) or not (0 < self.lr_decay <= 1) or self.lr_decay_every < 1:

@@ -171,7 +171,7 @@ def _train_config(obj: dict) -> bench.TrainConfig:
     unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(bench.TrainConfig)})
     if unknown:
         raise ValueError(f"train config has no field {unknown[0]!r}")
-    return bench.TrainConfig(**{key: tuple(v) if key == "taus" else v for key, v in obj.items()})
+    return bench.TrainConfig(**obj)
 
 
 def cmd_train(args):
@@ -183,7 +183,7 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(json.dumps(result.to_dict(), indent=2))
-    (out / "collection.json").write_text(json.dumps(serialize.collection_to_obj(fc)))
+    serialize.save_collection(fc, out / "collection.json")
     print(f"final train hinge {result.train_trace[-1]:.6g}, best epoch {result.best_epoch}")
 
 
@@ -191,7 +191,9 @@ def _read_report_csv(path):
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"report file {path} is empty")
         if not all(c.startswith("c") for c in header):
             rows.append(header)  # tolerate missing header
         rows.extend(reader)

@@ -27,7 +27,7 @@ import numpy as np
 from ._tol import GAP_TOL
 from .lovasz import _checked, clip, descending_order
 from .setfn import MAX_K
-from .targets import AbstainReport, _report_masks, enumerate_reports
+from .targets import AbstainReport, _report_at, _report_id_table
 
 
 @dataclass(frozen=True)
@@ -192,16 +192,6 @@ def trim_single_abstain(v: AbstainReport, u) -> AbstainReport:
     return v if zeros[0] == v.zeros else AbstainReport(v.k, int(pos[0]), 0)
 
 
-@lru_cache(maxsize=None)
-def _report_id_table(k: int) -> np.ndarray:
-    """Dense (pos, zeros) -> canonical report id lookup; -1 off the domain. Read-only."""
-    pos, zeros = _report_masks(k)
-    table = np.full((1 << k, 1 << k), -1, dtype=np.int64)
-    table[pos, zeros] = np.arange(len(pos))
-    table.setflags(write=False)
-    return table
-
-
 def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
     """(n, n_reports) boolean membership of the gap-rule envelope, row-wise."""
     us = _points(us, "us", 2)
@@ -354,8 +344,7 @@ def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
     view of envelope_members_oracle."""
     u = np.asarray(u, dtype=float)
     members = envelope_members_oracle(u[None], cfg.resolve_epsilon(len(u)))[0]
-    reports = enumerate_reports(len(u), "V")
-    return {reports[i] for i in np.flatnonzero(members)}
+    return {_report_at(len(u), i) for i in np.flatnonzero(members)}
 
 
 @lru_cache(maxsize=None)

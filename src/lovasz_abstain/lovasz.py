@@ -68,12 +68,6 @@ def hinge(fc, u, y) -> float:
     return float(_hinge(fc, _checked(u, fc.k, "u", 1)[None], _checked_label(y, fc.k))[0])
 
 
-def hinge_batch(fc, us: np.ndarray, y) -> np.ndarray:
-    """hinge over rows of us against one fixed label."""
-    fc = as_collection(fc)
-    return _hinge(fc, _checked(us, fc.k, "us", 2), _checked_label(y, fc.k))
-
-
 def hinge_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
     """hinge of each row of us against its own label bitmask y_bits[j]."""
     fc = as_collection(fc)

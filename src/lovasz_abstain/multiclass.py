@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tol import EXACT_TOL
-from .links import LinkConfig, _link, _points, _report_id_table
+from .links import LinkConfig, _link, _points
 from .lovasz import hinge
 from .oracle import VerificationReport
 from .setfn import PolymatroidCollection, SetFunction, _check_weights, make_jaccard, make_modular
-from .targets import AbstainReport, _report_masks, abstain_loss_table
+from .targets import AbstainReport, _report_id_table, _report_masks, abstain_loss_table
 
 ABSTAIN = 0  # class slot reserved for the abstain answer
 _PAIR_ROWS = 4096  # (report, block) pairs per block-domination comparison; 16 MiB of rows at d*k = 9

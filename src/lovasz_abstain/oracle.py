@@ -5,6 +5,8 @@ losses are computed as tables over the full report grid, optimality is
 checked against every alternative, and failures always carry a reproducible
 witness. Surrogate argmins are taken over the {-1,0,1}^k points, which is a
 representative set for the hinge; a lattice spot-check guards that choice.
+The sweeps read reports as targets' canonical (pos, zeros) masks and sign
+rows; a report object is built only for a returned value or a witness.
 """
 
 from __future__ import annotations
@@ -15,18 +17,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
-from .links import (
-    LinkConfig,
-    _face_member_matrix,
-    _report_id_table,
-    face_distances,
-    link_rows,
-    naive_threshold_link,
-)
-from .lovasz import clip, expected_hinge, hinge_batch
+from .links import LinkConfig, _face_member_matrix, face_distances, link_rows, naive_threshold_link
+from .lovasz import clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
 from .setfn import popcounts, validate_polymatroid
-from .targets import AbstainReport, _report_masks, abstain_loss_table, enumerate_reports, plain_loss_table
+from .targets import AbstainReport, _report_at, _report_id_table, _report_masks, _report_signs
+from .targets import abstain_loss_table, plain_loss_table
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +102,14 @@ class VerificationReport:
         return asdict(self)
 
 
+def _hinge_table(fc, points: np.ndarray) -> np.ndarray:
+    """(len(points), 2^k) hinge values of each point against each label, from
+    one hinge_rows call over the point-major (point, label) grid."""
+    n = 1 << fc.k
+    rows = hinge_rows(fc, np.repeat(points, n, axis=0), np.tile(np.arange(n), len(points)))
+    return rows.reshape(len(points), n)
+
+
 def surrogate_loss_table(fc) -> np.ndarray:
     """Hinge values at every report embedding, one label per column.
 
@@ -113,10 +117,7 @@ def surrogate_loss_table(fc) -> np.ndarray:
     two-lookup table route in abstain_loss_table.
     """
     fc = as_collection(fc)
-    reports = enumerate_reports(fc.k, "V")
-    vecs = np.stack([v.vector() for v in reports])
-    cols = [hinge_batch(fc, vecs, y) for y in range(1 << fc.k)]
-    return np.stack(cols, axis=1)
+    return _hinge_table(fc, _report_signs(fc.k))
 
 
 def _argmin_mask(values: np.ndarray) -> np.ndarray:
@@ -152,7 +153,6 @@ def verify_embedding(fc, grid_m: int | None = None) -> VerificationReport:
     if len(bad):
         y, s = bad[0]
         raise ValueError(f"collection has the non-finite value {F[y, s]} at f_y(S) with y={y:#x}, S={s:#x}")
-    reports = enumerate_reports(k, "V")
     surr = surrogate_loss_table(fc)
     disc = abstain_loss_table(fc)
     gap = np.abs(surr - disc).max()
@@ -163,13 +163,12 @@ def verify_embedding(fc, grid_m: int | None = None) -> VerificationReport:
             "embedding",
             False,
             cases,
-            {"v": str(reports[i]), "y": int(y), "hinge": surr[i, y], "target": disc[i, y]},
+            {"v": str(_report_at(k, i)), "y": int(y), "hinge": surr[i, y], "target": disc[i, y]},
         )
     details = {"max_pointwise_gap": float(gap)}
     if k <= 3:
         m = grid_m if grid_m is not None else 8
-        lat = _lattice(k)
-        lat_table = np.stack([hinge_batch(fc, lat, y) for y in range(1 << k)], axis=1)
+        lat_table = _hinge_table(fc, _lattice(k))
         worst_lattice = 0.0
         for P in _grid_blocks(k, m):
             disc_vals = P @ disc.T
@@ -192,6 +191,9 @@ def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
     k = fc.k
     if k > 3:
         raise ValueError("representativeness check capped at k <= 3")
+    wrong = next((v for v in reports if v.k != k), None)
+    if wrong is not None:
+        raise ValueError(f"reports has the report {wrong} with k={wrong.k}, collection has k={k}")
     candidates = np.zeros(3**k, dtype=bool)
     candidates[_report_id_table(k)[[v.pos for v in reports], [v.zeros for v in reports]]] = True
     surr = surrogate_loss_table(fc)
@@ -205,11 +207,18 @@ def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
     return VerificationReport("representative", True, cases)
 
 
+def _tightness_witnesses(k: int, pos: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """(n, 2^k) tightness witnesses of the reports (pos, zeros), one per row."""
+    committed = ((1 << k) - 1) & ~zeros
+    mass = 1.0 / (1 << popcounts(zeros))
+    return np.where(np.arange(1 << k) & committed[:, None] == pos[:, None], mass[:, None], 0.0)
+
+
 def tightness_witness(v: AbstainReport) -> np.ndarray:
     """Distribution that agrees with v where it commits and randomizes signs
-    on its abstentions: uniquely minimized at v for strict polymatroids."""
-    committed = ((1 << v.k) - 1) & ~v.zeros
-    return np.where(np.arange(1 << v.k) & committed == v.pos, 1.0 / (1 << v.n_abstain()), 0.0)
+    on its abstentions: uniquely minimized at v for strict polymatroids.
+    One-row view of _tightness_witnesses."""
+    return _tightness_witnesses(v.k, np.array([v.pos]), np.array([v.zeros]))[0]
 
 
 def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
@@ -226,24 +235,26 @@ def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
     if k > 4:
         raise ValueError("tightness verification capped at k <= 4")
     fc = as_collection(f)
-    reports = enumerate_reports(k, "V")
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
-    cases = 0
-
-    for v in enumerate_reports(k, "V0"):
-        cases += 1
-        p = tightness_witness(v)
-        vals = table @ p
-        vid = id_of[v.pos, v.zeros]
-        others = np.delete(vals, vid)
-        if not vals[vid] < others.min() - MARGIN:
-            return VerificationReport(
-                "tightness", False, cases, {"v": str(v), "p": p.tolist(), "unique": False}
-            )
-
     pos, zeros = _report_masks(k)
-    vid = np.flatnonzero(popcounts(zeros) == 1)  # the lone-abstention reports
+    lone = popcounts(zeros) == 1
+
+    v0 = np.flatnonzero(~lone)  # each is the unique minimizer at its witness
+    P = _tightness_witnesses(k, pos[v0], zeros[v0])
+    vals = P @ table.T
+    rows = np.arange(len(v0))
+    own = vals[rows, v0]
+    vals[rows, v0] = np.inf
+    failed = ~(own < vals.min(axis=1) - MARGIN)
+    if failed.any():
+        j = int(failed.argmax())
+        return VerificationReport(
+            "tightness", False, j + 1, {"v": str(_report_at(k, v0[j])), "p": P[j].tolist(), "unique": False}
+        )
+    cases = len(v0)
+
+    vid = np.flatnonzero(lone)
     plus, minus = id_of[pos[vid] | zeros[vid], 0], id_of[pos[vid], 0]
     for P in _grid_blocks(k, grid_m) if k <= 3 else [uniform(k)[None]]:
         vals = P @ table.T
@@ -253,7 +264,7 @@ def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
             i, j = divmod(f, len(vid))
             return VerificationReport(
                 "tightness", False, cases + f + 1,
-                {"v": str(reports[vid[j]]), "p": P[i].tolist(), "dominated": False},
+                {"v": str(_report_at(k, vid[j])), "p": P[i].tolist(), "dominated": False},
             )
         cases += failed.size
     return VerificationReport("tightness", True, cases)
@@ -313,7 +324,7 @@ def counterexample_symmetric(f) -> SymmetricCounterexample:
     full = (1 << k) - 1
 
     fc = as_collection(fr)
-    reports = enumerate_reports(k, "V")
+    pos, zeros = _report_masks(k)
     table = abstain_loss_table(fc)
     plain = plain_loss_table(fc)
 
@@ -322,14 +333,12 @@ def counterexample_symmetric(f) -> SymmetricCounterexample:
     ids = argmin_ids(vals)
     # The optimal set must avoid every +-1 report; pick a minimizer that
     # commits nowhere against y so that flipping fixes it in place.
-    if any(reports[i].zeros == 0 for i in ids):
+    if any(zeros[i] == 0 for i in ids):
         raise RuntimeError("a non-abstaining report is hinge-optimal; construction failed")
-    pick = next(
-        (i for i in sorted(ids) if reports[i].pos == full & ~reports[i].zeros), None
-    )
+    pick = next((i for i in sorted(ids) if pos[i] == full & ~zeros[i]), None)
     if pick is None:
         raise RuntimeError("no optimal report agrees with the bumped label off its abstentions")
-    v = reports[pick]
+    v = _report_at(k, pick)
 
     y_prime = v.pos  # abstentions flip to -1, commitments stay +1
     r = v.pos  # bitmask of y * y'
@@ -397,7 +406,6 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
         raise ValueError(f"collection fails the complementary-error condition: {cond.reason}")
 
     full = (1 << k) - 1
-    reports = enumerate_reports(k, "V")
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
     plain = plain_loss_table(fc)
@@ -427,12 +435,11 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
     eps, p_eps, vals = chosen
 
     if k <= 3:  # lattice guard: no off-report point beats the report optimum
-        lat = _lattice(k)
-        lat_vals = np.stack([hinge_batch(fc, lat, y) for y in range(1 << k)], axis=1) @ p_eps
+        lat_vals = _hinge_table(fc, _lattice(k)) @ p_eps
         if lat_vals.min() < vals[zero_id] - MARGIN:
             raise RuntimeError("lattice point beats the report optimum")
 
-    v_opt = reports[zero_id]
+    v_opt = _report_at(k, zero_id)
     y_hat = full  # sign* of the zero vector under the fixed 0 -> +1 rule
     plain_vals = plain @ p_eps
     plain_arg = argmin_ids(plain_vals)
@@ -495,8 +502,7 @@ def calibration_sweep(
     k = fc.k
     rng = rng if rng is not None else np.random.default_rng(0)
     eps = LinkConfig(epsilon=epsilon).resolve_epsilon(k)
-    reports = enumerate_reports(k, "V")
-    vectors = np.stack([v.vector() for v in reports])
+    vectors = _report_signs(k)
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
     taus = np.asarray(taus, dtype=float)
@@ -517,7 +523,7 @@ def calibration_sweep(
                 "calibration",
                 False,
                 cases + j + 1,
-                {"p": P[rows[pair]].tolist(), "v": str(reports[vids[pair]]),
+                {"p": P[rows[pair]].tolist(), "v": str(_report_at(k, vids[pair])),
                  "u": us[pair, case // len(taus)].tolist(), "tau": float(taus[case % len(taus)]),
                  "linked": str(linked)},
             )
@@ -545,7 +551,8 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
     """
     fc = as_collection(fc)
     k = fc.k
-    reports = enumerate_reports(k, "V")
+    pos, zeros = _report_masks(k)
+    signs_of = _report_signs(k)
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
     zero_id = id_of[0, (1 << k) - 1]
@@ -555,13 +562,12 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
         for i in np.flatnonzero(optimal[:, zero_id]):
             p, vals, ids = P[i], vals_block[i], set(np.flatnonzero(optimal[i]).tolist())
             for yid in sorted(ids):
-                y = reports[yid]
-                if y.zeros:
+                if zeros[yid]:
                     continue
-                signs = y.vector()
+                signs = signs_of[yid]
                 for j in range(k):
-                    dropped = AbstainReport(k, y.pos & ~(1 << j), 1 << j)
-                    if id_of[dropped.pos, dropped.zeros] in ids:
+                    dropped = int(pos[yid]) & ~(1 << j), 1 << j
+                    if id_of[dropped] in ids:
                         continue
                     gaps = []
                     witness_ok = True
@@ -569,12 +575,12 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
                         u = (c + t) * signs
                         u[j] = (c - t) * signs[j]
                         out = naive_threshold_link(u, c)
-                        if (out.pos, out.zeros) != (dropped.pos, dropped.zeros):
+                        if (out.pos, out.zeros) != dropped:
                             witness_ok = False
                             break
                         gaps.append(expected_hinge(fc, u, p) - vals.min())
                     if witness_ok and gaps[-1] < 1e-4 and all(g >= -EXACT_TOL for g in gaps):
-                        return NaiveLinkWitness(c, p, c * signs, dropped, ids, gaps)
+                        return NaiveLinkWitness(c, p, c * signs, AbstainReport(k, *dropped), ids, gaps)
     raise RuntimeError("no naive-link failure found on this grid")
 
 

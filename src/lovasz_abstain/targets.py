@@ -12,6 +12,11 @@ which splits the committed coordinates into (TP, TN, FP, FN) bitmasks for
 ints or broadcasting integer arrays alike; mis, abstain_loss_table and
 bench.counts are views of it. The hinge does not use it, so the extension
 route stays independent of the table route.
+
+This module owns the canonical report order: the (pos, zeros) masks of
+_report_masks, the id lookup _report_id_table and the sign rows
+_report_signs. Sweeps read those arrays; report objects are built only for
+returned values and witnesses.
 """
 
 from __future__ import annotations
@@ -158,6 +163,32 @@ def _report_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
     pos.setflags(write=False)
     zeros.setflags(write=False)
     return pos, zeros
+
+
+@lru_cache(maxsize=None)
+def _report_id_table(k: int) -> np.ndarray:
+    """Dense (pos, zeros) -> canonical report id lookup; -1 off the domain. Read-only."""
+    pos, zeros = _report_masks(k)
+    table = np.full((1 << k, 1 << k), -1, dtype=np.int64)
+    table[pos, zeros] = np.arange(len(pos))
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _report_signs(k: int) -> np.ndarray:
+    """Read-only (3^k, k) float rows of the canonical "V" order: +1, 0 or -1
+    per coordinate, the vector() of each report."""
+    pos, zeros = (((m[:, None] >> np.arange(k)) & 1).astype(bool) for m in _report_masks(k))
+    signs = np.where(pos, 1.0, np.where(zeros, 0.0, -1.0))
+    signs.setflags(write=False)
+    return signs
+
+
+def _report_at(k: int, i) -> AbstainReport:
+    """The report with canonical id i."""
+    pos, zeros = _report_masks(k)
+    return AbstainReport(k, int(pos[i]), int(zeros[i]))
 
 
 def enumerate_reports(k: int, family: str = "V") -> list[AbstainReport]:

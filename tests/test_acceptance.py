@@ -39,7 +39,7 @@ from lovasz_abstain import (
 )
 from lovasz_abstain.bench import link_reports
 from lovasz_abstain.links import envelope_members_gap, envelope_members_oracle
-from lovasz_abstain.lovasz import hinge_batch
+from lovasz_abstain.lovasz import hinge_rows
 from lovasz_abstain.multiclass import (
     BlockCodec,
     ClassCosts,
@@ -128,8 +128,8 @@ def test_03_clip_domination():
         fc = random_collection(k, rng, symmetric=bool(rng.integers(0, 2)))
         us = rng.uniform(-3, 3, (250, k))
         y = int(rng.integers(0, 1 << k))
-        raw = hinge_batch(fc, us, y)
-        clipped = hinge_batch(fc, clip(us), y)
+        raw = hinge_rows(fc, us, y)
+        clipped = hinge_rows(fc, clip(us), y)
         ok &= bool(np.all(clipped <= raw + 1e-12))
         checked += len(us)
     report(3, "clip-domination", ok)

@@ -205,9 +205,17 @@ def test_trainconfig_validation():
      ({"k": 3, "noise": [0.1, 0.2]}, "noise"),
      ({"k": 3, "noise": [0.1, float("inf"), 0.2]}, "noise"),
      ({"margin": float("nan")}, "margin"),
-     ({"margin": -1.0}, "margin")],
+     ({"margin": -1.0}, "margin"),
+     ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+     ({"feature_dim": "8"}, "feature_dim must be an integer, got '8'"),
+     ({"n_samples": 20.0}, "n_samples must be an integer, got 20.0"),
+     ({"taus": 5}, "taus must be a list of numbers, got 5"),
+     ({"epochs": True}, "epochs must be an integer, got True"),
+     ({"seed": -1}, "seed must be >= 0, got -1")],
     ids=["nan-lr-init", "negative-epochs", "negative-grad-clip", "nan-grad-clip", "label-corr-above-1",
-         "negative-label-corr", "noise-of-wrong-length", "infinite-noise", "nan-margin", "negative-margin"],
+         "negative-label-corr", "noise-of-wrong-length", "infinite-noise", "nan-margin", "negative-margin",
+         "fractional-epochs", "string-feature-dim", "float-n-samples", "scalar-taus", "bool-epochs",
+         "negative-seed"],
 )
 def test_trainconfig_rejects_a_bad_field_by_name(fields, word):
     with pytest.raises(ValueError, match=word):

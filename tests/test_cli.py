@@ -41,15 +41,21 @@ def files(tmp_path):
               **{f"train_{name}": json.dumps({"k": 2, field: value, "setfn": {"kind": "zero_one", "k": 2}})
                  for name, field, value in [("negative_epochs", "epochs", -1), ("negative_grad_clip", "grad_clip", -1),
                                             ("label_corr_2", "label_corr", 2), ("noise_3", "noise", [0, 1, 2]),
-                                            ("nan_margin", "margin", float("nan"))]}}
+                                            ("nan_margin", "margin", float("nan")),
+                                            ("fractional_epochs", "epochs", 2.5),
+                                            ("string_feature_dim", "feature_dim", "8"),
+                                            ("float_n_samples", "n_samples", 20.0), ("scalar_taus", "taus", 5),
+                                            ("bool_epochs", "epochs", True), ("negative_seed", "seed", -1)]}}
     for key, text in broken.items():
         (tmp_path / f"{key}.json").write_text(text)
     preds = tmp_path / "preds2.csv"
     preds.write_text("c1,c2\n+,0\n-,-\n")
     truth = tmp_path / "truth1.csv"
     truth.write_text("c1,c2\n+,+\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
     return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "nan3": nan,
-            "preds2": preds, "truth1": truth, "dir": tmp_path,
+            "preds2": preds, "truth1": truth, "empty": empty, "dir": tmp_path,
             **{key: tmp_path / f"{key}.json" for key in broken}}
 
 
@@ -242,7 +248,15 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["train", "--config", "train_negative_grad_clip", "--out", "dir"], "grad_clip must be positive, got -1"),
      (["train", "--config", "train_label_corr_2", "--out", "dir"], "label_corr must lie in [0, 1], got 2"),
      (["train", "--config", "train_noise_3", "--out", "dir"], "noise must be one scale or a list of k=2"),
-     (["train", "--config", "train_nan_margin", "--out", "dir"], "margin must be finite and nonnegative, got nan")],
+     (["train", "--config", "train_nan_margin", "--out", "dir"], "margin must be finite and nonnegative, got nan"),
+     (["train", "--config", "train_fractional_epochs", "--out", "dir"], "epochs must be an integer, got 2.5"),
+     (["train", "--config", "train_string_feature_dim", "--out", "dir"], "feature_dim must be an integer, got '8'"),
+     (["train", "--config", "train_float_n_samples", "--out", "dir"], "n_samples must be an integer, got 20.0"),
+     (["train", "--config", "train_scalar_taus", "--out", "dir"], "taus must be a list of numbers, got 5"),
+     (["train", "--config", "train_bool_epochs", "--out", "dir"], "epochs must be an integer, got True"),
+     (["train", "--config", "train_negative_seed", "--out", "dir"], "seed must be >= 0, got -1"),
+     (["metrics", "--pred", "empty", "--truth", "truth1", "--out", "dir"], "empty.csv is empty"),
+     (["metrics", "--pred", "preds2", "--truth", "empty", "--out", "dir"], "empty.csv is empty")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
          "eval-hinge-nan-table", "metrics-length-mismatch", "eval-hinge-nan-weights", "eval-hinge-scalar-weights",
          "mc-eval-nan-class-weights", "eval-hinge-jaccard-without-k", "eval-hinge-table-without-values",
@@ -250,7 +264,9 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
          "eval-hinge-per-label-number", "validate-json-list", "mc-eval-json-list", "mc-eval-too-few-class-weights",
          "condition1-jaccard-above-the-dense-cap", "train-config-list", "train-config-without-setfn",
          "train-config-unknown-field", "train-negative-epochs", "train-negative-grad-clip", "train-label-corr-above-1",
-         "train-noise-of-wrong-length", "train-nan-margin"],
+         "train-noise-of-wrong-length", "train-nan-margin", "train-fractional-epochs", "train-string-feature-dim",
+         "train-float-n-samples", "train-scalar-taus", "train-bool-epochs", "train-negative-seed",
+         "metrics-empty-pred", "metrics-empty-truth"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths

@@ -15,7 +15,7 @@ import pytest
 from lovasz_abstain import make_jaccard, make_sqrt_card, make_zero_one
 from lovasz_abstain import multiclass, oracle
 from lovasz_abstain.links import GAP_TOL, _report_id_table, chain_faces, face_distances
-from lovasz_abstain.lovasz import clip
+from lovasz_abstain.lovasz import clip, hinge_rows
 from lovasz_abstain.multiclass import BlockCodec, ClassCosts, ClassLabel, encode_bep
 from lovasz_abstain.oracle import (
     MARGIN,
@@ -29,7 +29,7 @@ from lovasz_abstain.oracle import (
     verify_representative,
     verify_tightness,
 )
-from lovasz_abstain.setfn import PolymatroidCollection, SetFunction
+from lovasz_abstain.setfn import PolymatroidCollection, SetFunction, random_collection
 from lovasz_abstain.targets import (
     AbstainReport,
     abstain_loss_table,
@@ -55,6 +55,11 @@ def loop_abstain_table(fc, reports=None):
         for y in range(1 << fc.k):
             table[i, y] = target_abstain(fc, v, y)
     return table
+
+
+def loop_hinge_table(fc, points):
+    """The per-label loop the hinge tables replaced: one batched hinge call per label."""
+    return np.stack([hinge_rows(fc, points, y) for y in range(1 << fc.k)], axis=1)
 
 
 def loop_plain_table(fc):
@@ -83,8 +88,7 @@ def loop_embedding_grid(fc, m):
     surr = oracle.surrogate_loss_table(fc)
     disc = oracle.abstain_loss_table(fc)
     cases = surr.size
-    lat = oracle._lattice(k)
-    lat_table = np.stack([oracle.hinge_batch(fc, lat, y) for y in range(1 << k)], axis=1)
+    lat_table = oracle._hinge_table(fc, oracle._lattice(k))
     for p in loop_grid(k, m):
         cases += 1
         if argmin_ids(surr @ p) != argmin_ids(disc @ p):
@@ -194,6 +198,16 @@ def test_loss_tables_match_the_scalar_loops(k, name):
     fc = fc if isinstance(fc, PolymatroidCollection) else PolymatroidCollection.from_setfn(fc)
     assert np.array_equal(abstain_loss_table(fc), loop_abstain_table(fc))
     assert np.array_equal(plain_loss_table(fc), loop_plain_table(fc))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_hinge_tables_match_the_per_label_loop(k):
+    collections = {**builtin_collections(k), "random": random_collection(k, np.random.default_rng(k))}
+    vectors = np.stack([v.vector() for v in enumerate_reports(k, "V")])
+    lattice = oracle._lattice(k)
+    for fc in collections.values():
+        assert np.array_equal(surrogate_loss_table(fc), loop_hinge_table(fc, vectors))
+        assert np.array_equal(oracle._hinge_table(fc, lattice), loop_hinge_table(fc, lattice))
 
 
 def _rows(table, reports):
@@ -306,7 +320,7 @@ def test_embedding_mismatch_mid_grid(monkeypatch, y_star):
     surr, disc = _tables_with_a_near_tie(fc, y_star)
     monkeypatch.setattr(oracle, "surrogate_loss_table", lambda fc: surr)
     monkeypatch.setattr(oracle, "abstain_loss_table", lambda fc: disc)
-    monkeypatch.setattr(oracle, "hinge_batch", lambda fc, lat, y: np.full(len(lat), 5.0))
+    monkeypatch.setattr(oracle, "_hinge_table", lambda fc, lat: np.full((len(lat), 1 << fc.k), 5.0))
     got, want = verify_embedding(fc, 8), loop_embedding_grid(fc, 8)
     assert got.witness["mismatch"] and got.cases > surr.size + 1
     assert (got.passed, got.cases, got.witness) == (want.passed, want.cases, want.witness)
@@ -319,13 +333,12 @@ def test_embedding_lattice_shortfall_mid_grid(monkeypatch):
     monkeypatch.setattr(oracle, "surrogate_loss_table", lambda fc: disc)
     monkeypatch.setattr(oracle, "abstain_loss_table", lambda fc: disc)
 
-    def lattice_values(fc, lat, y):
-        vals = np.full(len(lat), 2.0)
-        if y == 1:
-            vals[100] = 1.0 - 1e-8
+    def lattice_values(fc, lat):
+        vals = np.full((len(lat), 1 << fc.k), 2.0)
+        vals[100, 1] = 1.0 - 1e-8
         return vals
 
-    monkeypatch.setattr(oracle, "hinge_batch", lattice_values)
+    monkeypatch.setattr(oracle, "_hinge_table", lattice_values)
     got, want = verify_embedding(fc, 8), loop_embedding_grid(fc, 8)
     assert got.witness["lattice_beats_reports"] and got.cases > disc.size + 1024
     assert (got.passed, got.cases, got.witness) == (want.passed, want.cases, want.witness)
@@ -428,3 +441,20 @@ def test_verify_oracle_verdicts_and_case_counts():
         assert (rep.passed, rep.cases) == (True, cases)
     rep = multiclass.verify_block_domination(ClassCosts.from_setfn(make_sqrt_card(3)), BlockCodec(4), 3)
     assert (rep.passed, rep.cases) == (True, 62_208)
+
+
+def test_passing_sweeps_build_no_report_objects(monkeypatch):
+    """The sweeps read the canonical report masks: with report construction
+    refused, they still pass with their pinned case counts."""
+    sqrt3 = make_sqrt_card(3)
+    candidates = enumerate_reports(3, "V0")
+
+    def refuse(self):
+        raise AssertionError("a sweep built a report object")
+
+    monkeypatch.setattr(AbstainReport, "__post_init__", refuse)
+    reports = [verify_embedding(sqrt3, 8), verify_representative(sqrt3, candidates, 8), verify_tightness(sqrt3, 8),
+               calibration_sweep(sqrt3, grid_m=4, taus=(0.0, 0.5, 1.0), n_perturb=20,
+                                 rng=np.random.default_rng([0, 0]))]
+    assert [(rep.passed, rep.cases) for rep in reports] == [(True, 6651), (True, 6435), (True, 77_235),
+                                                            (True, 26_040)]

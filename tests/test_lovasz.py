@@ -16,7 +16,7 @@ from lovasz_abstain import (
     random_collection,
     random_polymatroid,
 )
-from lovasz_abstain.lovasz import extension_batch, hinge_batch
+from lovasz_abstain.lovasz import extension_batch, hinge_rows
 from lovasz_abstain.oracle import point_mass, uniform
 
 from conftest import builtin_collections
@@ -227,7 +227,7 @@ def test_hinge_batch_matches_scalar(rng):
     fc = random_collection(2, rng)
     us = rng.uniform(-2, 2, (40, 2))
     for y in range(4):
-        batch = hinge_batch(fc, us, y)
+        batch = hinge_rows(fc, us, y)
         for u, val in zip(us, batch):
             assert val == pytest.approx(hinge(fc, u, y), abs=1e-12)
 
@@ -239,7 +239,7 @@ def test_hinge_rejects_wrong_length_u():
     with pytest.raises(ValueError, match="u has shape"):
         hinge(f, [0.5], 3)
     with pytest.raises(ValueError, match="us has shape"):
-        hinge_batch(f, np.zeros((5, 3)), 3)
+        hinge_rows(f, np.zeros((5, 3)), 3)
 
 
 def test_hinge_rejects_non_finite_u():
@@ -251,4 +251,4 @@ def test_hinge_rejects_non_finite_u():
     us = np.zeros((5, 4))
     us[2, 1] = -np.inf
     with pytest.raises(ValueError, match="us has a non-finite entry"):
-        hinge_batch(f, us, 3)
+        hinge_rows(f, us, 3)

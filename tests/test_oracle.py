@@ -98,6 +98,14 @@ def test_verify_representative():
     assert not (ids & label_ids)
 
 
+def test_verify_representative_rejects_reports_of_another_k():
+    """Candidates of another k used to be read as other reports (or to index out of range)."""
+    with pytest.raises(ValueError, match="reports has the report .* with k=2, collection has k=3"):
+        verify_representative(make_sqrt_card(3), enumerate_reports(2, "V0"))
+    with pytest.raises(ValueError, match="reports has the report .* with k=3, collection has k=2"):
+        verify_representative(make_sqrt_card(2), enumerate_reports(3, "V0"))
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_embedding_rejects_a_non_finite_table(k):
     """A NaN cell makes every comparison False, so it has to be refused up front."""

@@ -2,10 +2,11 @@
 
 perfbench/tracer.py wraps the layer modules by name and perfbench/workloads.py
 calls a few helpers directly; a rename in the package would only show up as a
-failed benchmark run. This test reads the tracer's constants and installs
-nothing.
+failed benchmark run. This test reads the tracer's constants and the workloads'
+source, and installs nothing.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from lovasz_abstain import links, lovasz, targets
+from lovasz_abstain import links, lovasz
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.parent / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +41,55 @@ def test_extra_traced_names_resolve(tracer):
         assert callable(obj), f"{layer}.{dotted}"
 
 
+def _dotted(node) -> list[str]:
+    """["a", "b", "c"] for the expression a.b.c, or [] when it is not a plain dotted name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else []
+
+
+def _layer_of(parts: list[str]) -> tuple[str, list[str]] | None:
+    """(layer, names read from it) of m.<layer>... or self.m.<layer>..., else None."""
+    if parts[:1] == ["self"]:
+        parts = parts[1:]
+    return (parts[1], parts[2:]) if len(parts) >= 2 and parts[0] == "m" else None
+
+
+def _package_references(tree) -> set[tuple[str, tuple[str, ...]]]:
+    """Every (layer, names) the workloads read from the package: m.<layer>.<name>...
+    chains, and <alias>.<name>... where the alias was assigned from m.<layer>."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            lhs = [t for target in node.targets for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+            rhs = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            for target, value in zip(lhs, rhs):
+                found = _layer_of(_dotted(value))
+                if isinstance(target, ast.Name) and found and not found[1]:
+                    aliases[target.id] = found[0]
+    refs = set()
+    for node in ast.walk(tree):
+        parts = _dotted(node) if isinstance(node, ast.Attribute) else []
+        found = _layer_of(parts) if parts else None
+        if found and found[1]:
+            refs.add((found[0], tuple(found[1])))
+        elif parts and parts[0] in aliases:
+            refs.add((aliases[parts[0]], tuple(parts[1:])))
+    return refs
+
+
 def test_helpers_read_by_the_workloads_resolve():
-    assert callable(lovasz._label_vec)
-    assert callable(targets.report_index)
+    assert callable(lovasz._label_vec)  # read by the tracer's active-coordinate counter
+    refs = _package_references(ast.parse(WORKLOADS.read_text()))
+    assert {("targets", ("report_index",)), ("bench", ("synth_data",)),
+            ("oracle", ("calibration_sweep",)), ("cli", ("main",))} <= refs
+    for layer, names in sorted(refs):
+        obj = importlib.import_module(f"lovasz_abstain.{layer}")
+        for name in names:
+            assert hasattr(obj, name), f"perfbench/workloads.py reads {layer}.{'.'.join(names)}"
+            obj = getattr(obj, name)
 
 
 def test_no_untracked_public_generator(tracer):

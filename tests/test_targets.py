@@ -19,11 +19,18 @@ from lovasz_abstain import (
     target_abstain,
     target_plain,
 )
-from lovasz_abstain.links import _report_id_table
 from lovasz_abstain.multiclass import bep_surrogate
 from lovasz_abstain.oracle import argmin_ids, grid_distributions, point_mass, uniform
 from lovasz_abstain.setfn import PolymatroidCollection, as_collection
-from lovasz_abstain.targets import _report_masks, abstain_loss_table, plain_loss_table, report_index
+from lovasz_abstain.targets import (
+    _report_at,
+    _report_id_table,
+    _report_masks,
+    _report_signs,
+    abstain_loss_table,
+    plain_loss_table,
+    report_index,
+)
 
 from conftest import builtin_collections
 
@@ -162,6 +169,15 @@ def test_enumerate_reports_matches_the_loop(k):
     assert len(ridx) == 3**k == (ids >= 0).sum()
     for i, v in enumerate(enumerate_reports(k, "V")):
         assert ridx[(v.pos, v.zeros)] == ids[v.pos, v.zeros] == i
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_report_signs_are_the_report_vectors(k):
+    reports = enumerate_reports(k, "V")
+    signs = _report_signs(k)
+    assert np.array_equal(signs, np.stack([v.vector() for v in reports]))
+    assert not signs.flags.writeable
+    assert all(_report_at(k, i) == v for i, v in enumerate(reports))
 
 
 def test_expected_target_point_mass(rng):
