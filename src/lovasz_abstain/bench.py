@@ -111,11 +111,20 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr_init", "lr_decay", "grad_clip", "margin", "label_corr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        eps = self.epsilon
+        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, Real) or not 0 < eps < np.inf):
+            raise ValueError(f"epsilon must be None or positive and finite, got {eps!r}")
         if not (isinstance(self.taus, (list, tuple))
                 and all(isinstance(t, Real) and not isinstance(t, bool) for t in self.taus)):
             raise ValueError(f"taus must be a list of numbers, got {self.taus!r}")
+        if not all(0 <= t <= 1 for t in self.taus):
+            raise ValueError(f"taus must lie in [0, 1], got {self.taus!r}")
         self.taus = tuple(self.taus)
         if self.k < 1 or self.feature_dim < self.k or self.n_samples < 10:
             raise ValueError("need k >= 1, feature_dim >= k, n_samples >= 10")

@@ -10,10 +10,18 @@ functions are their one-row views. Tie rules are fixed: the sign of an exact 0
 is +1 wherever a +-1 sign is forced (the link leaves an exact 0 abstained),
 and midpoint ties pick the largest index. Entry points raise ValueError naming
 u or us for a wrong number of axes, no coordinates (or more than MAX_K) or a
-non-finite entry. The verification route shares no code with the kernel: it
-intersects the chain faces whose hulls pass within eps of the clipped point
-in the infinity norm. Both routes resolve exact eps boundaries toward keeping
-the vertex (tolerance GAP_TOL), so their outputs agree as sets.
+non-finite entry; the batch envelope routes raise one naming eps unless it is
+positive and finite. The verification route shares no code with the kernel:
+it intersects the chain faces whose hulls pass within eps of the clipped point
+in the infinity norm, all read from one face kernel, ``faces_within``. A face
+whose sign disagrees with x_j at a coordinate j of its top support with
+|x_j| >= t is at least 1 from its forced prefix or at least |x_j| below a
+free block there, so it cannot come within t. The kernel therefore expands
+each point into one sign row per sign choice of its coordinates with
+|x_j| < t and evaluates only the unsigned chains on each: 3/11/51/299 at
+k = 1..4, against 5/33/293/3,393 signed faces. Both routes resolve exact eps
+boundaries toward keeping the vertex (tolerance GAP_TOL), so their outputs
+agree as sets.
 """
 
 from __future__ import annotations
@@ -70,6 +78,13 @@ def _points(u, name: str, ndim: int) -> np.ndarray:
         want = ("(k,)", "(n, k)")[ndim - 1]
         raise ValueError(f"{name} has shape {u.shape}, expected {want} with 1 <= k <= {MAX_K}")
     return _checked(u, k, name, ndim)
+
+
+def _thickening(eps) -> float:
+    """eps of a batch envelope route, or a ValueError naming it unless positive and finite."""
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    return eps
 
 
 def gap_levels(us: np.ndarray, eps: float):
@@ -194,7 +209,7 @@ def trim_single_abstain(v: AbstainReport, u) -> AbstainReport:
 
 def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
     """(n, n_reports) boolean membership of the gap-rule envelope, row-wise."""
-    us = _points(us, "us", 2)
+    us, eps = _points(us, "us", 2), _thickening(eps)
     x, order, _, qualify = gap_levels(us, eps)
     pos, zeros = _level_masks(x, order)
     ids = _report_id_table(us.shape[1])
@@ -204,7 +219,7 @@ def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Geometric route: chain faces and exact infinity-norm hull distances.
+# Geometric route: chain faces whose hulls lie within t of a point.
 # ---------------------------------------------------------------------------
 
 
@@ -249,85 +264,92 @@ def chain_faces(k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _face_plan(k: int):
-    """Subset-table rows of every chain face, for face_distances.
+def _chain_plan(k: int):
+    """The unsigned chains of chain_faces(k) and the subset-table rows that
+    faces_within reads for them.
 
-    Returns (levels, prefix, union, suffix). levels[L-1] = (ids, parents,
-    blocks) covers the faces with L free blocks: ids are their positions in
-    chain_faces(k), parents the positions of the same face without its last
-    support (sigma restricted to what is left), blocks the table rows of the
-    last block. prefix, union and suffix hold, per face, the rows of
-    its forced prefix (the first support), of all its free blocks together
-    and of its forced-zero suffix. A table row is (neg << k) | S for the
-    subset S and the face's sign pattern neg = top & ~sigma; the suffix reads
-    a table without signs, so its row is S alone.
+    Returns (levels, prefix, union, suffix, face_of), with chains numbered in
+    the order they first appear in chain_faces(k). levels[L-1] = (ids,
+    parents, blocks) covers the chains with L free blocks: parents are the
+    same chains without their last support, blocks the table rows of the last
+    block. prefix, union and suffix hold, per chain, the rows of its forced
+    prefix (the first support), of all its free blocks together and of its
+    forced-zero suffix; a row is the subset itself. face_of[c, b] is the
+    position in chain_faces(k) of chain c signed by b & top, the face that a
+    sign row with positive coordinates b reads.
     """
     faces = chain_faces(k)
     position = {(f.supports, f.sigma): i for i, f in enumerate(faces)}
+    chains = list(dict.fromkeys(f.supports for f in faces))
+    index = {c: i for i, c in enumerate(chains)}
     full = (1 << k) - 1
     levels = [([], [], []) for _ in range(k)]
-    prefix, union, suffix = [], [], []
-    for i, f in enumerate(faces):
-        first, top = f.supports[0], f.supports[-1]
-        neg = (top & ~f.sigma) << k
-        prefix.append(neg | first)
-        union.append(neg | (top & ~first))
-        suffix.append(full & ~top)
-        if len(f.supports) > 1:
-            below = f.supports[-2]
-            ids, parents, blocks = levels[len(f.supports) - 2]
+    for i, c in enumerate(chains):
+        if len(c) > 1:
+            ids, parents, blocks = levels[len(c) - 2]
             ids.append(i)
-            parents.append(position[(f.supports[:-1], f.sigma & below)])
-            blocks.append(neg | (top & ~below))
-    levels = tuple(tuple(np.array(c, dtype=np.intp) for c in level) for level in levels)
-    return levels, np.array(prefix), np.array(union), np.array(suffix)
+            parents.append(index[c[:-1]])
+            blocks.append(c[-1] & ~c[-2])
+    levels = tuple(tuple(np.array(col, dtype=np.intp) for col in level) for level in levels)
+    prefix = np.array([c[0] for c in chains])
+    union = np.array([c[-1] & ~c[0] for c in chains])
+    suffix = full & ~np.array([c[-1] for c in chains])
+    face_of = np.array([[position[(c, b & c[-1])] for b in range(1 << k)] for c in chains])
+    return levels, prefix, union, suffix, face_of
 
 
-def _subset_tables(x: np.ndarray):
-    """(lo, hi, one_gap, size) subset tables of clipped (n, k) points x, one
-    row per subset and one column per point.
+def _subset_tables(s: np.ndarray):
+    """(lo, hi, one_gap, size) subset tables of (n, k) sign rows s, one row
+    per subset and one column per sign row.
 
-    With s = x with the coordinates in neg negated, row (neg << k) | S of lo,
-    hi and one_gap holds min s_j, max s_j and max |1 - s_j| over j in S; row S
-    of size holds max |x_j| over S. The empty set reads +inf, -inf, 0 and 0.
-    Each bit j fills the subsets whose highest bit is j from those below it,
-    so the tables take k steps.
+    Row S holds min s_j, max s_j, max |1 - s_j| and max |s_j| over j in S; the
+    empty set reads +inf, -inf, 0 and 0. Each bit j fills the subsets whose
+    highest bit is j from those below it, so the tables take k steps.
     """
-    n, k = x.shape
-    neg = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    s = np.where(neg, -1.0, 1.0)[:, :, None] * x.T
-    lo, hi, one_gap = (np.empty((1 << k, 1 << k, n)) for _ in range(3))
-    size = np.empty((1 << k, n))
-    lo[:, 0], hi[:, 0], one_gap[:, 0], size[0] = np.inf, -np.inf, 0.0, 0.0
+    n, k = s.shape
+    lo, hi, one_gap, size = (np.empty((1 << k, n)) for _ in range(4))
+    lo[0], hi[0], one_gap[0], size[0] = np.inf, -np.inf, 0.0, 0.0
     for j in range(k):
         below, block = slice(0, 1 << j), slice(1 << j, 2 << j)
-        sj = s[:, j, None]
-        np.minimum(lo[:, below], sj, out=lo[:, block])
-        np.maximum(hi[:, below], sj, out=hi[:, block])
-        np.maximum(one_gap[:, below], np.abs(1.0 - sj), out=one_gap[:, block])
-        np.maximum(size[below], np.abs(x[:, j]), out=size[block])
-    return lo.reshape(-1, n), hi.reshape(-1, n), one_gap.reshape(-1, n), size
+        sj = s[:, j]
+        np.minimum(lo[below], sj, out=lo[block])
+        np.maximum(hi[below], sj, out=hi[block])
+        np.maximum(one_gap[below], np.abs(1.0 - sj), out=one_gap[block])
+        np.maximum(size[below], np.abs(sj), out=size[block])
+    return lo, hi, one_gap, size
 
 
-def face_distances(x_rows: np.ndarray) -> np.ndarray:
-    """Exact d_inf from each row of x_rows (clipped points) to each face hull,
-    with faces in chain_faces(k) order.
+def faces_within(x_rows: np.ndarray, t: float) -> np.ndarray:
+    """(n, faces) bool: the faces of chain_faces(k) whose hull lies strictly
+    within t of each row of x_rows (clipped points) in the infinity norm.
 
-    The hull of a chain-face is cut out by a forced prefix (signed value 1),
+    The hull of a chain face is cut out by a forced prefix (signed value 1),
     free blocks with a nonincreasing value chain in [0, 1], and a forced-zero
-    suffix; the distance is the smallest slack making the per-block intervals
-    admit a nonincreasing selection. Faces are processed level by level:
-    each one extends its parent's running block minimum and its largest
-    (max of a block - running min) / 2 by its last block, so the only loop
-    is over chain lengths. Every term is >= 0 through the prefix and suffix
-    terms, which read 0 when empty.
+    suffix; its distance is the smallest slack making the per-block intervals
+    admit a nonincreasing selection. A face whose sign disagrees with x_j at a
+    coordinate j of its top support where |x_j| >= t never qualifies, since
+    there s_j = -|x_j| puts it at least 1 from the prefix value or |x_j| >= t
+    below a free block's floor of 0. So each row is expanded into one sign
+    row per sign choice of its coordinates with |x_j| < t (+-0 included), the
+    others taking s_j = |x_j|, and only the unsigned chains are evaluated on
+    each. Chains are processed level by level: each one extends its parent's
+    running block minimum and its largest (max of a block - running min) / 2
+    by its last block, so the only loop is over chain lengths.
     """
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    x_rows = np.asarray(x_rows, dtype=float)
     n, k = x_rows.shape
-    levels, prefix, union, suffix = _face_plan(k)
-    lo, hi, one_gap, size = _subset_tables(x_rows)
-    run_min = np.full((len(prefix), n), np.inf)
-    spread = np.zeros((len(prefix), n))
+    out = np.zeros((n, len(chain_faces(k))), dtype=bool)
+    if not t > 0:
+        return out
+    levels, prefix, union, suffix, face_of = _chain_plan(k)
+    bits = 1 << np.arange(k)
+    big = (np.abs(x_rows) >= t) @ bits
+    plus = (x_rows > 0) @ bits
+    point, b = np.nonzero((np.arange(1 << k) ^ plus[:, None]) & big[:, None] == 0)
+    s = np.where(b[:, None] & bits, x_rows[point], -x_rows[point])
+    lo, hi, one_gap, size = _subset_tables(s)
+    run_min = np.full((len(prefix), len(s)), np.inf)
+    spread = np.zeros((len(prefix), len(s)))
     for ids, parents, blocks in levels:
         m = np.minimum(run_min[parents], lo[blocks])
         run_min[ids] = m
@@ -335,14 +357,16 @@ def face_distances(x_rows: np.ndarray) -> np.ndarray:
     d = np.maximum(one_gap[prefix], size[suffix])
     np.maximum(d, spread, out=d)
     np.maximum(d, np.maximum(hi - 1.0, -lo)[union], out=d)
-    return d.T
+    chain, row = np.divmod(np.flatnonzero(d < t), len(s))  # flatnonzero: 2-D nonzero is slower
+    out[point[row], face_of[chain, b[row]]] = True
+    return out
 
 
 def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
     """Direct-definition envelope: intersect every face hull within eps of
     the clipped point. Exponential in k; the verification route. One-row
     view of envelope_members_oracle."""
-    u = np.asarray(u, dtype=float)
+    u = _points(u, "u", 1)
     members = envelope_members_oracle(u[None], cfg.resolve_epsilon(len(u)))[0]
     return {_report_at(len(u), i) for i in np.flatnonzero(members)}
 
@@ -356,19 +380,22 @@ def _face_member_matrix(k: int) -> np.ndarray:
     return out
 
 
-_ORACLE_ROWS = 64  # rows per face_distances call; at k = 4 it ran faster than 32, 128, 256 or all rows
+# Rows per faces_within call. Best of 50 on 1,000 points at k = 4, eps 1/8, one
+# BLAS thread: 64 to 128 rows ran within noise of each other (16-18 ms) and
+# faster than 32 (23 ms), 256 or all rows (18-21 ms); 64 holds the least.
+_ORACLE_ROWS = 64
 
 
 def envelope_members_oracle(us: np.ndarray, eps: float) -> np.ndarray:
     """Row-wise face-intersection envelope membership; matches the gap route.
 
-    Rows go through face_distances in blocks of _ORACLE_ROWS, so the (n, faces)
-    distance matrix is never held whole."""
-    us = np.atleast_2d(np.asarray(us, dtype=float))
+    Rows go through faces_within in blocks of _ORACLE_ROWS, so the (n, faces)
+    verdicts are never held whole."""
+    us, eps = _points(us, "us", 2), _thickening(eps)
     missing = (~_face_member_matrix(us.shape[1])).astype(np.float32)
     out = np.empty((len(us), missing.shape[1]), dtype=bool)
     for start in range(0, len(us), _ORACLE_ROWS):
         rows = slice(start, start + _ORACLE_ROWS)
-        qualified = (face_distances(clip(us[rows])) < eps - GAP_TOL).astype(np.float32)
+        qualified = faces_within(clip(us[rows]), eps - GAP_TOL).astype(np.float32)
         out[rows] = (qualified @ missing) < 0.5
     return out

@@ -232,7 +232,7 @@ def multiclass_surrogate(g, codec: BlockCodec, u, y: ClassLabel) -> float:
 def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
     """Threshold-abstain link followed by per-block trimming: any abstained
     bit inside a block abstains the whole prediction, else the block decodes.
-    The k blocks are read off the link's (pos, zeros) bitmasks at once."""
+    The k blocks are read off the link's (pos, zeros) bitmasks by integer shifts."""
     u = _points(u, "u", 1)
     d = codec.d
     if len(u) % d:
@@ -240,10 +240,10 @@ def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
     k = len(u) // d
     if cfg.epsilon is not None and cfg.epsilon > 1.0 / (2 * d * k) + EXACT_TOL:
         raise ValueError("epsilon exceeds the lifted-dimension bound 1/(2dk)")
-    shifts, block = np.arange(k) * d, (1 << d) - 1
-    pos, zeros = ((m[0] >> shifts) & block for m in _link(u[None], cfg.resolve_epsilon(len(u)), cfg.tau))
-    return MulticlassReport(codec.C, tuple(ABSTAIN if z else codec.decode_bits(p)
-                                           for p, z in zip(pos.tolist(), zeros.tolist())))
+    pos, zeros = (int(m[0]) for m in _link(u[None], cfg.resolve_epsilon(len(u)), cfg.tau))
+    block = (1 << d) - 1
+    return MulticlassReport(codec.C, tuple(ABSTAIN if zeros >> i & block else codec.decode_bits(pos >> i & block)
+                                           for i in range(0, len(u), d)))
 
 
 def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:

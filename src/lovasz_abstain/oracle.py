@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
-from .links import LinkConfig, _face_member_matrix, face_distances, link_rows, naive_threshold_link
+from .links import LinkConfig, _face_member_matrix, faces_within, link_rows, naive_threshold_link
 from .lovasz import clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
 from .setfn import popcounts, validate_polymatroid
@@ -604,5 +604,5 @@ def thickened_envelope_grid(fc, u, epsilon: float, grid_m: int = 8) -> set[int]:
         optimal = np.unique(np.vstack([optimal, _argmin_mask(P @ table.T)]), axis=0)
     members = _face_member_matrix(k).astype(np.float32)
     inside = (~optimal).astype(np.float32) @ members.T < 0.5
-    near = face_distances(clip(np.asarray(u, dtype=float))[None, :])[0] < epsilon - GAP_TOL
+    near = faces_within(clip(np.asarray(u, dtype=float))[None, :], epsilon - GAP_TOL)[0]
     return set(np.flatnonzero(optimal[(inside & near).any(axis=1)].all(axis=0)).tolist())

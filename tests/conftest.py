@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lovasz_abstain import make_jaccard, make_modular, make_sqrt_card, make_zero_one
+from lovasz_abstain.links import chain_faces
 
 
 @pytest.fixture
@@ -25,3 +26,41 @@ def symmetric_builtins(k):
         "modular": make_modular(np.arange(1, k + 1, dtype=float)),
         "sqrt_card": make_sqrt_card(k),
     }
+
+
+def ref_face_distances(x_rows):
+    """Exact d_inf from each row of x_rows to each face hull of chain_faces(k),
+    one face at a time: flip the signs outside sigma on the top support, take
+    the largest |1 - s_j| over the forced prefix (the first support) and |x_j|
+    over the forced-zero suffix, and for the free blocks (the differences of
+    consecutive supports) the largest of (max of a block - running min of the
+    block minima) / 2, max - 1 and -min, clamped at 0."""
+    n, k = x_rows.shape
+    faces = chain_faces(k)
+    full = (1 << k) - 1
+    out = np.empty((n, len(faces)))
+    for fi, f in enumerate(faces):
+        top = f.supports[-1]
+        sign = np.array([-1.0 if top >> j & 1 and not f.sigma >> j & 1 else 1.0 for j in range(k)])
+        prefix, suffix = _coords(f.supports[0], k), _coords(full & ~top, k)
+        blocks = [_coords(t & ~p, k) for p, t in zip(f.supports, f.supports[1:])]
+        s = x_rows * sign
+        d = np.zeros(n)
+        if len(prefix):
+            d = np.abs(1.0 - s[:, prefix]).max(axis=1)
+        if len(suffix):
+            d = np.maximum(d, np.abs(x_rows[:, suffix]).max(axis=1))
+        if blocks:
+            ms = np.stack([s[:, b].min(axis=1) for b in blocks], axis=1)
+            Ms = np.stack([s[:, b].max(axis=1) for b in blocks], axis=1)
+            run_min = np.minimum.accumulate(ms, axis=1)
+            chain = ((Ms - run_min) / 2.0).max(axis=1)
+            chain = np.maximum(chain, (Ms - 1.0).max(axis=1))
+            chain = np.maximum(chain, (-ms).max(axis=1))
+            d = np.maximum(d, np.maximum(chain, 0.0))
+        out[:, fi] = d
+    return out
+
+
+def _coords(mask, k):
+    return np.array([j for j in range(k) if mask >> j & 1], dtype=np.intp)

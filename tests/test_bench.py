@@ -211,11 +211,22 @@ def test_trainconfig_validation():
      ({"n_samples": 20.0}, "n_samples must be an integer, got 20.0"),
      ({"taus": 5}, "taus must be a list of numbers, got 5"),
      ({"epochs": True}, "epochs must be an integer, got True"),
-     ({"seed": -1}, "seed must be >= 0, got -1")],
+     ({"seed": -1}, "seed must be >= 0, got -1"),
+     ({"lr_init": "0.1"}, "lr_init must be a real number, got '0.1'"),
+     ({"lr_init": True}, "lr_init must be a real number, got True"),
+     ({"lr_decay": "0.9"}, "lr_decay must be a real number, got '0.9'"),
+     ({"grad_clip": True}, "grad_clip must be a real number, got True"),
+     ({"margin": "1"}, "margin must be a real number, got '1'"),
+     ({"label_corr": False}, "label_corr must be a real number, got False"),
+     ({"epsilon": -1.0}, "epsilon must be None or positive and finite, got -1.0"),
+     ({"epsilon": "0.1"}, "epsilon must be None or positive and finite, got '0.1'"),
+     ({"epsilon": float("nan")}, "epsilon must be None or positive and finite, got nan"),
+     ({"taus": [0.5, 2.0]}, r"taus must lie in \[0, 1\], got \[0.5, 2.0\]")],
     ids=["nan-lr-init", "negative-epochs", "negative-grad-clip", "nan-grad-clip", "label-corr-above-1",
          "negative-label-corr", "noise-of-wrong-length", "infinite-noise", "nan-margin", "negative-margin",
          "fractional-epochs", "string-feature-dim", "float-n-samples", "scalar-taus", "bool-epochs",
-         "negative-seed"],
+         "negative-seed", "string-lr-init", "bool-lr-init", "string-lr-decay", "bool-grad-clip", "string-margin",
+         "bool-label-corr", "negative-epsilon", "string-epsilon", "nan-epsilon", "tau-above-1"],
 )
 def test_trainconfig_rejects_a_bad_field_by_name(fields, word):
     with pytest.raises(ValueError, match=word):

@@ -45,7 +45,15 @@ def files(tmp_path):
                                             ("fractional_epochs", "epochs", 2.5),
                                             ("string_feature_dim", "feature_dim", "8"),
                                             ("float_n_samples", "n_samples", 20.0), ("scalar_taus", "taus", 5),
-                                            ("bool_epochs", "epochs", True), ("negative_seed", "seed", -1)]}}
+                                            ("bool_epochs", "epochs", True), ("negative_seed", "seed", -1),
+                                            ("string_lr_init", "lr_init", "0.1"), ("bool_lr_init", "lr_init", True),
+                                            ("string_lr_decay", "lr_decay", "0.9"),
+                                            ("bool_grad_clip", "grad_clip", True), ("string_margin", "margin", "1"),
+                                            ("bool_label_corr", "label_corr", False),
+                                            ("negative_epsilon", "epsilon", -1.0),
+                                            ("string_epsilon", "epsilon", "0.1"),
+                                            ("nan_epsilon", "epsilon", float("nan")),
+                                            ("tau_2", "taus", [0.5, 2.0])]}}
     for key, text in broken.items():
         (tmp_path / f"{key}.json").write_text(text)
     preds = tmp_path / "preds2.csv"
@@ -255,6 +263,20 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["train", "--config", "train_scalar_taus", "--out", "dir"], "taus must be a list of numbers, got 5"),
      (["train", "--config", "train_bool_epochs", "--out", "dir"], "epochs must be an integer, got True"),
      (["train", "--config", "train_negative_seed", "--out", "dir"], "seed must be >= 0, got -1"),
+     (["train", "--config", "train_string_lr_init", "--out", "dir"], "lr_init must be a real number, got '0.1'"),
+     (["train", "--config", "train_bool_lr_init", "--out", "dir"], "lr_init must be a real number, got True"),
+     (["train", "--config", "train_string_lr_decay", "--out", "dir"], "lr_decay must be a real number, got '0.9'"),
+     (["train", "--config", "train_bool_grad_clip", "--out", "dir"], "grad_clip must be a real number, got True"),
+     (["train", "--config", "train_string_margin", "--out", "dir"], "margin must be a real number, got '1'"),
+     (["train", "--config", "train_bool_label_corr", "--out", "dir"], "label_corr must be a real number, got False"),
+     (["train", "--config", "train_negative_epsilon", "--out", "dir"],
+      "epsilon must be None or positive and finite, got -1.0"),
+     (["train", "--config", "train_string_epsilon", "--out", "dir"],
+      "epsilon must be None or positive and finite, got '0.1'"),
+     (["train", "--config", "train_nan_epsilon", "--out", "dir"],
+      "epsilon must be None or positive and finite, got nan"),
+     (["train", "--config", "train_tau_2", "--out", "dir"], "taus must lie in [0, 1], got [0.5, 2.0]"),
+     (["envelope", "--u=0.5,0.5", "--eps", "inf", "--oracle"], "eps must be positive and finite, got inf"),
      (["metrics", "--pred", "empty", "--truth", "truth1", "--out", "dir"], "empty.csv is empty"),
      (["metrics", "--pred", "preds2", "--truth", "empty", "--out", "dir"], "empty.csv is empty")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
@@ -266,6 +288,9 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
          "train-config-unknown-field", "train-negative-epochs", "train-negative-grad-clip", "train-label-corr-above-1",
          "train-noise-of-wrong-length", "train-nan-margin", "train-fractional-epochs", "train-string-feature-dim",
          "train-float-n-samples", "train-scalar-taus", "train-bool-epochs", "train-negative-seed",
+         "train-string-lr-init", "train-bool-lr-init", "train-string-lr-decay", "train-bool-grad-clip",
+         "train-string-margin", "train-bool-label-corr", "train-negative-epsilon", "train-string-epsilon",
+         "train-nan-epsilon", "train-tau-above-1", "envelope-oracle-infinite-eps",
          "metrics-empty-pred", "metrics-empty-truth"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):

@@ -1,14 +1,14 @@
-"""The batched face-distance kernel against the per-face loop it replaced.
+"""The sign-pruned face kernel against the per-face distance loop.
 
-The reference below is the loop ``links.face_distances`` ran before it read
-every face from subset tables: for each chain face, flip the signs outside
-sigma on its top support, take the largest |1 - s_j| over the forced prefix
-(the first support) and |x_j| over the forced-zero suffix, and for the free
-blocks (the differences of consecutive supports) the largest of
-(max of a block - running min of the block minima) / 2, max - 1 and -min,
-clamped at 0. Min, max and monotone rounding commute, so the batched kernel
-must agree with it bit for bit, on report corners, exact 0, +-1 and -0.0,
-ties, and clipped coordinates (|x_i| > 1 before clipping).
+``faces_within(x, t)`` evaluates the unsigned chains on the sign rows of each
+point and never computes a face whose sign disagrees with a coordinate of
+size >= t. The reference ``ref_face_distances`` (in conftest) computes the
+distance of every face. The kernel must give the reference's verdict
+``d < t`` at every threshold where a verdict can change: each distinct
+reference distance and its float neighbours, the envelope bounds eps - GAP_TOL
+and t <= 0. Points cover report corners, exact 0 and -0.0, ties, coordinates
+at exactly +-t, clipped coordinates (|x_i| > 1 before clipping) and all-tiny
+rows, which expand into 2^k sign rows.
 """
 
 import numpy as np
@@ -16,45 +16,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_face_distances
 from lovasz_abstain.links import (
+    GAP_TOL,
     chain_faces,
     clip,
     envelope_members_gap,
     envelope_members_oracle,
-    face_distances,
+    faces_within,
 )
 
 
-def _coords(mask, k):
-    return np.array([j for j in range(k) if mask >> j & 1], dtype=np.intp)
+def _bounds(k):
+    return [eps - GAP_TOL for eps in (0.05, 1.0 / 8, 1.0 / (2 * k))]
 
 
-def ref_face_distances(x_rows):
-    n, k = x_rows.shape
-    faces = chain_faces(k)
-    full = (1 << k) - 1
-    out = np.empty((n, len(faces)))
-    for fi, f in enumerate(faces):
-        top = f.supports[-1]
-        sign = np.array([-1.0 if top >> j & 1 and not f.sigma >> j & 1 else 1.0 for j in range(k)])
-        prefix, suffix = _coords(f.supports[0], k), _coords(full & ~top, k)
-        blocks = [_coords(t & ~p, k) for p, t in zip(f.supports, f.supports[1:])]
-        s = x_rows * sign
-        d = np.zeros(n)
-        if len(prefix):
-            d = np.abs(1.0 - s[:, prefix]).max(axis=1)
-        if len(suffix):
-            d = np.maximum(d, np.abs(x_rows[:, suffix]).max(axis=1))
-        if blocks:
-            ms = np.stack([s[:, b].min(axis=1) for b in blocks], axis=1)
-            Ms = np.stack([s[:, b].max(axis=1) for b in blocks], axis=1)
-            run_min = np.minimum.accumulate(ms, axis=1)
-            chain = ((Ms - run_min) / 2.0).max(axis=1)
-            chain = np.maximum(chain, (Ms - 1.0).max(axis=1))
-            chain = np.maximum(chain, (-ms).max(axis=1))
-            d = np.maximum(d, np.maximum(chain, 0.0))
-        out[:, fi] = d
-    return out
+def _assert_verdicts_match(x, thresholds=()):
+    """faces_within(x, t) == ref < t at every given threshold, every distinct
+    reference distance and its neighbours, the envelope bounds and t <= 0."""
+    ref = ref_face_distances(x)
+    d = np.unique(ref)
+    ts = np.concatenate([thresholds, d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf),
+                         _bounds(x.shape[1]), [0.0, -0.0, -0.5]])
+    for t in np.unique(ts):
+        got = faces_within(x, t)
+        assert got.shape == (len(x), len(chain_faces(x.shape[1])))
+        assert np.array_equal(got, ref < t), t
 
 
 SPECIAL = [-1.5, -1.0, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5]
@@ -64,7 +51,7 @@ coord = st.one_of(st.sampled_from(SPECIAL), st.floats(-2.0, 2.0, allow_nan=False
 @st.composite
 def point_rows(draw):
     k = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
     return np.array(draw(st.lists(st.lists(coord, min_size=k, max_size=k), min_size=n, max_size=n)))
 
 
@@ -75,8 +62,7 @@ def _corners(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_face_distances_match_loop_at_report_corners(k):
     x = _corners(k)
-    x = np.vstack([x, np.where(x == 0.0, -0.0, x)])
-    assert np.array_equal(face_distances(x), ref_face_distances(x))
+    _assert_verdicts_match(np.vstack([x, np.where(x == 0.0, -0.0, x)]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,10 +71,20 @@ def test_face_distances_match_loop_at_report_corners(k):
 @example(np.array([[-0.0, 0.0, 1.5, -1.5]]))
 @example(np.array([[0.25, -0.25, 0.25]]))
 def test_face_distances_match_loop(u):
-    x = clip(u)
-    got = face_distances(x)
-    assert got.shape == (len(x), len(chain_faces(x.shape[1])))
-    assert np.array_equal(got, ref_face_distances(x))
+    _assert_verdicts_match(clip(u))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_faces_within_at_coordinates_of_size_t(k):
+    """Coordinates at exactly +-t are big (one sign row), those just below and
+    +-0 tiny (two); an all-tiny row expands into 2^k sign rows."""
+    rng = np.random.default_rng(k)
+    for t in _bounds(k):
+        below = np.nextafter(t, 0.0)
+        values = np.array([-1.0, -t, -below, -t / 2, -0.0, 0.0, t / 2, below, t, 1.0])
+        x = rng.choice(values, (40, k))
+        tiny = rng.choice([-below, -t / 2, -0.0, 0.0, t / 2, below], (4, k))
+        _assert_verdicts_match(np.vstack([x, tiny, np.full((1, k), t), np.full((1, k), -0.0)]), [t])
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000])

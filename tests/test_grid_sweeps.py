@@ -14,7 +14,7 @@ import pytest
 
 from lovasz_abstain import make_jaccard, make_sqrt_card, make_zero_one
 from lovasz_abstain import multiclass, oracle
-from lovasz_abstain.links import GAP_TOL, _report_id_table, chain_faces, face_distances
+from lovasz_abstain.links import GAP_TOL, _report_id_table, chain_faces
 from lovasz_abstain.lovasz import clip, hinge_rows
 from lovasz_abstain.multiclass import BlockCodec, ClassCosts, ClassLabel, encode_bep
 from lovasz_abstain.oracle import (
@@ -40,7 +40,7 @@ from lovasz_abstain.targets import (
     target_plain,
 )
 
-from conftest import builtin_collections
+from conftest import builtin_collections, ref_face_distances
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def loop_thickened(fc, u, epsilon, m):
     faces = chain_faces(fc.k)
     table = surrogate_loss_table(fc)
     optimal_sets = {frozenset(argmin_ids(table @ p)) for p in loop_grid(fc.k, m)}
-    d_faces = face_distances(clip(np.asarray(u, dtype=float))[None, :])[0]
+    d_faces = ref_face_distances(clip(np.asarray(u, dtype=float))[None, :])[0]
     out = set(range(len(enumerate_reports(fc.k, "V"))))
     for ids in optimal_sets:
         inside = [fi for fi, f in enumerate(faces) if set(f.member_ids.tolist()) <= ids]

@@ -217,9 +217,22 @@ def test_naive_link_inconsistency_witness():
         (lambda: envelope_members_gap([[0.9, 0.1], [np.nan, 0.1]], 0.25), "us"),
         (lambda: envelope_members_gap([0.9, 0.1], 0.25).any(axis=1), "us"),
         (lambda: trim_single_abstain(AbstainReport.from_string("+0"), [0.9, 0.1, 0.3]), "u"),
+        (lambda: envelope_members_oracle([[np.nan, 0.0, 0.0]], 0.1), "us"),
+        (lambda: envelope_members_oracle([0.9, 0.1], 0.25), "us"),
+        (lambda: envelope_oracle([np.nan, 0.0, 0.0], LinkConfig()), "u"),
+        (lambda: envelope_oracle([[0.9, 0.1]], LinkConfig()), "u"),
     ],
-    ids=["nan", "inf", "empty", "two-axes", "members-nan-row", "nonempty-one-axis", "trim-length"],
+    ids=["nan", "inf", "empty", "two-axes", "members-nan-row", "nonempty-one-axis", "trim-length",
+         "oracle-members-nan-row", "oracle-members-one-axis", "oracle-nan", "oracle-two-axes"],
 )
 def test_link_entry_points_reject_bad_points(call, name):
     with pytest.raises(ValueError, match=rf"^{name} has"):
         call()
+
+
+@pytest.mark.parametrize("route", [envelope_members_gap, envelope_members_oracle], ids=["gap", "oracle"])
+@pytest.mark.parametrize("eps", [-0.1, 0.0, np.nan, np.inf])
+def test_batch_envelope_routes_reject_a_bad_eps(route, eps):
+    """At eps = -0.1 the two routes once disagreed on two zero points (8 vs 54 members)."""
+    with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
+        route(np.zeros((2, 3)), eps)
