@@ -6,21 +6,25 @@ pads them with the sentinels 1+eps and -eps. Level i, which keeps the i
 largest magnitudes and abstains on the rest, is in the link envelope when the
 gap below it is >= 2 eps - GAP_TOL. The envelope, its batch forms and the
 threshold-abstain link ``link_rows`` are views of the kernel, and the scalar
-functions are their one-row views. Tie rules are fixed: the sign of an exact 0
-is +1 wherever a +-1 sign is forced (the link leaves an exact 0 abstained),
-and midpoint ties pick the largest index. Entry points raise ValueError naming
-u or us for a wrong number of axes, no coordinates (or more than MAX_K) or a
-non-finite entry; the batch envelope routes raise one naming eps unless it is
-positive and finite. The verification route shares no code with the kernel:
-it intersects the chain faces whose hulls pass within eps of the clipped point
-in the infinity norm, all read from one face kernel, ``faces_within``. A face
-whose sign disagrees with x_j at a coordinate j of its top support with
-|x_j| >= t is at least 1 from its forced prefix or at least |x_j| below a
-free block there, so it cannot come within t. The kernel therefore expands
-each point into one sign row per sign choice of its coordinates with
-|x_j| < t and evaluates only the unsigned chains on each: 3/11/51/299 at
-k = 1..4, against 5/33/293/3,393 signed faces. Both routes resolve exact eps
-boundaries toward keeping the vertex (tolerance GAP_TOL), so their outputs
+functions are their one-row views. The link picks one level per row and builds
+the (pos, zeros) masks of that level only; only the envelope routes
+materialise the masks of all k+1 levels (``_level_masks``). Tie rules are
+fixed: the sign of an exact 0 is +1 wherever a +-1 sign is forced (the link
+leaves an exact 0 abstained), and midpoint ties pick the largest index. Entry
+points raise ValueError naming u or us for a wrong number of axes, no
+coordinates (or more than MAX_K) or a non-finite entry; ``LinkConfig``,
+``link_rows`` and the batch envelope routes raise one naming eps unless it is
+positive and finite. The verification route shares no code with the kernel: it
+intersects the chain faces whose hulls pass within eps of the clipped point in
+the infinity norm, all read from one face kernel, ``faces_within``. A face
+whose sign disagrees with x_j at a coordinate j of its top support with |x_j|
+>= t is at least 1 from its forced prefix or at least |x_j| below a free block
+there, so it cannot come within t. The kernel therefore expands each point
+into one sign row per sign choice of its coordinates with |x_j| < t and
+evaluates only the unsigned chains on each: 3/11/51/299 at k = 1..4, against
+5/33/293/3,393 signed faces. A point's envelope is the AND of the member words
+(one uint64 per 64 reports) of its qualifying faces. Both routes resolve exact
+eps boundaries toward keeping the vertex (tolerance GAP_TOL), so their outputs
 agree as sets.
 """
 
@@ -33,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._tol import GAP_TOL
-from .lovasz import _checked, clip, descending_order
+from .lovasz import _checked, clip
 from .setfn import MAX_K
 from .targets import AbstainReport, _report_at, _report_id_table
 
@@ -52,8 +56,8 @@ class LinkConfig:
     tau: float = 0.5
 
     def __post_init__(self):
-        if self.epsilon is not None and not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None:
+            _thickening(self.epsilon)
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
 
@@ -80,10 +84,10 @@ def _points(u, name: str, ndim: int) -> np.ndarray:
     return _checked(u, k, name, ndim)
 
 
-def _thickening(eps) -> float:
-    """eps of a batch envelope route, or a ValueError naming it unless positive and finite."""
+def _thickening(eps, name: str = "eps") -> float:
+    """eps, or a ValueError naming it unless positive and finite."""
     if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+        raise ValueError(f"{name} must be positive and finite, got {eps!r}")
     return eps
 
 
@@ -93,20 +97,25 @@ def gap_levels(us: np.ndarray, eps: float):
     x clips us to [-1, 1]; order[j] sorts |x[j]| descending, ties by ascending
     index; seq[j] is 1+eps, the sorted magnitudes, then -eps; qualify[j, i]
     marks level i, whose gap seq[j, i] - seq[j, i+1] is >= 2 eps - GAP_TOL.
+    Built from ufuncs and array methods, which skip the Python wrappers of
+    np.clip and np.argsort (about 1 us each per call, as much as their work
+    on one row).
     """
-    x = clip(us)
-    a = np.abs(x)
-    order = descending_order(a)
-    n, k = a.shape
+    x = np.minimum(np.maximum(us, -1.0), 1.0)  # np.clip's values, +-0 included
+    neg = -np.abs(x)
+    order = neg.argsort(kind="stable")
+    n, k = x.shape
     seq = np.empty((n, k + 2))
     seq[:, 0], seq[:, -1] = 1.0 + eps, -eps
-    seq[:, 1:-1] = a[np.arange(n)[:, None], order]
+    neg.sort()
+    np.negative(neg, out=seq[:, 1:-1])
     return x, order, seq, seq[:, :-1] - seq[:, 1:] >= 2 * eps - GAP_TOL
 
 
 def _level_masks(x: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(pos, zeros) int64 bitmasks, shape (n, k+1), of every level of each row:
-    level i keeps the coordinates order[:i] with their sign* and abstains on the rest."""
+    level i keeps the coordinates order[:i] with their sign* and abstains on the
+    rest. For the envelope routes; the link builds only the level it picks."""
     n, k = x.shape
     bits = 1 << order
     kept = np.zeros((n, k + 1), dtype=np.int64)
@@ -153,28 +162,33 @@ def link_rows(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
     """Threshold-abstain link of each row of us, as (pos, zeros) int64 bitmasks.
 
     Picks the qualifying level whose gap midpoint is closest to tau (one
-    number, or one per row); ties go to the largest index. Kept coordinates
-    take the sign of the clipped point, so an exact 0 stays abstained. Raises
-    ValueError when a row has no qualifying level; eps <= 1/(2k) rules that out.
+    number, or one per row); ties go to the largest index. Only that level's
+    masks are built, never those of all k+1 levels. Kept coordinates take the
+    sign of the clipped point, so an exact 0 stays abstained. Raises
+    ValueError naming eps unless it is positive and finite, and one when a
+    row has no qualifying level; eps <= 1/(2k) rules that out.
     """
     tau = np.asarray(tau, dtype=float)
     if not ((0.0 <= tau) & (tau <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
-    return _link(_points(us, "us", 2), eps, tau)
+    return _link(_points(us, "us", 2), _thickening(eps), tau)
 
 
 def _link(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
-    """link_rows of checked points us and a checked tau."""
+    """link_rows of checked points us, a checked eps and a checked tau.
+
+    Picks each row's level first and builds the masks of that level only."""
     n, k = us.shape
     x, order, seq, qualify = gap_levels(us, eps)
-    if not qualify.any(axis=1).all():
+    dist = np.where(qualify, np.abs(np.asarray(tau)[..., None] - (seq[:, :-1] + seq[:, 1:]) / 2.0), np.inf)
+    level = k - dist[:, ::-1].argmin(axis=1)  # the first minimum of the reversed row: largest index wins ties
+    if not qualify[np.arange(n), level].all():
         raise ValueError(f"no gap of size 2*eps: eps={eps} exceeds 1/(2k)={1 / (2 * k)}")
-    dist = np.where(qualify, np.abs(np.reshape(tau, (-1, 1)) - (seq[:, :-1] + seq[:, 1:]) / 2.0), np.inf)
-    level = k - np.argmax(dist[:, ::-1] == dist.min(axis=1, keepdims=True), axis=1)
-    # Exact zeros sort last; keeping none of them leaves them abstained.
-    level = np.minimum(level, (x != 0.0).sum(axis=1))
-    pos, zeros = _level_masks(x, order)
-    return pos[np.arange(n), level], zeros[np.arange(n), level]
+    bits = 1 << np.arange(k)
+    # The coordinates ranked below the level, less exact zeros: zeros sort
+    # last, so this keeps the first min(level, nonzeros) and leaves zeros abstained.
+    kept = ((order.argsort() < level[:, None]) & (x != 0.0)) @ bits
+    return kept & ((x >= 0.0) @ bits), ((1 << k) - 1) ^ kept
 
 
 def threshold_abstain_link(u, cfg: LinkConfig) -> AbstainReport:
@@ -381,21 +395,38 @@ def _face_member_matrix(k: int) -> np.ndarray:
 
 
 # Rows per faces_within call. Best of 50 on 1,000 points at k = 4, eps 1/8, one
-# BLAS thread: 64 to 128 rows ran within noise of each other (16-18 ms) and
-# faster than 32 (23 ms), 256 or all rows (18-21 ms); 64 holds the least.
+# BLAS thread: 64 and 128 rows ran within noise of each other (11-12 ms) and
+# faster than 32 (14 ms), 256 (13 ms) or all rows (22 ms); 64 holds the least.
 _ORACLE_ROWS = 64
+
+
+def _member_words(members: np.ndarray) -> np.ndarray:
+    """(rows, words) uint64 packing of a bool matrix: bit r % 64 of word r // 64
+    holds column r, and the padding bits are 0. np.unpackbits of the words'
+    uint8 view, with bitorder="little", gives the columns back."""
+    padded = np.zeros((len(members), -(-members.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : members.shape[1]] = members
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
 def envelope_members_oracle(us: np.ndarray, eps: float) -> np.ndarray:
     """Row-wise face-intersection envelope membership; matches the gap route.
 
     Rows go through faces_within in blocks of _ORACLE_ROWS, so the (n, faces)
-    verdicts are never held whole."""
+    verdicts are never held whole. Each point ANDs the packed member words of
+    its qualifying faces; a point with none keeps every report, as an empty
+    intersection does."""
     us, eps = _points(us, "us", 2), _thickening(eps)
-    missing = (~_face_member_matrix(us.shape[1])).astype(np.float32)
-    out = np.empty((len(us), missing.shape[1]), dtype=bool)
+    n_reports = 3 ** us.shape[1]
+    words = _member_words(_face_member_matrix(us.shape[1]))
+    out = np.empty((len(us), n_reports), dtype=bool)
     for start in range(0, len(us), _ORACLE_ROWS):
-        rows = slice(start, start + _ORACLE_ROWS)
-        qualified = faces_within(clip(us[rows]), eps - GAP_TOL).astype(np.float32)
-        out[rows] = (qualified @ missing) < 0.5
+        x = clip(us[start : start + _ORACLE_ROWS])
+        point, face = np.divmod(np.flatnonzero(faces_within(x, eps - GAP_TOL)), len(words))
+        count = np.bincount(point, minlength=len(x))
+        hit = count > 0
+        common = np.full((len(x), words.shape[1]), ~np.uint64(0))
+        common[hit] = np.bitwise_and.reduceat(words[face], (np.cumsum(count) - count)[hit], axis=0)
+        out[start : start + len(x)] = np.unpackbits(common.view(np.uint8), axis=1, count=n_reports,
+                                                    bitorder="little")
     return out

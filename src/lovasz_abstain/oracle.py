@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
-from .links import LinkConfig, _face_member_matrix, faces_within, link_rows, naive_threshold_link
-from .lovasz import clip, expected_hinge, hinge_rows
+from .links import LinkConfig, _face_member_matrix, _thickening, faces_within, link_rows, naive_threshold_link
+from .lovasz import _checked, clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
 from .setfn import popcounts, validate_polymatroid
 from .targets import AbstainReport, _report_at, _report_id_table, _report_masks, _report_signs
@@ -595,14 +595,16 @@ def thickened_envelope_grid(fc, u, epsilon: float, grid_m: int = 8) -> set[int]:
 
     A face lies inside an optimal set when none of its member reports lies
     outside it; every set with an inside face within epsilon of u cuts the
-    envelope down to itself."""
+    envelope down to itself. Raises ValueError naming u unless it is k finite
+    numbers, or epsilon unless it is positive and finite."""
     fc = as_collection(fc)
     k = fc.k
+    u, epsilon = _checked(u, k, "u", 1), _thickening(epsilon, "epsilon")
     table = surrogate_loss_table(fc)
     optimal = np.zeros((0, len(table)), dtype=bool)
     for P in _grid_blocks(k, grid_m):
         optimal = np.unique(np.vstack([optimal, _argmin_mask(P @ table.T)]), axis=0)
     members = _face_member_matrix(k).astype(np.float32)
     inside = (~optimal).astype(np.float32) @ members.T < 0.5
-    near = faces_within(clip(np.asarray(u, dtype=float))[None, :], epsilon - GAP_TOL)[0]
+    near = faces_within(clip(u)[None, :], epsilon - GAP_TOL)[0]
     return set(np.flatnonzero(optimal[(inside & near).any(axis=1)].all(axis=0)).tolist())

@@ -277,6 +277,9 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
       "epsilon must be None or positive and finite, got nan"),
      (["train", "--config", "train_tau_2", "--out", "dir"], "taus must lie in [0, 1], got [0.5, 2.0]"),
      (["envelope", "--u=0.5,0.5", "--eps", "inf", "--oracle"], "eps must be positive and finite, got inf"),
+     (["envelope", "--u=0.5,0.2", "--eps", "inf"], "eps must be positive and finite, got inf"),
+     (["link", "--u=0.5,0.2", "--eps", "inf"], "eps must be positive and finite, got inf"),
+     (["mc-link", "--C", "4", "--u=0.5,0.2", "--eps", "inf"], "eps must be positive and finite, got inf"),
      (["metrics", "--pred", "empty", "--truth", "truth1", "--out", "dir"], "empty.csv is empty"),
      (["metrics", "--pred", "preds2", "--truth", "empty", "--out", "dir"], "empty.csv is empty")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
@@ -291,6 +294,7 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
          "train-string-lr-init", "train-bool-lr-init", "train-string-lr-decay", "train-bool-grad-clip",
          "train-string-margin", "train-bool-label-corr", "train-negative-epsilon", "train-string-epsilon",
          "train-nan-epsilon", "train-tau-above-1", "envelope-oracle-infinite-eps",
+         "envelope-infinite-eps", "link-infinite-eps", "mc-link-infinite-eps",
          "metrics-empty-pred", "metrics-empty-truth"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from conftest import ref_face_distances
 from lovasz_abstain.links import (
     GAP_TOL,
+    _face_member_matrix,
+    _member_words,
     chain_faces,
     clip,
     envelope_members_gap,
@@ -95,3 +97,30 @@ def test_envelope_members_oracle_matches_gap_route_across_row_blocks(n):
         got = envelope_members_oracle(us, eps)
         assert got.shape == (n, 81)
         assert np.array_equal(got, envelope_members_gap(us, eps))
+
+
+@pytest.mark.parametrize("width", [1, 3, 9, 27, 63, 64, 65, 81, 130])
+def test_member_words_hold_column_r_at_bit_r_mod_64_of_word_r_div_64(width):
+    rng = np.random.default_rng(width)
+    members = rng.random((7, width)) < 0.5
+    words = _member_words(members)
+    assert words.dtype == np.uint64 and words.shape == (7, -(-width // 64))
+    for r in range(width):
+        assert np.array_equal((words[:, r // 64] >> np.uint64(r % 64)) & np.uint64(1), members[:, r])
+    if width % 64:
+        assert not (words[:, -1] >> np.uint64(width % 64)).any()  # the padding bits stay 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_envelope_members_oracle_intersects_the_qualifying_faces(k):
+    """Each point keeps the reports that every face within eps - GAP_TOL holds,
+    and every report when no face qualifies (eps <= GAP_TOL), as the dense
+    verdicts-times-missing-members product does."""
+    rng = np.random.default_rng(k)
+    us = np.vstack([_corners(k), rng.uniform(-1.5, 1.5, (150, k)), rng.integers(-9, 10, (100, k)) / 8.0])
+    missing = ~_face_member_matrix(k)
+    for eps in (GAP_TOL / 2, GAP_TOL, 2 * GAP_TOL, 0.05, 1.0 / 8, 1.0 / (2 * k)):
+        qualified = faces_within(clip(us), eps - GAP_TOL)
+        want = (qualified.astype(np.int64) @ missing.astype(np.int64)) == 0
+        assert np.array_equal(envelope_members_oracle(us, eps), want)
+    assert envelope_members_oracle(us, GAP_TOL / 2).all()

@@ -9,15 +9,25 @@ largest index. The batched functions and their one-row views must agree with
 them exactly, on exact ties, exact zeros, clipped coordinates (|u_i| > 1),
 magnitudes exactly 2 eps apart, and tau on a gap midpoint or halfway between
 two of them.
+
+The link picks each row's level before building any mask. It is also held
+bit for bit to ``ref_all_levels_link``, the batched link as it was when it
+built the masks of all k+1 levels and kept one column per row, up to
+k = MAX_K; and the links run with ``links._level_masks`` refused, which only
+the envelope routes may call.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lovasz_abstain import AbstainReport, LinkConfig, envelope, threshold_abstain_link, trim_single_abstain
+from lovasz_abstain import AbstainReport, LinkConfig, envelope, links, threshold_abstain_link, trim_single_abstain
 from lovasz_abstain.links import envelope_members_gap, link_rows, trim_rows
+from lovasz_abstain.multiclass import ABSTAIN, BlockCodec, trimmed_link
+from lovasz_abstain.oracle import calibration_sweep
+from lovasz_abstain.setfn import MAX_K, make_sqrt_card
 from lovasz_abstain.targets import report_index
 
 REF_GAP_TOL = 1e-9  # a literal, so that a change to links.GAP_TOL shows up here
@@ -178,3 +188,129 @@ def test_trim_matches_reference(batch):
             ref = ref_trim(AbstainReport(k, p, z), u)
             assert AbstainReport(k, gp, gz) == ref
             assert trim_single_abstain(AbstainReport(k, p, z), u) == ref
+
+
+# ---------------------------------------------------------------------------
+# The one-level link against the all-levels link it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_all_levels_link(us, eps, tau):
+    """(pos, zeros, qualifies) of the batched link that built the (pos, zeros)
+    masks of all k+1 levels by two cumsums and gathered one column per row.
+    pos and zeros hold -1 on the rows with no qualifying level."""
+    us = np.asarray(us, dtype=float)
+    n, k = us.shape
+    x = np.clip(us, -1.0, 1.0)
+    a = np.abs(x)
+    order = np.argsort(-a, kind="stable")
+    seq = np.concatenate([np.full((n, 1), 1.0 + eps), a[np.arange(n)[:, None], order], np.full((n, 1), -eps)], axis=1)
+    qualify = seq[:, :-1] - seq[:, 1:] >= 2 * eps - REF_GAP_TOL
+    dist = np.where(qualify, np.abs(np.reshape(tau, (-1, 1)) - (seq[:, :-1] + seq[:, 1:]) / 2.0), np.inf)
+    level = k - np.argmax(dist[:, ::-1] == dist.min(axis=1, keepdims=True), axis=1)
+    level = np.minimum(level, (x != 0.0).sum(axis=1))
+    bits = 1 << order
+    kept = np.zeros((n, k + 1), dtype=np.int64)
+    pos = np.zeros_like(kept)
+    np.cumsum(bits, axis=1, out=kept[:, 1:])
+    np.cumsum(bits * (x[np.arange(n)[:, None], order] >= 0), axis=1, out=pos[:, 1:])
+    zeros = ((1 << k) - 1) ^ kept
+    qualifies = qualify.any(axis=1)
+    rows = np.arange(n)
+    return np.where(qualifies, pos[rows, level], -1), np.where(qualifies, zeros[rows, level], -1), qualifies
+
+
+def assert_link_matches_all_levels(us, eps, tau):
+    """link_rows equals ref_all_levels_link on the qualifying rows, with int64
+    masks, and raises on any batch holding a row with no qualifying level."""
+    want_pos, want_zeros, ok = ref_all_levels_link(us, eps, tau)
+    per_row = np.ndim(tau) == 1
+    if not ok.all():
+        with pytest.raises(ValueError, match="no gap of size 2"):
+            link_rows(us, eps, tau)
+    if ok.any():
+        pos, zeros = link_rows(us[ok], eps, tau[ok] if per_row else tau)
+        assert pos.dtype == zeros.dtype == np.int64
+        assert np.array_equal(pos, want_pos[ok]) and np.array_equal(zeros, want_zeros[ok])
+    return int(ok.sum())
+
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 1.5, -2.0, 0.5, -0.5, 0.25, -0.125, 1e-300, -1e-300])
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), MAX_K])
+def test_link_rows_match_the_all_levels_link(rng, k):
+    """Random, 1/8-grid, special-value (+-0, clipped) and tied rows, at eps
+    from 1/(2k) down to 1e-12, with one tau and with one tau per row."""
+    n = 200
+    signs = rng.choice([1.0, -1.0], (n, k))
+    sets = [
+        rng.uniform(-1.5, 1.5, (n, k)),
+        rng.integers(-9, 10, (n, k)) / 8.0,
+        rng.choice(SPECIAL, (n, k)),
+        np.repeat(rng.uniform(-1.2, 1.2, (n, 1)), k, axis=1) * signs,  # one magnitude per row
+        rng.choice([0.0, 0.5, 0.75], (n, k)) * signs,  # a few magnitudes, many ties and zeros
+    ]
+    linked = 0
+    for eps in (1 / (2 * k), 1 / (4 * k), 1 / 16, 1e-3, 1e-12):
+        for us in sets:
+            for tau in (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0, n), rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n)):
+                linked += assert_link_matches_all_levels(us, eps, tau)
+    assert linked >= 25 * n  # eps = 1/(2k) leaves every row a qualifying level
+
+
+@st.composite
+def wide_batches(draw):
+    """(us, eps, tau) at k in 1..12 or MAX_K; entries from a small pool, so
+    magnitudes tie, sit exactly 2 eps apart, clip or are +-0; tau is one
+    number or one per row, on a gap midpoint or not."""
+    k = draw(st.sampled_from([*range(1, 13), MAX_K]))
+    eps = draw(st.sampled_from([1 / (2 * k), 1 / (4 * k), 1 / 16, 1e-3]))
+    pool = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0, 2 * eps, -4 * eps, 6 * eps, 1 - 2 * eps,
+                     draw(st.floats(-1.5, 1.5, allow_nan=False))])
+    n = draw(st.integers(1, 6))
+    us = pool[draw(arrays(np.intp, (n, k), elements=st.integers(0, len(pool) - 1)))]
+    mids = [np.clip(midpoints(u, eps), 0.0, 1.0) for u in us]
+    per_row = [draw(st.sampled_from([0.0, 0.5, 1.0, *m[: k + 1 : max(k // 4, 1)]])) for m in mids]
+    tau = draw(st.sampled_from([np.array(per_row), float(per_row[0])]))
+    return us, eps, tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_batches())
+@example((np.array([[0.0, -0.0, 0.5], [2.0, 0.0, -2.0]]), 1 / 6, np.array([0.0, 0.0])))
+@example((np.array([[0.75, 0.25]]), 1 / 8, 0.71875))  # tau halfway between two midpoints
+@example((np.full((2, MAX_K), -0.5), 1 / (2 * MAX_K), 0.5))  # one tie over every coordinate
+def test_link_rows_match_the_all_levels_link_on_drawn_batches(batch):
+    assert_link_matches_all_levels(*batch)
+
+
+def test_links_never_build_every_level(monkeypatch, rng):
+    """With links._level_masks refused, the link and its callers still give the
+    all-levels answers, and the k = 3 sweep keeps its pinned case count."""
+    us = rng.uniform(-1.5, 1.5, (1000, 6))
+    taus = rng.uniform(0.0, 1.0, 1000)
+    codec = BlockCodec(4)
+    cfg = LinkConfig(epsilon=1 / 12, tau=0.5)
+    want_pos, want_zeros, ok = ref_all_levels_link(us, 1 / 12, taus)
+    half_pos, half_zeros, ok_half = ref_all_levels_link(us, 1 / 12, 0.5)
+    assert ok.all() and ok_half.all()
+    want_trim = [
+        tuple(ABSTAIN if z >> i & 3 else codec.decode_bits(p >> i & 3) for i in range(0, 6, 2))
+        for p, z in zip(half_pos.tolist(), half_zeros.tolist())
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the link built every level")
+
+    monkeypatch.setattr(links, "_level_masks", refuse)
+    pos, zeros = link_rows(us, 1 / 12, taus)
+    assert np.array_equal(pos, want_pos) and np.array_equal(zeros, want_zeros)
+    got = [threshold_abstain_link(u, cfg) for u in us]
+    assert [(v.pos, v.zeros) for v in got] == list(zip(half_pos.tolist(), half_zeros.tolist()))
+    assert [trimmed_link(u, cfg, codec).entries for u in us] == want_trim
+    rep = calibration_sweep(make_sqrt_card(3), grid_m=4, taus=(0.0, 0.5, 1.0), n_perturb=20,
+                            rng=np.random.default_rng([0, 0]))
+    assert (rep.passed, rep.cases) == (True, 26_040)
+    with pytest.raises(AssertionError, match="every level"):
+        envelope_members_gap(us[:, :4], 1 / 8)

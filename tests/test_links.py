@@ -19,6 +19,7 @@ from lovasz_abstain.links import (
     envelope_detailed,
     envelope_members_gap,
     envelope_members_oracle,
+    link_rows,
 )
 
 
@@ -236,3 +237,28 @@ def test_batch_envelope_routes_reject_a_bad_eps(route, eps):
     """At eps = -0.1 the two routes once disagreed on two zero points (8 vs 54 members)."""
     with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
         route(np.zeros((2, 3)), eps)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf])
+def test_link_config_and_link_rows_reject_a_bad_eps(eps):
+    """LinkConfig(epsilon=inf) and link_rows at eps = inf or -1.0 once linked [0.5, 0.2] to '++'."""
+    with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
+        LinkConfig(epsilon=eps)
+    with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
+        link_rows(np.array([[0.5, 0.2]]), eps, 0.5)
+
+
+@pytest.mark.parametrize(
+    "u, epsilon, message",
+    [([np.nan, 0.0], 0.1, "^u has a non-finite entry"),
+     ([0.5, 0.2, 0.1], 0.1, r"^u has shape \(3,\), expected \(2,\)"),
+     ([[0.5, 0.2]], 0.1, r"^u has shape \(1, 2\), expected \(2,\)"),
+     ([0.5, 0.2], -1.0, "^epsilon must be positive and finite"),
+     ([0.5, 0.2], 0.0, "^epsilon must be positive and finite"),
+     ([0.5, 0.2], np.inf, "^epsilon must be positive and finite")],
+    ids=["nan-u", "long-u", "two-axes-u", "negative-epsilon", "zero-epsilon", "infinite-epsilon"],
+)
+def test_thickened_envelope_grid_rejects_a_bad_point_or_epsilon(u, epsilon, message):
+    """u = [nan, 0] and epsilon = -1.0 once returned all 9 reports at k = 2."""
+    with pytest.raises(ValueError, match=message):
+        thickened_envelope_grid(make_sqrt_card(2), u, epsilon)
