@@ -23,14 +23,15 @@ there, so it cannot come within t. The kernel therefore expands each point
 into one sign row per sign choice of its coordinates with |x_j| < t and
 evaluates only the unsigned chains on each: 3/11/51/299 at k = 1..4, against
 5/33/293/3,393 signed faces. A point's envelope is the AND of the member words
-(one uint64 per 64 reports) of its qualifying faces. Both routes resolve exact
-eps boundaries toward keeping the vertex (tolerance GAP_TOL), so their outputs
-agree as sets.
+(one uint64 per 64 reports) of its qualifying faces. The face tables are
+built once per k from numpy arrays (``_face_tables``); only the chains are
+enumerated in Python. A cold first oracle call at k = 4 takes 3-5 ms, where
+building 3,393 face records took 17-35 ms. Both routes resolve exact eps
+boundaries toward keeping the vertex (tolerance GAP_TOL): they agree as sets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from ._tol import GAP_TOL
 from .lovasz import _checked, clip
-from .setfn import MAX_K
+from .setfn import MAX_K, popcounts
 from .targets import AbstainReport, _report_at, _report_id_table
 
 
@@ -238,78 +239,80 @@ def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
 
 
 class _Face:
-    """Internal face record: a signed chain and the ids of its member reports."""
+    """Face record of chain_faces: a signed chain and the ids of its member reports."""
 
     __slots__ = ("supports", "sigma", "member_ids")
 
-    def __init__(self, k, supports, sigma, ids):
+    def __init__(self, supports, sigma, member_ids):
         self.supports = supports  # strictly nested tuple of bitmasks
         self.sigma = sigma  # sign bitmask over the largest support
-        full = (1 << k) - 1
-        self.member_ids = np.array(sorted(ids[t & sigma][full & ~t] for t in supports))
+        self.member_ids = member_ids  # ascending report ids, one per support
 
 
-def _chains_ending_at(top: int, k: int) -> list[tuple[int, ...]]:
-    subs = [s for s in range(1 << k) if s & top == s and s != top]
-    chains = [(top,)]
-    for s in subs:
-        for c in _chains_ending_at(s, k):
-            chains.append(c + (top,))
-    return chains
+@lru_cache(maxsize=None)
+def _face_tables(k: int):
+    """(chains, chain, sigma, members, face_of): the signed chain faces as arrays.
+
+    chains lists the unsigned chains (strictly nested tuples of bitmasks; 299
+    at k = 4, the only Python loop) by top support ascending; for each top,
+    (top,) comes first, then each chain ending at a proper subset s of top (s
+    ascending) extended by top. Faces are chain-major and sign their chain's
+    top in itertools.product order over its bits, ascending, the lowest bit
+    most significant. chain[f] and sigma[f] are face f's chain and sign
+    bitmask; members[f] marks the report ids of its supports, each signed by
+    sigma; face_of[c, b] is the face of chain c signed by b & top.
+    """
+    if k > 4:
+        raise ValueError("face enumeration capped at k <= 4")
+    ending = []  # ending[top]: the chains whose largest support is top
+    for top in range(1 << k):
+        ending.append([(top,)] + [c + (top,) for s in range(top) if s & top == s for c in ending[s]])
+    chains = [c for e in ending for c in e]
+    supports = np.array([c + c[-1:] * (k + 1 - len(c)) for c in chains])  # padded with the top
+    top, size = supports[:, -1], popcounts(supports[:, -1])
+    chain = np.repeat(np.arange(len(chains)), 1 << size)
+    combo = np.arange(len(chain)) - np.repeat(np.cumsum(1 << size) - (1 << size), 1 << size)
+    sigma = np.zeros_like(combo)
+    for i in range(k):  # the j-th lowest bit of top reads bit size-1-j of the face's product index
+        shift = np.maximum(size - 1 - popcounts(top & ((1 << i) - 1)), 0)
+        sigma |= (combo >> shift[chain] & top[chain] >> i & 1) << i
+    faces, held = np.arange(len(chain)), supports[chain]
+    members = np.zeros((len(chain), 3**k), dtype=bool)
+    members[faces[:, None], _report_id_table(k)[held & sigma[:, None], ((1 << k) - 1) & ~held]] = True
+    face = np.zeros((len(chains), 1 << k), dtype=np.int64)
+    face[chain, sigma] = faces
+    return chains, chain, sigma, members, face[np.arange(len(chains))[:, None], np.arange(1 << k) & top[:, None]]
 
 
 @lru_cache(maxsize=None)
 def chain_faces(k: int) -> tuple:
-    """Every distinct nonempty subset of a signed chain, as _Face records."""
-    if k > 4:
-        raise ValueError("face enumeration capped at k <= 4")
-    ids = _report_id_table(k).tolist()  # nested lists: per-face lookups stay in Python
-    faces = []
-    for top in range(1 << k):
-        bits = [i for i in range(k) if top >> i & 1]
-        for chain in _chains_ending_at(top, k):
-            for combo in itertools.product([0, 1], repeat=len(bits)):
-                sigma = 0
-                for b, i in zip(combo, bits):
-                    if b:
-                        sigma |= 1 << i
-                faces.append(_Face(k, chain, sigma, ids))
-    return tuple(faces)
+    """Every distinct nonempty subset of a signed chain, as _Face records in the
+    face order of _face_tables(k). The oracle routes read the tables and never
+    build these records."""
+    chains, chain, sigma, members, _ = _face_tables(k)
+    return tuple(_Face(chains[c], b, np.flatnonzero(row)) for c, b, row in zip(chain.tolist(), sigma.tolist(), members))
 
 
 @lru_cache(maxsize=None)
 def _chain_plan(k: int):
-    """The unsigned chains of chain_faces(k) and the subset-table rows that
+    """The unsigned chains of _face_tables(k) and the subset-table rows that
     faces_within reads for them.
 
-    Returns (levels, prefix, union, suffix, face_of), with chains numbered in
-    the order they first appear in chain_faces(k). levels[L-1] = (ids,
-    parents, blocks) covers the chains with L free blocks: parents are the
-    same chains without their last support, blocks the table rows of the last
-    block. prefix, union and suffix hold, per chain, the rows of its forced
-    prefix (the first support), of all its free blocks together and of its
-    forced-zero suffix; a row is the subset itself. face_of[c, b] is the
-    position in chain_faces(k) of chain c signed by b & top, the face that a
-    sign row with positive coordinates b reads.
+    Returns (levels, prefix, union, suffix, face_of), with chains numbered as
+    in _face_tables(k). levels[L-1] = (ids, parents, blocks) covers the chains
+    with L free blocks: parents are the same chains without their last
+    support, blocks the table rows of the last block. prefix, union and suffix
+    hold, per chain, the rows of its forced prefix (the first support), of all
+    its free blocks together and of its forced-zero suffix; a row is the
+    subset itself. face_of[c, b] is the face of chain c signed by b & top, the
+    face that a sign row with positive coordinates b reads.
     """
-    faces = chain_faces(k)
-    position = {(f.supports, f.sigma): i for i, f in enumerate(faces)}
-    chains = list(dict.fromkeys(f.supports for f in faces))
+    chains, _, _, _, face_of = _face_tables(k)
     index = {c: i for i, c in enumerate(chains)}
-    full = (1 << k) - 1
-    levels = [([], [], []) for _ in range(k)]
-    for i, c in enumerate(chains):
-        if len(c) > 1:
-            ids, parents, blocks = levels[len(c) - 2]
-            ids.append(i)
-            parents.append(index[c[:-1]])
-            blocks.append(c[-1] & ~c[-2])
-    levels = tuple(tuple(np.array(col, dtype=np.intp) for col in level) for level in levels)
-    prefix = np.array([c[0] for c in chains])
-    union = np.array([c[-1] & ~c[0] for c in chains])
-    suffix = full & ~np.array([c[-1] for c in chains])
-    face_of = np.array([[position[(c, b & c[-1])] for b in range(1 << k)] for c in chains])
-    return levels, prefix, union, suffix, face_of
+    length, parent, first, top = np.array([(len(c), index.get(c[:-1], -1), c[0], c[-1]) for c in chains]).T
+    levels = tuple((ids, parent[ids], top[ids] & ~top[parent[ids]])
+                   for ids in (np.flatnonzero(length == n) for n in range(2, k + 2)))
+    return levels, first, top & ~first, ((1 << k) - 1) & ~top, face_of
 
 
 def _subset_tables(s: np.ndarray):
@@ -334,7 +337,7 @@ def _subset_tables(s: np.ndarray):
 
 
 def faces_within(x_rows: np.ndarray, t: float) -> np.ndarray:
-    """(n, faces) bool: the faces of chain_faces(k) whose hull lies strictly
+    """(n, faces) bool: the faces of _face_tables(k) whose hull lies strictly
     within t of each row of x_rows (clipped points) in the infinity norm.
 
     The hull of a chain face is cut out by a forced prefix (signed value 1),
@@ -352,7 +355,7 @@ def faces_within(x_rows: np.ndarray, t: float) -> np.ndarray:
     """
     x_rows = np.asarray(x_rows, dtype=float)
     n, k = x_rows.shape
-    out = np.zeros((n, len(chain_faces(k))), dtype=bool)
+    out = np.zeros((n, len(_face_tables(k)[1])), dtype=bool)
     if not t > 0:
         return out
     levels, prefix, union, suffix, face_of = _chain_plan(k)
@@ -387,11 +390,8 @@ def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
 
 @lru_cache(maxsize=None)
 def _face_member_matrix(k: int) -> np.ndarray:
-    faces = chain_faces(k)
-    out = np.zeros((len(faces), 3**k), dtype=bool)
-    for fi, f in enumerate(faces):
-        out[fi, f.member_ids] = True
-    return out
+    """(faces, 3^k) bool: row f marks the member reports of face f of _face_tables(k)."""
+    return _face_tables(k)[3]
 
 
 # Rows per faces_within call. Best of 50 on 1,000 points at k = 4, eps 1/8, one

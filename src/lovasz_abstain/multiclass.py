@@ -9,6 +9,7 @@ charges g on the set of blocks touched by bit errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,22 @@ ABSTAIN = 0  # class slot reserved for the abstain answer
 _PAIR_ROWS = 4096  # (report, block) pairs per block-domination comparison; 16 MiB of rows at d*k = 9
 
 
+def _check_classes(values, name: str, lo: int, C: int) -> None:
+    """A ValueError naming name unless every value is an integer (not a bool) in [lo, C]."""
+    for c in values:
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not lo <= c <= C:
+            raise ValueError(f"{name}: {c!r} is not an integer in [{lo}, {C}]")
+
+
+def _parse_classes(s: str, abstain: str | None = None) -> tuple[int, ...]:
+    """The comma-separated decimal integers of s, the token abstain read as 0,
+    or a ValueError naming s."""
+    toks = s.split(",")
+    if not all(t == abstain or re.fullmatch(r"\s*[+-]?[0-9]+\s*", t) for t in toks):
+        raise ValueError(f"s must be comma-separated integers{'' if abstain is None else ' or ' + abstain}, got {s!r}")
+    return tuple(0 if t == abstain else int(t) for t in toks)
+
+
 @dataclass(frozen=True)
 class ClassLabel:
     """k class-valued predictions over classes 1..C."""
@@ -32,8 +49,7 @@ class ClassLabel:
     classes: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not 1 <= c <= self.C for c in self.classes):
-            raise ValueError(f"classes must lie in [1, {self.C}]")
+        _check_classes(self.classes, "classes", 1, self.C)
 
     @property
     def k(self) -> int:
@@ -41,7 +57,7 @@ class ClassLabel:
 
     @classmethod
     def from_string(cls, C: int, s: str) -> "ClassLabel":
-        return cls(C, tuple(int(tok) for tok in s.split(",")))
+        return cls(C, _parse_classes(s))
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.classes)
@@ -55,8 +71,7 @@ class MulticlassReport:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not 0 <= c <= self.C for c in self.entries):
-            raise ValueError(f"entries must lie in [0, {self.C}]")
+        _check_classes(self.entries, "entries", 0, self.C)
 
     @property
     def k(self) -> int:
@@ -64,7 +79,7 @@ class MulticlassReport:
 
     @classmethod
     def from_string(cls, C: int, s: str) -> "MulticlassReport":
-        return cls(C, tuple(0 if tok == "_" else int(tok) for tok in s.split(",")))
+        return cls(C, _parse_classes(s, "_"))
 
     def __str__(self) -> str:
         return ",".join("_" if c == 0 else str(c) for c in self.entries)
@@ -117,13 +132,12 @@ class BlockCodec:
 
 
 def bep_loss(r, y, n: int) -> float:
-    """Abstain-aware multiclass 0-1 loss: 0 if correct, 1/2 on abstain, else 1."""
-    if not (1 <= y <= n):
-        raise ValueError(f"label {y} outside [1, {n}]")
+    """Abstain-aware multiclass 0-1 loss: 0 if correct, 1/2 on abstain (r None),
+    else 1. Raises ValueError naming y, or r, unless it is an integer in [1, n]."""
+    _check_classes([y], "y", 1, n)
     if r is None:
         return 0.5
-    if not (1 <= r <= n):
-        raise ValueError(f"report {r} outside [1, {n}]")
+    _check_classes([r], "r", 1, n)
     return 0.0 if r == y else 1.0
 
 
@@ -202,8 +216,11 @@ def _class_labels(C: int, k: int) -> list[ClassLabel]:
 
 
 def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
-    """Bit-level collection charging g on the set of blocks a subset touches."""
+    """Bit-level collection charging g on the set of blocks a subset touches.
+    Raises ValueError naming g unless its costs are over k predictions."""
     g = _as_costs(g)
+    if g.k != k:
+        raise ValueError(f"g has k={g.k}, expected k={k}")
     d, C = codec.d, codec.C
     n = d * k
     if n > 12:

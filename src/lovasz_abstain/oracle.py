@@ -20,7 +20,7 @@ from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
 from .links import LinkConfig, _face_member_matrix, _thickening, faces_within, link_rows, naive_threshold_link
 from .lovasz import _checked, clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
-from .setfn import popcounts, validate_polymatroid
+from .setfn import _checked_bits, popcounts, validate_polymatroid
 from .targets import AbstainReport, _report_at, _report_id_table, _report_masks, _report_signs
 from .targets import abstain_loss_table, plain_loss_table
 
@@ -35,8 +35,9 @@ def uniform(k: int) -> np.ndarray:
 
 
 def point_mass(y_bits: int, k: int) -> np.ndarray:
+    """All mass on label y_bits; a ValueError naming y_bits unless it lies in [0, 2^k)."""
     p = np.zeros(1 << k)
-    p[y_bits] = 1.0
+    p[_checked_bits(y_bits, k, "y_bits")] = 1.0
     return p
 
 
@@ -48,10 +49,14 @@ def mix(p, q, lam: float) -> np.ndarray:
 
 
 def flip(p, r_bits: int, k: int) -> np.ndarray:
-    """Distribution of Y * r when Y ~ p: q[y] = p[y * r] as bitmask indices."""
+    """Distribution of Y * r when Y ~ p: q[y] = p[y * r] as bitmask indices.
+    Raises ValueError naming p unless it has length 2^k, or r_bits unless it
+    lies in [0, 2^k)."""
     p = np.asarray(p, dtype=float)
+    if p.shape != (1 << k,):
+        raise ValueError(f"p has shape {p.shape}, expected ({1 << k},) for k={k}")
     masks = np.arange(1 << k)
-    return p[masks ^ (((1 << k) - 1) ^ r_bits)]
+    return p[masks ^ (((1 << k) - 1) ^ _checked_bits(r_bits, k, "r_bits"))]
 
 
 _GRID_ROWS = 1024  # distributions per grid block

@@ -1,8 +1,12 @@
+import itertools
+from functools import lru_cache
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from lovasz_abstain import make_jaccard, make_modular, make_sqrt_card, make_zero_one
-from lovasz_abstain.links import chain_faces
+from lovasz_abstain.targets import _report_id_table
 
 
 @pytest.fixture
@@ -28,15 +32,45 @@ def symmetric_builtins(k):
     }
 
 
+def _chains_ending_at(top, k):
+    subs = [s for s in range(1 << k) if s & top == s and s != top]
+    chains = [(top,)]
+    for s in subs:
+        for c in _chains_ending_at(s, k):
+            chains.append(c + (top,))
+    return chains
+
+
+@lru_cache(maxsize=None)
+def ref_chain_faces(k):
+    """Every signed chain face at dimension k, one record at a time, with
+    supports (a strictly nested tuple of bitmasks), sigma (the sign bitmask
+    over the top support) and member_ids (the sorted report ids of its
+    supports, each signed by sigma). Chains by top ascending, each top's
+    chains recursively; signs in itertools.product order over the top's bits,
+    ascending. The face order links._face_tables must reproduce."""
+    ids = _report_id_table(k).tolist()
+    full = (1 << k) - 1
+    faces = []
+    for top in range(1 << k):
+        bits = [i for i in range(k) if top >> i & 1]
+        for chain in _chains_ending_at(top, k):
+            for combo in itertools.product([0, 1], repeat=len(bits)):
+                sigma = sum(1 << i for b, i in zip(combo, bits) if b)
+                member_ids = np.array(sorted(ids[t & sigma][full & ~t] for t in chain))
+                faces.append(SimpleNamespace(supports=chain, sigma=sigma, member_ids=member_ids))
+    return tuple(faces)
+
+
 def ref_face_distances(x_rows):
-    """Exact d_inf from each row of x_rows to each face hull of chain_faces(k),
+    """Exact d_inf from each row of x_rows to each face hull of ref_chain_faces(k),
     one face at a time: flip the signs outside sigma on the top support, take
     the largest |1 - s_j| over the forced prefix (the first support) and |x_j|
     over the forced-zero suffix, and for the free blocks (the differences of
     consecutive supports) the largest of (max of a block - running min of the
     block minima) / 2, max - 1 and -min, clamped at 0."""
     n, k = x_rows.shape
-    faces = chain_faces(k)
+    faces = ref_chain_faces(k)
     full = (1 << k) - 1
     out = np.empty((n, len(faces)))
     for fi, f in enumerate(faces):

@@ -8,7 +8,9 @@ distance of every face. The kernel must give the reference's verdict
 reference distance and its float neighbours, the envelope bounds eps - GAP_TOL
 and t <= 0. Points cover report corners, exact 0 and -0.0, ties, coordinates
 at exactly +-t, clipped coordinates (|x_i| > 1 before clipping) and all-tiny
-rows, which expand into 2^k sign rows.
+rows, which expand into 2^k sign rows. The array-built face tables are pinned
+to the record loop ``ref_chain_faces`` (in conftest), and the oracle routes
+must run without building a face record.
 """
 
 import numpy as np
@@ -16,15 +18,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_face_distances
+from conftest import ref_chain_faces, ref_face_distances
+from lovasz_abstain import links, make_sqrt_card, oracle
 from lovasz_abstain.links import (
     GAP_TOL,
+    LinkConfig,
+    _chain_plan,
     _face_member_matrix,
     _member_words,
     chain_faces,
     clip,
     envelope_members_gap,
     envelope_members_oracle,
+    envelope_oracle,
     faces_within,
 )
 
@@ -124,3 +130,72 @@ def test_envelope_members_oracle_intersects_the_qualifying_faces(k):
         want = (qualified.astype(np.int64) @ missing.astype(np.int64)) == 0
         assert np.array_equal(envelope_members_oracle(us, eps), want)
     assert envelope_members_oracle(us, GAP_TOL / 2).all()
+
+
+def ref_chain_plan(faces, k):
+    """_chain_plan's outputs read off the face records one chain at a time."""
+    position = {(f.supports, f.sigma): i for i, f in enumerate(faces)}
+    chains = list(dict.fromkeys(f.supports for f in faces))
+    index = {c: i for i, c in enumerate(chains)}
+    levels = [([], [], []) for _ in range(k)]
+    for i, c in enumerate(chains):
+        if len(c) > 1:
+            ids, parents, blocks = levels[len(c) - 2]
+            ids.append(i)
+            parents.append(index[c[:-1]])
+            blocks.append(c[-1] & ~c[-2])
+    levels = tuple(tuple(np.array(col, dtype=np.intp) for col in level) for level in levels)
+    prefix = np.array([c[0] for c in chains])
+    union = np.array([c[-1] & ~c[0] for c in chains])
+    suffix = ((1 << k) - 1) & ~np.array([c[-1] for c in chains])
+    face_of = np.array([[position[(c, b & c[-1])] for b in range(1 << k)] for c in chains])
+    return levels, prefix, union, suffix, face_of
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_face_tables_match_the_record_loop(k):
+    """Face order, member ids, the member matrix and every chain-plan output
+    equal those read off the per-face records, dtypes included."""
+    ref = ref_chain_faces(k)
+    faces = chain_faces(k)
+    assert len(faces) == len(ref) == (5, 33, 293, 3393)[k - 1]
+    assert [(f.supports, f.sigma) for f in faces] == [(f.supports, f.sigma) for f in ref]
+    for f, r in zip(faces, ref):
+        _assert_same_array(f.member_ids, r.member_ids)
+    want = np.zeros((len(ref), 3**k), dtype=bool)
+    for i, r in enumerate(ref):
+        want[i, r.member_ids] = True
+    _assert_same_array(_face_member_matrix(k), want)
+    got_levels, *got_rows = _chain_plan(k)
+    want_levels, *want_rows = ref_chain_plan(ref, k)
+    assert len(got_levels) == len(want_levels) == k
+    for got, want in zip(got_levels, want_levels):
+        for g, w in zip(got, want, strict=True):
+            _assert_same_array(g, w)
+    for g, w in zip(got_rows, want_rows, strict=True):
+        _assert_same_array(g, w)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_oracle_routes_build_no_face_record(k, monkeypatch):
+    """From cold caches, the face-intersection routes read only the face tables."""
+    for cached in (links._face_tables, links._chain_plan, links._face_member_matrix, links.chain_faces):
+        cached.cache_clear()
+
+    def refuse(self, *args):
+        raise AssertionError("a face record was built")
+
+    monkeypatch.setattr(links._Face, "__init__", refuse)
+    rng = np.random.default_rng(k)
+    us = np.vstack([_corners(k), rng.uniform(-1.5, 1.5, (70, k))])
+    eps = 1.0 / (2 * k)
+    assert np.array_equal(envelope_members_oracle(us, eps), envelope_members_gap(us, eps))
+    assert envelope_oracle(us[-1], LinkConfig(epsilon=eps))
+    assert oracle.thickened_envelope_grid(make_sqrt_card(k), us[-1], eps, grid_m=2)
+    with pytest.raises(AssertionError, match="face record"):
+        chain_faces(k)

@@ -14,7 +14,7 @@ import pytest
 
 from lovasz_abstain import make_jaccard, make_sqrt_card, make_zero_one
 from lovasz_abstain import multiclass, oracle
-from lovasz_abstain.links import GAP_TOL, _report_id_table, chain_faces
+from lovasz_abstain.links import GAP_TOL, _report_id_table
 from lovasz_abstain.lovasz import clip, hinge_rows
 from lovasz_abstain.multiclass import BlockCodec, ClassCosts, ClassLabel, encode_bep
 from lovasz_abstain.oracle import (
@@ -40,7 +40,7 @@ from lovasz_abstain.targets import (
     target_plain,
 )
 
-from conftest import builtin_collections, ref_face_distances
+from conftest import builtin_collections, ref_chain_faces, ref_face_distances
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def loop_block_domination(g, codec, k):
 
 
 def loop_thickened(fc, u, epsilon, m):
-    faces = chain_faces(fc.k)
+    faces = ref_chain_faces(fc.k)
     table = surrogate_loss_table(fc)
     optimal_sets = {frozenset(argmin_ids(table @ p)) for p in loop_grid(fc.k, m)}
     d_faces = ref_face_distances(clip(np.asarray(u, dtype=float))[None, :])[0]

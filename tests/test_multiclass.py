@@ -25,6 +25,7 @@ from lovasz_abstain import (
 )
 from lovasz_abstain import multiclass
 from lovasz_abstain.multiclass import (
+    bep_loss,
     decode_bep,
     mis_class,
     onehot_encode,
@@ -259,6 +260,45 @@ def test_class_label_parsing():
         ClassLabel(4, (0,))
     with pytest.raises(ValueError):
         MulticlassReport(4, (5,))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClassLabel(4, (1.5, 2)), "classes: 1.5 is not an integer in [1, 4]"),
+    (lambda: ClassLabel(4, (True, 2)), "classes: True is not an integer in [1, 4]"),
+    (lambda: ClassLabel(4, ("2",)), "classes: '2' is not an integer in [1, 4]"),
+    (lambda: MulticlassReport(4, (True, 0)), "entries: True is not an integer in [0, 4]"),
+    (lambda: MulticlassReport(4, (2.0, 0)), "entries: 2.0 is not an integer in [0, 4]"),
+    (lambda: bep_loss(1.5, 1, 4), "r: 1.5 is not an integer in [1, 4]"),
+    (lambda: bep_loss(True, 1, 4), "r: True is not an integer in [1, 4]"),
+    (lambda: bep_loss(1, 2.0, 4), "y: 2.0 is not an integer in [1, 4]"),
+    (lambda: bep_loss(None, 5, 4), "y: 5 is not an integer in [1, 4]"),
+    (lambda: ClassLabel.from_string(4, "1,x"), "s must be comma-separated integers, got '1,x'"),
+    (lambda: ClassLabel.from_string(4, "1,"), "s must be comma-separated integers, got '1,'"),
+    (lambda: ClassLabel.from_string(4, "1.5,2"), "s must be comma-separated integers, got '1.5,2'"),
+    (lambda: MulticlassReport.from_string(4, "1_0,_"), "s must be comma-separated integers or _, got '1_0,_'"),
+], ids=["float-class", "bool-class", "string-class", "bool-entry", "float-entry", "float-r", "bool-r", "float-y",
+        "y-out-of-range", "label-word", "label-empty-token", "label-float", "report-underscore-digits"])
+def test_class_values_must_be_integers(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_class_values_accept_integers():
+    assert ClassLabel(4, (np.int64(2), 4)).classes == (2, 4)
+    assert ClassLabel.from_string(8, " 7,+3").classes == (7, 3)
+    assert bep_loss(None, 2, 4) == 0.5 and bep_loss(2, 2, 4) == 0.0 and bep_loss(3, 2, 4) == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lift_polymatroid(make_sqrt_card(3), BlockCodec(4), 2),
+    lambda: multiclass_surrogate(make_sqrt_card(3), BlockCodec(4), [0, 0, 0, 0], ClassLabel(4, (1, 2))),
+    lambda: verify_block_domination(make_sqrt_card(2), BlockCodec(4), 3),
+    lambda: verify_block_domination(ClassCosts(2, weights_by_class=[1.0, 2.0, 3.0, 4.0]), BlockCodec(4), 1),
+], ids=["lift", "surrogate", "block-domination", "block-domination-class-weights"])
+def test_costs_must_match_the_lifted_k(call):
+    with pytest.raises(ValueError, match=r"g has k=\d+, expected k=\d+"):
+        call()
 
 
 def test_class_weights_must_cover_the_label():

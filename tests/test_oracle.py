@@ -48,6 +48,22 @@ def test_distribution_constructors():
         mix(p, d, 1.5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: point_mass(-1, 2), "y_bits has a bitmask outside [0, 4) for k=2"),
+    (lambda: point_mass(4, 2), "y_bits has a bitmask outside [0, 4) for k=2"),
+    (lambda: point_mass(9, 2), "y_bits has a bitmask outside [0, 4) for k=2"),
+    (lambda: point_mass(True, 2), "y_bits must be integer bitmasks, got dtype bool"),
+    (lambda: flip(uniform(2), 9, 2), "r_bits has a bitmask outside [0, 4) for k=2"),
+    (lambda: flip(uniform(2), -1, 2), "r_bits has a bitmask outside [0, 4) for k=2"),
+    (lambda: flip(uniform(3), 1, 2), "p has shape (8,), expected (4,) for k=2"),
+    (lambda: flip(uniform(2)[None], 1, 2), "p has shape (1, 4), expected (4,) for k=2"),
+], ids=["negative-label", "label-2^k", "label-9", "bool-label", "flip-9", "flip-negative", "long-p", "2d-p"])
+def test_distribution_bitmasks_are_checked(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_flip(rng):
     k = 3
     p = rng.dirichlet(np.ones(1 << k))

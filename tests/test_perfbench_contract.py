@@ -2,14 +2,19 @@
 
 perfbench/tracer.py wraps the layer modules by name and perfbench/workloads.py
 calls a few helpers directly; a rename in the package would only show up as a
-failed benchmark run. This test reads the tracer's constants and the workloads'
-source, and installs nothing.
+failed benchmark run. These tests read the tracer's constants and the
+workloads' source, and install nothing. One also runs the verify-oracle
+workload at its self-test size in a subprocess, traced and untraced, and reads
+its verdict.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +106,15 @@ def test_no_untracked_public_generator(tracer):
             if (inspect.isgeneratorfunction(obj) and obj.__module__ == mod.__name__
                     and not name.startswith("_") and stage not in tracer.UNTRACED):
                 assert stage in tracer.GENERATOR_COUNTS, stage
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_verify_oracle_run_is_correct(trace):
+    """The benchmark's own run, as the benchmark invokes it: every operation's
+    output check passes and none fails, with the tracer's hooks on or off."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", "verify-oracle", "--tiny", "--seconds", "1",
+            "--trace", trace]
+    done = subprocess.run(argv, cwd=TRACER.parent.parent, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
