@@ -6,8 +6,8 @@ checkable. Each epoch scores the train and validation rows and reads the train
 loss, the validation loss and the train subgradient from one chain-kernel
 call over both. Metrics pool counts over all coordinates of all pairs rather than
 averaging per sample. Batches of reports stay (pos, zeros) int64 bitmask
-arrays: the tau sweep pools the link's masks with targets' outcome kernel and
-popcounts, and builds no report objects.
+arrays: the tau sweep links all its taus in one grid call, pools the masks
+with targets' outcome kernel and popcounts, and builds no report objects.
 """
 
 from __future__ import annotations
@@ -277,41 +277,42 @@ def _check_data(cfg: TrainConfig, data: Dataset) -> None:
         raise ValueError("data has a non-finite feature")
 
 
-def _link_masks(W: np.ndarray, X: np.ndarray, tau: float, epsilon: float | None, trim: bool):
+def _link_masks(W: np.ndarray, X: np.ndarray, tau, epsilon: float | None, trim: bool):
     """(pos, zeros) threshold-abstain bitmasks of the scores W @ x of the rows x
-    of X, in one link_rows call; trim fills lone abstentions as trim_single_abstain does."""
-    cfg = LinkConfig(epsilon=epsilon, tau=tau)
+    of X, in one link_rows call: (n,) masks for one tau, (n, T) for a (1, T)
+    tau grid. trim fills lone abstentions as trim_single_abstain does."""
     U = (W @ X[..., None])[..., 0]  # one W @ x per row, bit-identical to scoring points one by one
-    pos, zeros = link_rows(U, cfg.resolve_epsilon(W.shape[0]), cfg.tau)
-    return trim_rows(pos, zeros, U) if trim else (pos, zeros)
+    pos, zeros = link_rows(U, LinkConfig(epsilon=epsilon).resolve_epsilon(W.shape[0]), tau)
+    if not trim:
+        return pos, zeros
+    # trim_rows broadcasts the signs of U's rows along the last axis of the masks
+    return tuple(m.T for m in trim_rows(pos.T, zeros.T, U))
 
 
 def link_reports(W: np.ndarray, X: np.ndarray, tau: float, epsilon: float | None, trim: bool = False):
-    """_link_masks as a list of AbstainReport objects."""
+    """_link_masks at one tau as a list of AbstainReport objects."""
     pos, zeros = _link_masks(W, X, tau, epsilon, trim)
     return [AbstainReport(W.shape[0], p, z) for p, z in zip(pos.tolist(), zeros.tolist())]
 
 
 def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> list[dict]:
-    """Metric rows per tau over the test split.
+    """Metric rows per tau over the test split, ascending in tau.
 
-    Raises ValueError when the link-level monotonicity fails (per-point
-    abstention count cannot drop as tau grows); metric monotonicity is
-    reported, never checked.
+    The test points are scored once and linked in one link_rows call over the
+    (1, T) grid of taus, so each point is sorted once for every tau. Raises
+    ValueError when the link-level monotonicity fails (per-point abstention
+    count cannot drop as tau grows); metric monotonicity is reported, never
+    checked.
     """
     cfg = result.config
     _, _, te = split_indices(cfg.n_samples, cfg.seed)
     k = result.best_weights.shape[0]
     X, y_bits = data.X[te], _checked_bits(data.y_bits[te], k, "y_bits")
     taus = sorted(taus)
-    rows = []
-    prev_abs = None
-    for tau in taus:
-        pos, zeros = _link_masks(result.best_weights, X, tau, cfg.epsilon, trim)
+    pos, zeros = _link_masks(result.best_weights, X, np.array([taus], dtype=float), cfg.epsilon, trim)
+    if not trim:
         n_abs = popcounts(zeros)
-        if not trim and prev_abs is not None and np.any(n_abs < prev_abs):
-            raise ValueError(f"abstention count decreased as tau increased to {tau}")
-        if not trim:
-            prev_abs = n_abs
-        rows.append({"tau": tau, **_pooled(k, pos, zeros, y_bits).to_dict()})
-    return rows
+        drops = (n_abs[:, 1:] < n_abs[:, :-1]).any(axis=0)
+        if drops.any():
+            raise ValueError(f"abstention count decreased as tau increased to {taus[drops.argmax() + 1]}")
+    return [{"tau": tau, **_pooled(k, pos[:, t], zeros[:, t], y_bits).to_dict()} for t, tau in enumerate(taus)]

@@ -8,13 +8,17 @@ gap below it is >= 2 eps - GAP_TOL. The envelope, its batch forms and the
 threshold-abstain link ``link_rows`` are views of the kernel, and the scalar
 functions are their one-row views. The link picks one level per row and builds
 the (pos, zeros) masks of that level only; only the envelope routes
-materialise the masks of all k+1 levels (``_level_masks``). Tie rules are
+materialise the masks of all k+1 levels (``_level_masks``). Its tau is one
+number, one per row, or a (1, T) or (n, T) grid: a grid sorts each row once
+and repeats only the per-row results of the sort T times, so T taus cost one
+sort, and the one-tau path runs no extra numpy call. Tie rules are
 fixed: the sign of an exact 0 is +1 wherever a +-1 sign is forced (the link
 leaves an exact 0 abstained), and midpoint ties pick the largest index. Entry
 points raise ValueError naming u or us for a wrong number of axes, no
 coordinates (or more than MAX_K) or a non-finite entry; ``LinkConfig``,
 ``link_rows`` and the batch envelope routes raise one naming eps unless it is
-positive and finite. The verification route shares no code with the kernel: it
+positive and finite, and ``link_rows`` one naming tau for a shape other than
+those above. The verification route shares no code with the kernel: it
 intersects the chain faces whose hulls pass within eps of the clipped point in
 the infinity norm, all read from one face kernel, ``faces_within``. A face
 whose sign disagrees with x_j at a coordinate j of its top support with |x_j|
@@ -22,7 +26,8 @@ whose sign disagrees with x_j at a coordinate j of its top support with |x_j|
 there, so it cannot come within t. The kernel therefore expands each point
 into one sign row per sign choice of its coordinates with |x_j| < t and
 evaluates only the unsigned chains on each: 3/11/51/299 at k = 1..4, against
-5/33/293/3,393 signed faces. A point's envelope is the AND of the member words
+5/33/293/3,393 signed faces; the route stops at k = 4 and its entry points
+reject a larger u or us. A point's envelope is the AND of the member words
 (one uint64 per 64 reports) of its qualifying faces. The face tables are
 built once per k from numpy arrays (``_face_tables``); only the chains are
 enumerated in Python. A cold first oracle call at k = 4 takes 3-5 ms, where
@@ -162,34 +167,49 @@ def envelope_detailed(u, cfg: LinkConfig) -> list[dict]:
 def link_rows(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
     """Threshold-abstain link of each row of us, as (pos, zeros) int64 bitmasks.
 
-    Picks the qualifying level whose gap midpoint is closest to tau (one
-    number, or one per row); ties go to the largest index. Only that level's
-    masks are built, never those of all k+1 levels. Kept coordinates take the
-    sign of the clipped point, so an exact 0 stays abstained. Raises
-    ValueError naming eps unless it is positive and finite, and one when a
-    row has no qualifying level; eps <= 1/(2k) rules that out.
+    Picks the qualifying level whose gap midpoint is closest to tau; ties go
+    to the largest index. tau is one number or one per row, giving (n,)
+    masks, or a grid of shape (1, T) or (n, T), giving (n, T) masks whose
+    column t is the link at tau[:, t]; each row is sorted once for all of
+    them. Only the picked level's masks are built, never those of all k+1
+    levels. Kept coordinates take the sign of the clipped point, so an exact
+    0 stays abstained. Raises ValueError naming tau for another shape or a
+    value outside [0, 1], one naming eps unless it is positive and finite,
+    and one when a row has no qualifying level; eps <= 1/(2k) rules that out.
     """
-    tau = np.asarray(tau, dtype=float)
+    us, tau = _points(us, "us", 2), np.asarray(tau, dtype=float)
+    if tau.ndim > 2 or (tau.ndim and len(tau) not in (1, len(us))):
+        raise ValueError(f"tau has shape {tau.shape}, expected a number, (n,), (1, T) or (n, T) with n = {len(us)}")
     if not ((0.0 <= tau) & (tau <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
-    return _link(_points(us, "us", 2), _thickening(eps), tau)
+    return _link(us, _thickening(eps), tau)
 
 
 def _link(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
     """link_rows of checked points us, a checked eps and a checked tau.
 
-    Picks each row's level first and builds the masks of that level only."""
-    n, k = us.shape
+    Sorts each row once and reads off what the level pick needs per row. A
+    2-D tau grid then repeats those rows once per column, so the pick below
+    reads one row and one tau either way, and builds the masks of the picked
+    level only."""
     x, order, seq, qualify = gap_levels(us, eps)
-    dist = np.where(qualify, np.abs(np.asarray(tau)[..., None] - (seq[:, :-1] + seq[:, 1:]) / 2.0), np.inf)
-    level = k - dist[:, ::-1].argmin(axis=1)  # the first minimum of the reversed row: largest index wins ties
-    if not qualify[np.arange(n), level].all():
-        raise ValueError(f"no gap of size 2*eps: eps={eps} exceeds 1/(2k)={1 / (2 * k)}")
+    k = x.shape[1]
     bits = 1 << np.arange(k)
+    mid, rank, live, plus = (seq[:, :-1] + seq[:, 1:]) / 2.0, order.argsort(), x != 0.0, (x >= 0.0) @ bits
+    grid = getattr(tau, "ndim", 0) == 2
+    if grid:
+        shape = (len(us), tau.shape[1])
+        mid, qualify, rank, live, plus = (a.repeat(shape[1], axis=0) for a in (mid, qualify, rank, live, plus))
+        tau = np.broadcast_to(tau, shape).ravel()
+    dist = np.where(qualify, np.abs(np.asarray(tau)[..., None] - mid), np.inf)
+    level = k - dist[:, ::-1].argmin(axis=1)  # the first minimum of the reversed row: largest index wins ties
+    if not qualify[np.arange(len(level)), level].all():
+        raise ValueError(f"no gap of size 2*eps: eps={eps} exceeds 1/(2k)={1 / (2 * k)}")
     # The coordinates ranked below the level, less exact zeros: zeros sort
     # last, so this keeps the first min(level, nonzeros) and leaves zeros abstained.
-    kept = ((order.argsort() < level[:, None]) & (x != 0.0)) @ bits
-    return kept & ((x >= 0.0) @ bits), ((1 << k) - 1) ^ kept
+    kept = ((rank < level[:, None]) & live) @ bits
+    pos, zeros = kept & plus, ((1 << k) - 1) ^ kept
+    return (pos.reshape(shape), zeros.reshape(shape)) if grid else (pos, zeros)
 
 
 def threshold_abstain_link(u, cfg: LinkConfig) -> AbstainReport:
@@ -249,6 +269,20 @@ class _Face:
         self.member_ids = member_ids  # ascending report ids, one per support
 
 
+# The face tables hold every signed chain face, 5/33/293/3,393 of them at
+# k = 1..4, so the face route stops at k = 4.
+_FACE_MAX_K = 4
+
+
+def _face_points(u, name: str, ndim: int) -> np.ndarray:
+    """_points(u, name, ndim), or a ValueError naming u beyond the face route's cap."""
+    u = _points(u, name, ndim)
+    if u.shape[-1] > _FACE_MAX_K:
+        raise ValueError(f"{name} has k={u.shape[-1]} coordinates, but the face route enumerates the signed "
+                         f"chain faces (3,393 at k = 4) only up to k = {_FACE_MAX_K}")
+    return u
+
+
 @lru_cache(maxsize=None)
 def _face_tables(k: int):
     """(chains, chain, sigma, members, face_of): the signed chain faces as arrays.
@@ -262,8 +296,8 @@ def _face_tables(k: int):
     bitmask; members[f] marks the report ids of its supports, each signed by
     sigma; face_of[c, b] is the face of chain c signed by b & top.
     """
-    if k > 4:
-        raise ValueError("face enumeration capped at k <= 4")
+    if k > _FACE_MAX_K:
+        raise ValueError(f"k={k} exceeds the face route's cap k <= {_FACE_MAX_K}")
     ending = []  # ending[top]: the chains whose largest support is top
     for top in range(1 << k):
         ending.append([(top,)] + [c + (top,) for s in range(top) if s & top == s for c in ending[s]])
@@ -383,7 +417,7 @@ def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
     """Direct-definition envelope: intersect every face hull within eps of
     the clipped point. Exponential in k; the verification route. One-row
     view of envelope_members_oracle."""
-    u = _points(u, "u", 1)
+    u = _face_points(u, "u", 1)
     members = envelope_members_oracle(u[None], cfg.resolve_epsilon(len(u)))[0]
     return {_report_at(len(u), i) for i in np.flatnonzero(members)}
 
@@ -416,7 +450,7 @@ def envelope_members_oracle(us: np.ndarray, eps: float) -> np.ndarray:
     verdicts are never held whole. Each point ANDs the packed member words of
     its qualifying faces; a point with none keeps every report, as an empty
     intersection does."""
-    us, eps = _points(us, "us", 2), _thickening(eps)
+    us, eps = _face_points(us, "us", 2), _thickening(eps)
     n_reports = 3 ** us.shape[1]
     words = _member_words(_face_member_matrix(us.shape[1]))
     out = np.empty((len(us), n_reports), dtype=bool)

@@ -32,6 +32,20 @@ def _check_classes(values, name: str, lo: int, C: int) -> None:
             raise ValueError(f"{name}: {c!r} is not an integer in [{lo}, {C}]")
 
 
+def _freeze_classes(obj, name: str, lo: int) -> None:
+    """Check obj.C and store obj.<name> as a tuple of integers in [lo, C], or
+    raise a ValueError naming the field; the frozen dataclass stays hashable."""
+    C, values = obj.C, getattr(obj, name)
+    if isinstance(C, bool) or not isinstance(C, (int, np.integer)) or C < 1:
+        raise ValueError(f"C must be an integer >= 1, got {C!r}")
+    if not isinstance(values, tuple):
+        try:
+            object.__setattr__(obj, name, tuple(values))
+        except TypeError:
+            raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    _check_classes(getattr(obj, name), name, lo, C)
+
+
 def _parse_classes(s: str, abstain: str | None = None) -> tuple[int, ...]:
     """The comma-separated decimal integers of s, the token abstain read as 0,
     or a ValueError naming s."""
@@ -49,7 +63,7 @@ class ClassLabel:
     classes: tuple[int, ...]
 
     def __post_init__(self):
-        _check_classes(self.classes, "classes", 1, self.C)
+        _freeze_classes(self, "classes", 1)
 
     @property
     def k(self) -> int:
@@ -71,7 +85,7 @@ class MulticlassReport:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        _check_classes(self.entries, "entries", 0, self.C)
+        _freeze_classes(self, "entries", 0)
 
     @property
     def k(self) -> int:
@@ -128,7 +142,13 @@ class BlockCodec:
         return np.where((bits >> np.arange(self.d)) & 1 == 1, 1.0, -1.0)
 
     def decode_bits(self, bits: int) -> int:
-        return self._decode[bits]
+        """The class whose code is the bitmask bits; a ValueError naming bits
+        unless it is a d-bit code word."""
+        try:
+            return self._decode[bits]
+        except KeyError:
+            raise ValueError(f"bits must be a code word in [0, {1 << self.d}) of the {self.C}-class block code, "
+                             f"got {bits!r}") from None
 
 
 def bep_loss(r, y, n: int) -> float:

@@ -501,7 +501,8 @@ def calibration_sweep(
 ) -> VerificationReport:
     """Perturb every optimal report by less than eps and demand the
     threshold-abstain link lands back in the optimal set, for each tau. Each
-    grid block's perturbations are linked in one call, in case order:
+    grid block's perturbations are linked in one call over the (1, T) grid of
+    taus, so each point is sorted once for every tau. Cases run
     (distribution, optimal report) pair-major, then perturbation, then tau."""
     fc = as_collection(fc)
     k = fc.k
@@ -517,8 +518,7 @@ def calibration_sweep(
         optimal = _argmin_mask(P @ table.T)
         rows, vids = np.nonzero(optimal)
         us = vectors[vids, None] + rng.uniform(-0.99 * eps, 0.99 * eps, size=(len(vids), n_perturb, k))
-        pos, zeros = link_rows(np.repeat(us.reshape(-1, k), len(taus), axis=0), eps,
-                               np.tile(taus, len(vids) * n_perturb))
+        pos, zeros = (m.ravel() for m in link_rows(us.reshape(-1, k), eps, taus[None]))
         missed = np.flatnonzero(~optimal[np.repeat(rows, per_pair), id_of[pos, zeros]])
         if missed.size:
             j = int(missed[0])

@@ -156,9 +156,9 @@ def test_tau_sweep_rejects_a_drop_in_abstentions(monkeypatch):
     data = synth_data(cfg)
     res = train(cfg, make_sqrt_card(3), data)
 
-    def dropping(us, eps, tau):
-        pos, zeros = (0b000, 0b111) if tau < 0.5 else (0b101, 0b010)  # 000, then +0+
-        return np.full(len(us), pos), np.full(len(us), zeros)
+    def dropping(us, eps, tau):  # the sweep's one call, over a (1, T) tau grid
+        low = np.broadcast_to(tau < 0.5, (len(us), tau.shape[1]))
+        return np.where(low, 0b000, 0b101), np.where(low, 0b111, 0b010)  # 000, then +0+
 
     monkeypatch.setattr(bench, "link_rows", dropping)
     with pytest.raises(ValueError, match="abstention count decreased"):

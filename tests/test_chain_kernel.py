@@ -8,7 +8,9 @@ zero margins, for symmetric, per-label and partial per-label collections.
 
 The joint hinge-and-subgradient call is held bit for bit to the separate
 routes it replaced: the batched subgradient route and the trainer's loop of
-three chain-kernel calls per epoch, both copied below.
+three chain-kernel calls per epoch, both copied below. The extension reads
+the margins through chain_gains' order, bit for bit what sorting them again
+with np.sort gave, and the trainer runs with np.sort refused.
 """
 
 import numpy as np
@@ -166,6 +168,25 @@ def test_hinge_and_subgradient_rows_match_the_separate_routes(batch):
         assert np.array_equal(hinge_subgradient(fc, u, y), g)
 
 
+def resorted_hinge_rows(fc, U, y_bits):
+    """hinge_rows as it was computed before the extension read chain_gains'
+    order: the margins sorted again with np.sort, descending."""
+    signs = np.where((y_bits[:, None] >> np.arange(fc.k)) & 1 == 1, 1.0, -1.0)
+    W = np.maximum(1.0 - U * signs, 0.0)
+    return (np.sort(W, axis=1)[:, ::-1] * chain_gains(fc, W, y_bits)[1]).sum(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches())
+@example(KINKS)
+@example(TIES)
+def test_hinge_reads_the_chain_order_bit_for_bit(batch):
+    fc, U, y_bits = batch
+    want = resorted_hinge_rows(fc, U, y_bits)
+    assert np.array_equal(hinge_rows(fc, U, y_bits), want)
+    assert np.array_equal(hinge_and_subgradient_rows(fc, U, y_bits)[0], want)
+
+
 def three_call_train(cfg, fc):
     """bench.train with three chain-kernel calls per epoch: the train hinge,
     the validation hinge and the train subgradient, each on its own rows."""
@@ -214,3 +235,19 @@ def test_one_call_trainer_is_bit_identical_to_three_calls(run, seed):
     assert res.train_trace == train_trace and res.val_trace == val_trace
     assert np.array_equal(res.weights, W) and np.array_equal(res.best_weights, best_W)
     assert res.best_epoch == best_epoch
+
+
+def test_trainer_sorts_each_epoch_once(monkeypatch):
+    """With np.sort refused, the trainer still gives the three-call traces:
+    its loss and subgradient come from chain_gains' one argsort per epoch."""
+    fields, spec = TRAINER_RUNS["sqrt_card4"]
+    cfg = TrainConfig(**fields, seed=0)
+    fc = collection_from_obj(spec)
+    want = three_call_train(cfg, fc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trainer sorted the margins again")
+
+    monkeypatch.setattr(np, "sort", refuse)
+    res = train(cfg, fc)
+    assert (res.train_trace, res.val_trace) == (want[3], want[4])

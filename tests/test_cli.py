@@ -283,6 +283,8 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["mc-encode", "--C", "4", "--y=1,x"], "s must be comma-separated integers, got '1,x'"),
      (["mc-eval", "--g", "costs_short", "--C", "4", "--v=2.5,_", "--y=1,3"],
       "s must be comma-separated integers or _, got '2.5,_'"),
+     (["mc-eval", "--g", "costs_short", "--C", "0", "--v=_", "--y=1"], "C must be an integer >= 1, got 0"),
+     (["envelope", "--u=0,0,0,0,0", "--oracle"], "u has k=5 coordinates, but the face route"),
      (["metrics", "--pred", "empty", "--truth", "truth1", "--out", "dir"], "empty.csv is empty"),
      (["metrics", "--pred", "preds2", "--truth", "empty", "--out", "dir"], "empty.csv is empty")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
@@ -298,7 +300,7 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
          "train-string-margin", "train-bool-label-corr", "train-negative-epsilon", "train-string-epsilon",
          "train-nan-epsilon", "train-tau-above-1", "envelope-oracle-infinite-eps",
          "envelope-infinite-eps", "link-infinite-eps", "mc-link-infinite-eps",
-         "mc-encode-malformed-label", "mc-eval-fractional-report",
+         "mc-encode-malformed-label", "mc-eval-fractional-report", "mc-eval-zero-classes", "envelope-oracle-k5",
          "metrics-empty-pred", "metrics-empty-truth"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):

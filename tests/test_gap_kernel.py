@@ -10,6 +10,9 @@ them exactly, on exact ties, exact zeros, clipped coordinates (|u_i| > 1),
 magnitudes exactly 2 eps apart, and tau on a gap midpoint or halfway between
 two of them.
 
+A (1, T) or (n, T) tau grid must give, column by column, what T one-tau
+calls give, and the sweeps must sort each point once for all their taus.
+
 The link picks each row's level before building any mask. It is also held
 bit for bit to ``ref_all_levels_link``, the batched link as it was when it
 built the masks of all k+1 levels and kept one column per row, up to
@@ -23,7 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lovasz_abstain import AbstainReport, LinkConfig, envelope, links, threshold_abstain_link, trim_single_abstain
+from lovasz_abstain import (AbstainReport, LinkConfig, envelope, links, oracle, threshold_abstain_link,
+                           trim_single_abstain)
+from lovasz_abstain.bench import TrainConfig, split_indices, synth_data, tau_sweep, train
 from lovasz_abstain.links import envelope_members_gap, link_rows, trim_rows
 from lovasz_abstain.multiclass import ABSTAIN, BlockCodec, trimmed_link
 from lovasz_abstain.oracle import calibration_sweep
@@ -314,3 +319,110 @@ def test_links_never_build_every_level(monkeypatch, rng):
     assert (rep.passed, rep.cases) == (True, 26_040)
     with pytest.raises(AssertionError, match="every level"):
         envelope_members_gap(us[:, :4], 1 / 8)
+
+
+# ---------------------------------------------------------------------------
+# The tau grid: one sort per row for every tau
+# ---------------------------------------------------------------------------
+
+
+def assert_grid_matches_one_tau_calls(us, eps, grid):
+    """link_rows over a (1, T) or (n, T) grid equals T one-tau calls, column
+    by column (one number for a (1, T) grid, one tau per row for an (n, T)
+    one), and raises where they raise. Returns whether the rows linked."""
+    cols = [float(grid[0, t]) if len(grid) == 1 else grid[:, t] for t in range(grid.shape[1])]
+    if not ref_all_levels_link(us, eps, 0.5)[2].all():  # a row with no level raises at every tau
+        with pytest.raises(ValueError, match="no gap of size 2"):
+            link_rows(us, eps, grid)
+        return False
+    pos, zeros = link_rows(us, eps, grid)
+    assert pos.shape == zeros.shape == (len(us), grid.shape[1])
+    assert pos.dtype == zeros.dtype == np.int64
+    for t, tau in enumerate(cols):
+        want_pos, want_zeros = link_rows(us, eps, tau)
+        assert np.array_equal(pos[:, t], want_pos) and np.array_equal(zeros[:, t], want_zeros)
+    return True
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, MAX_K])
+def test_tau_grids_match_one_tau_calls(rng, k):
+    """Random, special-value (+-0, clipped) and tied rows, against shared and
+    per-row grids of up to 7 taus, some of them on gap midpoints."""
+    n = 100
+    signs = rng.choice([1.0, -1.0], (n, k))
+    sets = [
+        rng.uniform(-1.5, 1.5, (n, k)),
+        rng.choice(SPECIAL, (n, k)),
+        np.repeat(rng.uniform(-1.2, 1.2, (n, 1)), k, axis=1) * signs,
+        rng.choice([0.0, 0.5, 0.75], (n, k)) * signs,
+    ]
+    linked = 0
+    for eps in (1 / (2 * k), 1 / 16, 1e-3):
+        for us in sets:
+            mids = np.clip(np.array([midpoints(u, eps) for u in us]), 0.0, 1.0)
+            grids = [
+                np.array([[0.0, 0.25, 0.5, 0.75, 1.0]]),
+                np.array([[1.0, 0.0, 0.5, 0.5]]),  # unsorted, with a repeat
+                rng.uniform(0.0, 1.0, (1, 7)),
+                rng.uniform(0.0, 1.0, (n, 3)),
+                mids[:, rng.integers(0, k + 1, 4)],  # per-row taus on gap midpoints
+                np.array([[0.5]]),
+            ]
+            for grid in grids:
+                linked += assert_grid_matches_one_tau_calls(us, eps, grid)
+    assert linked >= len(sets) * 6  # eps = 1/(2k) leaves every row a qualifying level
+
+
+@st.composite
+def tau_grids(draw):
+    """(us, eps, grid): a drawn batch of wide_batches with a (1, T) or (n, T)
+    grid of 1..5 taus from 0, 1/2, 1 and the rows' gap midpoints."""
+    us, eps, _ = draw(wide_batches())
+    rows = us[:1] if draw(st.booleans()) else us
+    width = draw(st.integers(1, 5))
+    pools = [[0.0, 0.5, 1.0, *np.clip(midpoints(u, eps), 0.0, 1.0)] for u in rows]
+    return us, eps, np.array([[draw(st.sampled_from(pool)) for _ in range(width)] for pool in pools])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau_grids())
+@example((np.array([[0.0, -0.0, 0.5], [2.0, 0.0, -2.0]]), 1 / 6, np.array([[0.0, 1.0], [0.5, 0.0]])))
+@example((np.array([[0.75, 0.25]]), 1 / 8, np.array([[0.71875, 0.9375, 0.5]])))  # halfway, then on midpoints
+def test_tau_grids_match_one_tau_calls_on_drawn_batches(batch):
+    assert_grid_matches_one_tau_calls(*batch)
+
+
+def test_an_empty_tau_grid_gives_empty_masks():
+    pos, zeros = link_rows(np.array([[0.5, 0.2], [0.0, 1.0]]), 0.25, np.empty((1, 0)))
+    assert pos.shape == zeros.shape == (2, 0)
+
+
+def count_sorts(monkeypatch) -> list[int]:
+    """Patch links.gap_levels to record the number of rows of each call."""
+    calls = []
+    gap_levels = links.gap_levels
+
+    def counting(us, eps):
+        calls.append(len(us))
+        return gap_levels(us, eps)
+
+    monkeypatch.setattr(links, "gap_levels", counting)
+    return calls
+
+
+@pytest.mark.parametrize("taus", [[0.5], [0.0, 0.5, 1.0], list(np.linspace(0.0, 1.0, 11))], ids=["1", "3", "11"])
+def test_sweeps_sort_each_point_once_for_every_tau(monkeypatch, taus):
+    """tau_sweep makes one gap_levels call over its test points, and
+    calibration_sweep one per grid block, whatever the number of taus."""
+    cfg = TrainConfig(k=3, feature_dim=6, n_samples=100, epochs=5, seed=1)
+    data = synth_data(cfg)
+    res = train(cfg, make_sqrt_card(3), data)
+    calls = count_sorts(monkeypatch)
+    for trim in (False, True):
+        calls.clear()
+        assert [row["tau"] for row in tau_sweep(res, data, taus, trim=trim)] == sorted(taus)
+        assert calls == [len(split_indices(cfg.n_samples, cfg.seed)[2])]
+    calls.clear()
+    rep = calibration_sweep(make_sqrt_card(3), grid_m=4, taus=taus, n_perturb=5, rng=np.random.default_rng(3))
+    assert rep.passed and rep.cases == sum(calls) * len(taus)
+    assert len(calls) == sum(1 for _ in oracle._grid_blocks(3, 4))

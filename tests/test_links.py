@@ -248,6 +248,31 @@ def test_link_config_and_link_rows_reject_a_bad_eps(eps):
         link_rows(np.array([[0.5, 0.2]]), eps, 0.5)
 
 
+@pytest.mark.parametrize("call", [lambda: envelope_members_oracle(np.zeros((2, 5)), 0.1),
+                                  lambda: envelope_oracle(np.zeros(5), LinkConfig())], ids=["members", "one-point"])
+def test_face_route_names_its_cap(call):
+    """At k = 5 both routes once failed in the face-table builder with "face
+    enumeration capped at k <= 4", which named neither us nor u."""
+    with pytest.raises(ValueError, match=r"^us? has k=5 coordinates, but the face route .* only up to k = 4$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "tau, message",
+    [(np.full((1, 1, 2), 0.5), r"^tau has shape \(1, 1, 2\)"),
+     (np.full((2, 4), 0.5), r"^tau has shape \(2, 4\)"),
+     (np.full((0, 4), 0.5), r"^tau has shape \(0, 4\)"),
+     (np.full(2, 0.5), r"^tau has shape \(2,\)"),
+     (np.array([[0.5, 1.5]]), r"^tau must lie in \[0, 1\]"),
+     (np.array([[0.5, np.nan]]), r"^tau must lie in \[0, 1\]")],
+    ids=["three-axes", "two-rows-of-three", "no-rows", "two-of-three", "grid-above-1", "grid-nan"],
+)
+def test_link_rows_rejects_a_bad_tau(tau, message):
+    """Any 2-D tau once died in numpy broadcasting."""
+    with pytest.raises(ValueError, match=message):
+        link_rows(np.array([[0.5, 0.2], [0.9, 0.0], [-0.3, 0.6]]), 0.25, tau)
+
+
 @pytest.mark.parametrize(
     "u, epsilon, message",
     [([np.nan, 0.0], 0.1, "^u has a non-finite entry"),

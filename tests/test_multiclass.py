@@ -276,8 +276,18 @@ def test_class_label_parsing():
     (lambda: ClassLabel.from_string(4, "1,"), "s must be comma-separated integers, got '1,'"),
     (lambda: ClassLabel.from_string(4, "1.5,2"), "s must be comma-separated integers, got '1.5,2'"),
     (lambda: MulticlassReport.from_string(4, "1_0,_"), "s must be comma-separated integers or _, got '1_0,_'"),
+    (lambda: ClassLabel(4.5, (1,)), "C must be an integer >= 1, got 4.5"),
+    (lambda: ClassLabel(True, (1,)), "C must be an integer >= 1, got True"),
+    (lambda: MulticlassReport(0, ()), "C must be an integer >= 1, got 0"),
+    (lambda: MulticlassReport(0, (0,)), "C must be an integer >= 1, got 0"),
+    (lambda: ClassLabel(4, 3), "classes must be a sequence of integers, got 3"),
+    (lambda: MulticlassReport(4, None), "entries must be a sequence of integers, got None"),
+    (lambda: BlockCodec(4).decode_bits(7), "bits must be a code word in [0, 4) of the 4-class block code, got 7"),
+    (lambda: BlockCodec(8).decode_bits(-1), "bits must be a code word in [0, 8) of the 8-class block code, got -1"),
 ], ids=["float-class", "bool-class", "string-class", "bool-entry", "float-entry", "float-r", "bool-r", "float-y",
-        "y-out-of-range", "label-word", "label-empty-token", "label-float", "report-underscore-digits"])
+        "y-out-of-range", "label-word", "label-empty-token", "label-float", "report-underscore-digits",
+        "fractional-C", "bool-C", "zero-C", "zero-C-abstain-entry", "scalar-classes", "none-entries",
+        "bits-outside-the-code", "negative-bits"])
 def test_class_values_must_be_integers(call, message):
     with pytest.raises(ValueError) as err:
         call()
@@ -286,6 +296,11 @@ def test_class_values_must_be_integers(call, message):
 
 def test_class_values_accept_integers():
     assert ClassLabel(4, (np.int64(2), 4)).classes == (2, 4)
+    assert ClassLabel(np.int64(1), (1,)).classes == (1,)
+    # a list is stored as a tuple: hash() of ClassLabel(4, [1, 2]) once raised TypeError
+    assert ClassLabel(4, [1, 2]) == ClassLabel(4, (1, 2)) and hash(ClassLabel(4, [1, 2])) == hash(ClassLabel(4, (1, 2)))
+    assert MulticlassReport(4, np.array([0, 3])).entries == (0, 3)
+    assert hash(MulticlassReport(4, [0, 3])) == hash(MulticlassReport(4, (0, 3)))
     assert ClassLabel.from_string(8, " 7,+3").classes == (7, 3)
     assert bep_loss(None, 2, 4) == 0.5 and bep_loss(2, 2, 4) == 0.0 and bep_loss(3, 2, 4) == 1.0
 

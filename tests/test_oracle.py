@@ -260,9 +260,9 @@ def test_calibration_sweep_reports_the_first_mislinked_case(monkeypatch):
     deltas = [draws.uniform(-0.99 * eps, 0.99 * eps, size=(n_perturb, 2)) for _ in range(4)]
     link_rows = oracle.link_rows
 
-    def mislink(us, eps, tau):
+    def mislink(us, eps, tau):  # each block's one call, over a (1, T) tau grid
         pos, zeros = link_rows(us, eps, tau)
-        hit = (us == 1.0 + deltas[3][1]).all(axis=1) & (np.broadcast_to(tau, len(us)) == 0.5)
+        hit = (us == 1.0 + deltas[3][1]).all(axis=1)[:, None] & (tau == 0.5)
         pos[hit], zeros[hit] = 0, 0  # the report --
         return pos, zeros
 
