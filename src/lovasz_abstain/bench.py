@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .links import MAX_K, LinkConfig, link_rows, trim_rows
+from .links import LinkConfig, link_rows, trim_rows
 from .lovasz import hinge_and_subgradient_rows, hinge_rows, subgradient_rows
 from .setfn import _checked_bits, _checked_label, as_collection, popcounts
 from .targets import AbstainReport, _outcomes, _report
@@ -65,8 +65,8 @@ def metrics(pairs) -> MetricRecord:
         raise ValueError("metrics need at least one (report, label) pair")
     reports = [_report(v) for v, _ in pairs]
     k = reports[0].k
-    if k > MAX_K or any(v.k != k for v in reports):
-        raise ValueError(f"all pairs must share the same k, at most {MAX_K}")
+    if any(v.k != k for v in reports):
+        raise ValueError("all pairs must share the same k")
     rows = [(v.pos, v.zeros, _checked_label(y, k)) for v, (_, y) in zip(reports, pairs)]
     return _pooled(k, *np.array(rows, dtype=np.int64).T)
 

@@ -19,8 +19,11 @@ import numpy as np
 from . import bench, links, lovasz, multiclass, oracle, serialize, setfn, targets
 
 
-def _vec(s: str) -> np.ndarray:
-    return np.array([float(tok) for tok in s.split(",")])
+def _vec(s: str, name: str) -> np.ndarray:
+    try:
+        return np.array([float(tok) for tok in s.split(",")])
+    except ValueError as exc:  # float() names the entry: could not convert string to float: 'abc'
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _eps(s: str) -> float | None:
@@ -54,13 +57,13 @@ def cmd_condition1(args):
 
 def cmd_eval_extension(args):
     f = serialize.load_setfn(args.setfn)
-    print(lovasz.lovasz_extension(f, _vec(args.x)))
+    print(lovasz.lovasz_extension(f, _vec(args.x, "x")))
 
 
 def cmd_eval_hinge(args):
     fc = serialize.load_collection(args.collection)
     y = setfn.Label.from_string(args.y)
-    print(lovasz.hinge(fc, _vec(args.u), y))
+    print(lovasz.hinge(fc, _vec(args.u, "u"), y))
 
 
 def cmd_eval_target(args):
@@ -74,7 +77,7 @@ def cmd_eval_target(args):
 
 
 def cmd_link(args):
-    u = _vec(args.u)
+    u = _vec(args.u, "u")
     cfg = links.LinkConfig(epsilon=_eps(args.eps), tau=args.tau)
     v = links.threshold_abstain_link(u, cfg)
     if args.trim:
@@ -83,7 +86,7 @@ def cmd_link(args):
 
 
 def cmd_envelope(args):
-    u = _vec(args.u)
+    u = _vec(args.u, "u")
     cfg = links.LinkConfig(epsilon=_eps(args.eps))
     detailed = links.envelope_detailed(u, cfg)
     if args.oracle:
@@ -102,9 +105,9 @@ def cmd_verify(args):
         rep = oracle.verify_embedding(fc, grid_m=args.grid)
     elif args.what == "representative":
         fam = targets.enumerate_reports(fc.k, args.family)
-        rep = oracle.verify_representative(fc, fam, grid_m=args.grid or 8)
+        rep = oracle.verify_representative(fc, fam, grid_m=args.grid)
     else:
-        rep = oracle.verify_tightness(fc, grid_m=args.grid or 8)
+        rep = oracle.verify_tightness(fc, grid_m=args.grid)
     _emit(rep.to_dict())
 
 
@@ -142,8 +145,7 @@ def cmd_counterexample(args):
 def cmd_mc_encode(args):
     codec = multiclass.BlockCodec(args.C)
     y = multiclass.ClassLabel.from_string(args.C, args.y)
-    bits = multiclass.encode_bep(y, codec)
-    print("".join("+" if bits >> i & 1 else "-" for i in range(codec.d * y.k)))
+    print(setfn.Label(codec.d * y.k, multiclass.encode_bep(y, codec)))
 
 
 def _load_costs(path, k: int):
@@ -163,7 +165,7 @@ def cmd_mc_eval(args):
 def cmd_mc_link(args):
     codec = multiclass.BlockCodec(args.C)
     cfg = links.LinkConfig(epsilon=_eps(args.eps), tau=args.tau)
-    print(multiclass.trimmed_link(_vec(args.u), cfg, codec))
+    print(multiclass.trimmed_link(_vec(args.u, "u"), cfg, codec))
 
 
 def _train_config(obj: dict) -> bench.TrainConfig:
@@ -211,6 +213,7 @@ def cmd_metrics(args):
 
 
 def cmd_sweep(args):
+    taus = _vec(args.taus, "taus").tolist()
     run = Path(args.model)
     model = json.loads((run / "model.json").read_text())
     cfg = _train_config(model["config"])
@@ -223,7 +226,6 @@ def cmd_sweep(args):
         val_trace=model["val_trace"],
         config=cfg,
     )
-    taus = [float(t) for t in args.taus.split(",")]
     rows = bench.tau_sweep(result, data, taus, trim=args.trim)
     _emit(rows)
 
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("what", choices=["embedding", "representative", "tightness"])
     q.add_argument("--collection", required=True)
     q.add_argument("--k", type=int, default=None, help="expected dimension (checked)")
-    q.add_argument("--grid", type=int, default=None)
+    q.add_argument("--grid", type=int, default=8)
     q.add_argument("--family", choices=["V", "V0", "Y"], default="V0")
     q.set_defaults(fn=cmd_verify)
 
@@ -327,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an input file that cannot be read, named by its path
         print(f"lovabs {args.command}: error: {exc}", file=sys.stderr)
         return 2
     return 0

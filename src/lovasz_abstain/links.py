@@ -44,7 +44,7 @@ import numpy as np
 
 from ._tol import GAP_TOL
 from .lovasz import _checked, clip
-from .setfn import MAX_K, popcounts
+from .setfn import MAX_K, _format, popcounts
 from .targets import AbstainReport, _report_at, _report_id_table
 
 
@@ -158,7 +158,7 @@ def envelope_detailed(u, cfg: LinkConfig) -> list[dict]:
             "report": str(AbstainReport(len(x), int(pos[i]), int(zeros[i]))),
             "i": int(i),
             "pi": [int(j) + 1 for j in order],
-            "y": "".join("+" if s >= 0 else "-" for s in x),
+            "y": _format(len(x), int(pos[-1])),  # level k keeps every coordinate with its sign*
         }
         for i in np.flatnonzero(qualify)
     ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._tol import EXACT_TOL
-from .setfn import SetFunction, _checked_bits, _checked_label, as_collection
+from .setfn import SetFunction, _checked_bits, _checked_label, _sign_rows, as_collection
 
 
 def descending_order(x: np.ndarray) -> np.ndarray:
@@ -121,11 +121,11 @@ def _sorted_sum(W: np.ndarray, order: np.ndarray, gains: np.ndarray) -> np.ndarr
 
 
 def _hinge(fc, us: np.ndarray, y_bits) -> np.ndarray:
-    return _extension(fc, np.maximum(1.0 - us * _signs(y_bits, fc.k), 0.0), y_bits)
+    return _extension(fc, np.maximum(1.0 - us * _sign_rows(y_bits, fc.k), 0.0), y_bits)
 
 
 def _hinge_and_subgradient(fc, us: np.ndarray, y_bits) -> tuple[np.ndarray, np.ndarray]:
-    signs = _signs(y_bits, fc.k)
+    signs = _sign_rows(y_bits, fc.k)
     margins = 1.0 - us * signs
     W = np.maximum(margins, 0.0)
     order, gains = chain_gains(fc, W, y_bits)
@@ -146,11 +146,6 @@ def _checked(a, k: int, name: str, ndim: int, nonnegative: bool = False) -> np.n
     return a
 
 
-def _signs(y_bits, k: int) -> np.ndarray:
-    """+-1 label vectors of the bitmask(s) y_bits, shape y_bits.shape + (k,)."""
-    return np.where((np.asarray(y_bits)[..., None] >> np.arange(k)) & 1 == 1, 1.0, -1.0)
-
-
 # Read by perfbench/tracer.py to count active hinge coordinates.
 def _label_vec(y, k: int) -> np.ndarray:
-    return _signs(_checked_label(y, k), k)
+    return _sign_rows(_checked_label(y, k), k)

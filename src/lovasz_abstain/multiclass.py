@@ -18,7 +18,8 @@ from ._tol import EXACT_TOL
 from .links import LinkConfig, _link, _points
 from .lovasz import hinge
 from .oracle import VerificationReport
-from .setfn import PolymatroidCollection, SetFunction, _check_weights, make_jaccard, make_modular
+from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _check_weights, _mask, _sign_rows
+from .setfn import make_jaccard, make_modular
 from .targets import AbstainReport, _report_id_table, _report_masks, abstain_loss_table
 
 ABSTAIN = 0  # class slot reserved for the abstain answer
@@ -32,12 +33,16 @@ def _check_classes(values, name: str, lo: int, C: int) -> None:
             raise ValueError(f"{name}: {c!r} is not an integer in [{lo}, {C}]")
 
 
+def _checked_C(C) -> int:
+    if isinstance(C, bool) or not isinstance(C, (int, np.integer)) or C < 1:
+        raise ValueError(f"C must be an integer >= 1, got {C!r}")
+    return int(C)
+
+
 def _freeze_classes(obj, name: str, lo: int) -> None:
     """Check obj.C and store obj.<name> as a tuple of integers in [lo, C], or
     raise a ValueError naming the field; the frozen dataclass stays hashable."""
-    C, values = obj.C, getattr(obj, name)
-    if isinstance(C, bool) or not isinstance(C, (int, np.integer)) or C < 1:
-        raise ValueError(f"C must be an integer >= 1, got {C!r}")
+    C, values = _checked_C(obj.C), getattr(obj, name)
     if not isinstance(values, tuple):
         try:
             object.__setattr__(obj, name, tuple(values))
@@ -100,13 +105,8 @@ class MulticlassReport:
 
     def mis_abs(self, y: ClassLabel) -> tuple[int, int]:
         """(misprediction, abstention) bitmasks against a class label."""
-        m = a = 0
-        for i, (v, t) in enumerate(zip(self.entries, y.classes)):
-            if v != t:
-                m |= 1 << i
-            if v == ABSTAIN:
-                a |= 1 << i
-        return m, a
+        pairs = list(zip(self.entries, y.classes))
+        return _mask([v != t for v, t in pairs]), _mask([v == ABSTAIN for v, _ in pairs])
 
 
 class BlockCodec:
@@ -118,28 +118,21 @@ class BlockCodec:
     """
 
     def __init__(self, C: int):
+        C = _checked_C(C)
         if C < 2 or C & (C - 1):
             raise ValueError(f"block codec needs a power-of-two class count, got {C}")
         self.C = C
         self.d = C.bit_length() - 1
-        self._decode = {}
-        for c in range(1, C + 1):
-            self._decode[self.code_bits(c)] = c
+        self._decode = {self.code_bits(c): c for c in range(1, C + 1)}
 
     def code_bits(self, c: int) -> int:
         """Bitmask (bit j set <=> +1 at in-block position j) of the class code."""
         if not 1 <= c <= self.C:
             raise ValueError(f"class {c} outside [1, {self.C}]")
-        word = c % self.C
-        bits = 0
-        for j in range(self.d):  # most significant digit at in-block position 0
-            if word >> (self.d - 1 - j) & 1:
-                bits |= 1 << j
-        return bits
+        return _mask(_bit_rows(c % self.C, self.d)[::-1])  # most significant digit at in-block position 0
 
     def code_signs(self, c: int) -> np.ndarray:
-        bits = self.code_bits(c)
-        return np.where((bits >> np.arange(self.d)) & 1 == 1, 1.0, -1.0)
+        return _sign_rows(self.code_bits(c), self.d)
 
     def decode_bits(self, bits: int) -> int:
         """The class whose code is the bitmask bits; a ValueError naming bits
@@ -172,10 +165,7 @@ def encode_bep(y: ClassLabel, codec: BlockCodec) -> int:
     """Concatenated class codes of y as a dk-bit label bitmask."""
     if y.C != codec.C:
         raise ValueError("label and codec class counts differ")
-    bits = 0
-    for i, c in enumerate(y.classes):
-        bits |= codec.code_bits(c) << (i * codec.d)
-    return bits
+    return sum(codec.code_bits(c) << (i * codec.d) for i, c in enumerate(y.classes))  # disjoint blocks: sum is OR
 
 
 def decode_bep(bits: int, k: int, codec: BlockCodec) -> ClassLabel:
@@ -321,28 +311,15 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def onehot_code_bits(c: int, C: int) -> int:
-    """One-hot sign pattern of class c: +1 at position c, -1 elsewhere."""
-    if not 1 <= c <= C:
-        raise ValueError(f"class {c} outside [1, {C}]")
-    return 1 << (c - 1)
-
-
 def onehot_encode(y: ClassLabel) -> int:
-    bits = 0
-    for i, c in enumerate(y.classes):
-        bits |= onehot_code_bits(c, y.C) << (i * y.C)
-    return bits
+    """Concatenated one-hot codes of y: bit C(i-1)+c-1 set <=> prediction i is class c."""
+    return _mask(np.array(y.classes)[:, None] == np.arange(1, y.C + 1))
 
 
 def mis_class(yp: ClassLabel, y: ClassLabel, c: int) -> int:
     """One-vs-all misprediction set for class c: positions where exactly one
     of prediction and label equals c."""
-    m = 0
-    for i, (a, b) in enumerate(zip(yp.classes, y.classes)):
-        if (a == c) != (b == c):
-            m |= 1 << i
-    return m
+    return _mask([(a == c) != (b == c) for a, b in zip(yp.classes, y.classes)])
 
 
 def ova_target(g_by_class, yp: ClassLabel, y: ClassLabel) -> float:
@@ -356,11 +333,7 @@ def ova_jaccard_costs(C: int, k: int):
     jac = make_jaccard(k)
 
     def g(c: int, y: ClassLabel) -> SetFunction:
-        t_bits = 0
-        for i, cls in enumerate(y.classes):
-            if cls == c:
-                t_bits |= 1 << i
-        return jac.for_label(t_bits)
+        return jac.for_label(_mask([cls == c for cls in y.classes]))
 
     return g
 

@@ -20,7 +20,7 @@ from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
 from .links import LinkConfig, _face_member_matrix, _thickening, faces_within, link_rows, naive_threshold_link
 from .lovasz import _checked, clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
-from .setfn import _checked_bits, popcounts, validate_polymatroid
+from .setfn import _bit_rows, _checked_bits, _sign_rows, popcounts, validate_polymatroid
 from .targets import AbstainReport, _report_at, _report_id_table, _report_masks, _report_signs
 from .targets import abstain_loss_table, plain_loss_table
 
@@ -71,8 +71,7 @@ def _grid_blocks(k: int, m: int):
         raise ValueError(f"distribution grid needs k >= 1, got k={k}")
     if k > 4:
         raise ValueError("distribution grid capped at k <= 4")
-    if m < 1:
-        raise ValueError(f"distribution grid needs m >= 1, got m={m}")
+    _checked_grid(m)
     n = 1 << k
     combos = itertools.combinations(range(m + n - 1), n - 1)
     while True:
@@ -82,6 +81,11 @@ def _grid_blocks(k: int, m: int):
             return
         edges = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, m + n - 1))
         yield (np.diff(edges, axis=1) - 1) / m
+
+
+def _checked_grid(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"distribution grid needs m >= 1, got m={m}")
 
 
 def grid_distributions(k: int, m: int):
@@ -146,11 +150,12 @@ def _lattice(k: int, step: float = 0.25) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def verify_embedding(fc, grid_m: int | None = None) -> VerificationReport:
+def verify_embedding(fc, grid_m: int = 8) -> VerificationReport:
     """Check that the hinge agrees with the abstain loss on report points and
     that both elicit the same optimal report sets over a distribution grid."""
     fc = as_collection(fc)
     k = fc.k
+    _checked_grid(grid_m)
     if k > 4:
         raise ValueError("embedding verification capped at k <= 4")
     F = fc.at(np.arange(1 << k)[:, None], np.arange(1 << k))
@@ -172,10 +177,9 @@ def verify_embedding(fc, grid_m: int | None = None) -> VerificationReport:
         )
     details = {"max_pointwise_gap": float(gap)}
     if k <= 3:
-        m = grid_m if grid_m is not None else 8
         lat_table = _hinge_table(fc, _lattice(k))
         worst_lattice = 0.0
-        for P in _grid_blocks(k, m):
+        for P in _grid_blocks(k, grid_m):
             disc_vals = P @ disc.T
             mismatch = (_argmin_mask(P @ surr.T) != _argmin_mask(disc_vals)).any(axis=1)
             shortfall = disc_vals.min(axis=1) - (P @ lat_table.T).min(axis=1)
@@ -229,6 +233,7 @@ def tightness_witness(v: AbstainReport) -> np.ndarray:
 def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
     """Unique-minimizer witnesses for reports without a lone abstention, and
     grid domination of lone-abstention reports by their sign completions."""
+    _checked_grid(grid_m)
     if isinstance(f, PolymatroidCollection):
         if not f.symmetric:
             raise ValueError("tightness check takes a symmetric set function")
@@ -296,8 +301,7 @@ class SymmetricCounterexample:
 def restrict_to_coords(f: SetFunction, coords: list[int]) -> SetFunction:
     """Set function induced on a subset of the ground set."""
     kk = len(coords)
-    bits = (np.arange(1 << kk)[:, None] >> np.arange(kk)) & 1
-    masks = np.bitwise_or.reduce(bits << np.array(coords, dtype=np.int64), axis=1)
+    masks = np.bitwise_or.reduce(_bit_rows(np.arange(1 << kk), kk) << np.array(coords, dtype=np.int64), axis=1)
     return SetFunction(kk, f.values[masks])
 
 
@@ -472,7 +476,7 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
         raise RuntimeError("tie-breaking bump failed to exclude the linked label")
 
     y_out = min(set(range(1 << k)) - plain_arg)
-    signs = np.where((y_out >> np.arange(k)) & 1 == 1, 1.0, -1.0)
+    signs = _sign_rows(y_out, k)
     ray_gap = expected_hinge(fc, signs, p_eps) - vals[zero_id]
     gaps = []
     for t in (1.0, 0.5, 0.25, 1e-3):

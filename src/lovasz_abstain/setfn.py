@@ -3,6 +3,11 @@
 Subsets of [k] = {1..k} are bitmasks: bit i-1 set <=> element i in the subset.
 Labels y in {-1,1}^k use the same indexing: bit i-1 set <=> y_i = +1, so the
 all-minus label is bitmask 0 and subset/label indexing coincide everywhere.
+A report v in {-1,0,1}^k is the disjoint bitmasks pos (v_i = +1) and zeros
+(v_i = 0); its string has one +, - or 0 per coordinate. Outside the perf-tuned
+kernels and bench.synth_data's batched label packing, this format is read and
+written only by the private helpers _checked_k, _mask, _bit_rows, _sign_rows,
+_pack, _parse and _format below.
 
 A set function is a dense table of its 2^k values. A collection {f_y} is read
 through PolymatroidCollection.at(y, S), the one place f_y(S) is read. Most
@@ -28,11 +33,64 @@ from ._tol import ATOL
 
 MAX_K = 62  # subsets, labels and reports are packed into int64 bitmasks
 _DENSE_MAX_K = 12  # dense views of a rule-read collection, and sweeps over all 4^k cells
+_CHARS = "-+0"  # the character of a coordinate, indexed by its pos bit | zeros bit << 1
 
 
 def popcounts(masks: np.ndarray) -> np.ndarray:
     """Population count of each entry of an integer array."""
     return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+
+
+def _checked_k(k: int) -> int:
+    """k, or a ValueError naming it unless 1 <= k <= MAX_K (the bitmasks are int64)."""
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must lie in [1, {MAX_K}], got k={k}")
+    return k
+
+
+def _mask(flags) -> int:
+    """The bitmask of a boolean vector: bit i set <=> flags[i]."""
+    return int.from_bytes(np.packbits(np.asarray(flags, dtype=bool), bitorder="little").tobytes(), "little")
+
+
+def _bit_rows(masks, k: int) -> np.ndarray:
+    """0/1 integer rows of shape masks.shape + (k,): entry i is bit i of each mask."""
+    return (np.asarray(masks)[..., None] >> np.arange(k)) & 1
+
+
+def _sign_rows(pos, k: int, zeros=None) -> np.ndarray:
+    """Float rows of shape pos.shape + (k,): +1 where pos has the bit, else -1,
+    and 0 where zeros has it, for the labels pos or the reports (pos, zeros)."""
+    signs = np.where(_bit_rows(pos, k) == 1, 1.0, -1.0)
+    return signs if zeros is None else np.where(_bit_rows(zeros, k) == 1, 0.0, signs)
+
+
+def _pack(v, what: str, zero: bool = False) -> tuple[int, int, int]:
+    """(k, pos, zeros) of a vector of +1 and -1 entries, and 0 entries if zero,
+    or a ValueError naming what and the first other entry."""
+    v = np.asarray(v)
+    if v.ndim != 1:
+        raise ValueError(f"{what} must be a vector, got shape {v.shape}")
+    plus, nil = v == 1, v == 0
+    bad = ~(plus | (v == -1) | (nil & zero))
+    if bad.any():
+        raise ValueError(f"{what} entries must be {'in {-1,0,1}' if zero else '+-1'}, got {v[bad.argmax()]}")
+    return len(v), _mask(plus), _mask(nil)
+
+
+def _parse(s: str, what: str, zero: bool = False) -> tuple[int, int, int]:
+    """(k, pos, zeros) of a string over + and -, and 0 if zero, or a ValueError
+    naming what and the first other character."""
+    codes = np.array([(_CHARS if zero else _CHARS[:2]).find(c) for c in s], dtype=int)  # -1: any other
+    if (codes < 0).any():
+        bad = s[codes.argmin()]
+        raise ValueError(f"{what} {s!r} has the character {bad!r}; expected {'+, - or 0' if zero else '+ or -'}")
+    return len(s), _mask(codes == 1), _mask(codes == 2)
+
+
+def _format(k: int, pos: int, zeros: int = 0) -> str:
+    """The string of the label pos or the report (pos, zeros): +, - or 0 per coordinate."""
+    return "".join(_CHARS[(pos >> i & 1) | (zeros >> i & 1) << 1] for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -43,34 +101,23 @@ class Label:
     bits: int
 
     def __post_init__(self):
-        if not (1 <= self.k):
-            raise ValueError(f"k must be positive, got {self.k}")
+        _checked_k(self.k)
         if not (0 <= self.bits < (1 << self.k)):
             raise ValueError(f"label bitmask {self.bits} out of range for k={self.k}")
 
     @classmethod
     def from_signs(cls, signs) -> "Label":
-        signs = np.asarray(signs)
-        bits = 0
-        for i, s in enumerate(signs):
-            if s == 1:
-                bits |= 1 << i
-            elif s != -1:
-                raise ValueError(f"label entries must be +-1, got {s}")
-        return cls(len(signs), bits)
+        return cls(*_pack(signs, "label")[:2])
 
     @classmethod
     def from_string(cls, s: str) -> "Label":
-        try:
-            return cls.from_signs([{"+": 1, "-": -1}[c] for c in s])
-        except KeyError as exc:
-            raise ValueError(f"label {s!r} has the character {exc.args[0]!r}; expected + or -") from None
+        return cls(*_parse(s, "label")[:2])
 
     def signs(self) -> np.ndarray:
-        return np.array([1.0 if self.bits >> i & 1 else -1.0 for i in range(self.k)])
+        return _sign_rows(self.bits, self.k)
 
     def __str__(self) -> str:
-        return "".join("+" if self.bits >> i & 1 else "-" for i in range(self.k))
+        return _format(self.k, self.bits)
 
 
 def _checked_label(y, k: int) -> int:
@@ -148,9 +195,8 @@ def make_modular(w) -> SetFunction:
     w = np.asarray(w, dtype=float)
     _check_weights(w, "weights")
     k = len(w)
-    masks = np.arange(1 << k)
-    membership = (masks[:, None] >> np.arange(k)) & 1
-    return SetFunction(k, membership @ w, {"k": k, "kind": "modular", "weights": tuple(w.tolist())})
+    return SetFunction(k, _bit_rows(np.arange(1 << k), k) @ w,
+                       {"k": k, "kind": "modular", "weights": tuple(w.tolist())})
 
 
 def make_zero_one(k: int) -> SetFunction:

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._tol import ARGMIN_TOL  # kept importable from here; the tie rule itself is oracle._argmin_mask
-from .setfn import Label, _checked_label, as_collection, popcounts
+from .setfn import Label, _checked_k, _checked_label, _format, _pack, _parse, _sign_rows, as_collection, popcounts
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class AbstainReport:
     zeros: int
 
     def __post_init__(self):
-        full = (1 << self.k) - 1
+        full = (1 << _checked_k(self.k)) - 1
         if not (0 <= self.pos <= full and 0 <= self.zeros <= full):
             raise ValueError("report bitmasks out of range")
         if self.pos & self.zeros:
@@ -47,45 +47,24 @@ class AbstainReport:
 
     @classmethod
     def from_vector(cls, v) -> "AbstainReport":
-        v = np.asarray(v)
-        pos = zeros = 0
-        for i, x in enumerate(v):
-            if x == 1:
-                pos |= 1 << i
-            elif x == 0:
-                zeros |= 1 << i
-            elif x != -1:
-                raise ValueError(f"report entries must be in {{-1,0,1}}, got {x}")
-        return cls(len(v), pos, zeros)
+        return cls(*_pack(v, "report", zero=True))
 
     @classmethod
     def from_string(cls, s: str) -> "AbstainReport":
-        try:
-            return cls.from_vector([{"+": 1, "-": -1, "0": 0}[c] for c in s])
-        except KeyError as exc:
-            raise ValueError(f"report {s!r} has the character {exc.args[0]!r}; expected +, - or 0") from None
+        return cls(*_parse(s, "report", zero=True))
 
     @classmethod
     def from_label(cls, y: Label) -> "AbstainReport":
         return cls(y.k, y.bits, 0)
 
     def vector(self) -> np.ndarray:
-        out = -np.ones(self.k)
-        for i in range(self.k):
-            if self.pos >> i & 1:
-                out[i] = 1.0
-            elif self.zeros >> i & 1:
-                out[i] = 0.0
-        return out
+        return _sign_rows(self.pos, self.k, self.zeros)
 
     def n_abstain(self) -> int:
         return self.zeros.bit_count()
 
     def __str__(self) -> str:
-        return "".join(
-            "+" if self.pos >> i & 1 else ("0" if self.zeros >> i & 1 else "-")
-            for i in range(self.k)
-        )
+        return _format(self.k, self.pos, self.zeros)
 
 
 def _report(v) -> AbstainReport:
@@ -179,8 +158,8 @@ def _report_id_table(k: int) -> np.ndarray:
 def _report_signs(k: int) -> np.ndarray:
     """Read-only (3^k, k) float rows of the canonical "V" order: +1, 0 or -1
     per coordinate, the vector() of each report."""
-    pos, zeros = (((m[:, None] >> np.arange(k)) & 1).astype(bool) for m in _report_masks(k))
-    signs = np.where(pos, 1.0, np.where(zeros, 0.0, -1.0))
+    pos, zeros = _report_masks(k)
+    signs = _sign_rows(pos, k, zeros)
     signs.setflags(write=False)
     return signs
 

@@ -20,6 +20,8 @@ def files(tmp_path):
     save_collection(make_jaccard(3), coll)
     sym = tmp_path / "sqrt2.json"
     save_collection(make_sqrt_card(2), sym)
+    sqrt4 = tmp_path / "sqrt4.json"
+    save_collection(make_sqrt_card(4), sqrt4)
     nan = tmp_path / "nan3.json"
     values = make_zero_one(3).values.copy()
     values[0b011] = np.nan
@@ -62,7 +64,7 @@ def files(tmp_path):
     truth.write_text("c1,c2\n+,+\n")
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "nan3": nan,
+    return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "sqrt4": sqrt4, "nan3": nan,
             "preds2": preds, "truth1": truth, "empty": empty, "dir": tmp_path,
             **{key: tmp_path / f"{key}.json" for key in broken}}
 
@@ -286,7 +288,19 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["mc-eval", "--g", "costs_short", "--C", "0", "--v=_", "--y=1"], "C must be an integer >= 1, got 0"),
      (["envelope", "--u=0,0,0,0,0", "--oracle"], "u has k=5 coordinates, but the face route"),
      (["metrics", "--pred", "empty", "--truth", "truth1", "--out", "dir"], "empty.csv is empty"),
-     (["metrics", "--pred", "preds2", "--truth", "empty", "--out", "dir"], "empty.csv is empty")],
+     (["metrics", "--pred", "preds2", "--truth", "empty", "--out", "dir"], "empty.csv is empty"),
+     (["verify", "representative", "--collection", "sqrt2", "--grid", "0"], "m=0"),
+     (["verify", "tightness", "--collection", "sqrt2", "--grid", "0"], "m=0"),
+     (["verify", "tightness", "--collection", "sqrt4", "--grid", "0"], "m=0"),
+     (["verify", "embedding", "--collection", "sqrt4", "--grid", "-1"], "m=-1"),
+     (["verify", "embedding", "--collection", "/nonexistent/nope.json"], "'/nonexistent/nope.json'"),
+     (["sweep", "--model", "/nonexistent"], "'/nonexistent/model.json'"),
+     (["train", "--config", "/nonexistent/train.json", "--out", "dir"], "'/nonexistent/train.json'"),
+     (["link", "--u=abc"], "u: could not convert string to float: 'abc'"),
+     (["eval-hinge", "--collection", "sqrt2", "--u=0.5,1e", "--y=++"], "u: could not convert string to float: '1e'"),
+     (["mc-link", "--C", "4", "--u=0.5,,0.2"], "u: could not convert string to float: ''"),
+     (["eval-extension", "--setfn", "setfn", "--x=0.5,x"], "x: could not convert string to float: 'x'"),
+     (["sweep", "--model", "dir", "--taus", "0,half"], "taus: could not convert string to float: 'half'")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
          "eval-hinge-nan-table", "metrics-length-mismatch", "eval-hinge-nan-weights", "eval-hinge-scalar-weights",
          "mc-eval-nan-class-weights", "eval-hinge-jaccard-without-k", "eval-hinge-table-without-values",
@@ -301,7 +315,10 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
          "train-nan-epsilon", "train-tau-above-1", "envelope-oracle-infinite-eps",
          "envelope-infinite-eps", "link-infinite-eps", "mc-link-infinite-eps",
          "mc-encode-malformed-label", "mc-eval-fractional-report", "mc-eval-zero-classes", "envelope-oracle-k5",
-         "metrics-empty-pred", "metrics-empty-truth"],
+         "metrics-empty-pred", "metrics-empty-truth", "verify-representative-empty-grid",
+         "verify-tightness-empty-grid", "verify-tightness-k4-empty-grid", "verify-embedding-k4-negative-grid",
+         "verify-missing-collection", "sweep-missing-model", "train-missing-config", "link-word-entry",
+         "eval-hinge-bad-exponent", "mc-link-empty-entry", "eval-extension-word-entry", "sweep-word-tau"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths

@@ -284,10 +284,15 @@ def test_class_label_parsing():
     (lambda: MulticlassReport(4, None), "entries must be a sequence of integers, got None"),
     (lambda: BlockCodec(4).decode_bits(7), "bits must be a code word in [0, 4) of the 4-class block code, got 7"),
     (lambda: BlockCodec(8).decode_bits(-1), "bits must be a code word in [0, 8) of the 8-class block code, got -1"),
+    (lambda: BlockCodec(4.0), "C must be an integer >= 1, got 4.0"),
+    (lambda: BlockCodec(True), "C must be an integer >= 1, got True"),
+    (lambda: BlockCodec("4"), "C must be an integer >= 1, got '4'"),
+    (lambda: BlockCodec(np.int64(6)), "block codec needs a power-of-two class count, got 6"),
 ], ids=["float-class", "bool-class", "string-class", "bool-entry", "float-entry", "float-r", "bool-r", "float-y",
         "y-out-of-range", "label-word", "label-empty-token", "label-float", "report-underscore-digits",
         "fractional-C", "bool-C", "zero-C", "zero-C-abstain-entry", "scalar-classes", "none-entries",
-        "bits-outside-the-code", "negative-bits"])
+        "bits-outside-the-code", "negative-bits", "float-codec-C", "bool-codec-C", "string-codec-C",
+        "numpy-codec-C-not-a-power-of-two"])
 def test_class_values_must_be_integers(call, message):
     with pytest.raises(ValueError) as err:
         call()
@@ -297,6 +302,8 @@ def test_class_values_must_be_integers(call, message):
 def test_class_values_accept_integers():
     assert ClassLabel(4, (np.int64(2), 4)).classes == (2, 4)
     assert ClassLabel(np.int64(1), (1,)).classes == (1,)
+    codec = BlockCodec(np.int64(4))  # once raised AttributeError
+    assert (codec.C, codec.d, type(codec.C)) == (4, 2, int) and codec.decode_bits(codec.code_bits(3)) == 3
     # a list is stored as a tuple: hash() of ClassLabel(4, [1, 2]) once raised TypeError
     assert ClassLabel(4, [1, 2]) == ClassLabel(4, (1, 2)) and hash(ClassLabel(4, [1, 2])) == hash(ClassLabel(4, (1, 2)))
     assert MulticlassReport(4, np.array([0, 3])).entries == (0, 3)

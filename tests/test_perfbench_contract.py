@@ -3,9 +3,9 @@
 perfbench/tracer.py wraps the layer modules by name and perfbench/workloads.py
 calls a few helpers directly; a rename in the package would only show up as a
 failed benchmark run. These tests read the tracer's constants and the
-workloads' source, and install nothing. One also runs the verify-oracle
-workload at its self-test size in a subprocess, traced and untraced, and reads
-its verdict.
+workloads' source, and install nothing. Two run the workloads at their
+self-test size in a subprocess, every workload untraced and verify-oracle
+traced as well, and read the verdict.
 """
 
 import ast
@@ -108,13 +108,23 @@ def test_no_untracked_public_generator(tracer):
                 assert stage in tracer.GENERATOR_COUNTS, stage
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_tiny_verify_oracle_run_is_correct(trace):
-    """The benchmark's own run, as the benchmark invokes it: every operation's
-    output check passes and none fails, with the tracer's hooks on or off."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", "verify-oracle", "--tiny", "--seconds", "1",
-            "--trace", trace]
+def _tiny_run(workload: str, trace: str) -> dict:
+    """The benchmark's own run of workload at its self-test size, as the benchmark invokes it."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--tiny", "--seconds", "1", "--trace", trace]
     done = subprocess.run(argv, cwd=TRACER.parent.parent, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_verify_oracle_run_is_correct(trace):
+    """Every operation's output check passes and none fails, with the tracer's hooks on or off."""
+    result = _tiny_run("verify-oracle", trace)
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
+
+
+@pytest.mark.parametrize("workload", ["train-chain", "train-wide", "sweep-link"])
+def test_tiny_run_of_the_other_workloads_is_correct(workload):
+    """The trainer and sweep workloads' output checks pass untraced as well."""
+    result = _tiny_run(workload, "0")
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
