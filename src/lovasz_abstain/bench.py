@@ -19,7 +19,7 @@ import numpy as np
 
 from .links import LinkConfig, link_rows, trim_rows
 from .lovasz import hinge_and_subgradient_rows, hinge_rows, subgradient_rows
-from .setfn import _checked_bits, _checked_label, as_collection, popcounts
+from .setfn import _checked_bits, _checked_label, _row_masks, as_collection, popcounts
 from .targets import AbstainReport, _outcomes, _report
 
 
@@ -175,8 +175,7 @@ def synth_data(cfg: TrainConfig) -> Dataset:
         Y = rng.choice([-1.0, 1.0], size=(n, k))
     X = rng.standard_normal((n, cfg.feature_dim))
     X[:, :k] = Y * (cfg.margin + np.abs(rng.standard_normal((n, k)))) + noise * rng.standard_normal((n, k))
-    y_bits = ((Y > 0).astype(np.int64) * (1 << np.arange(k))).sum(axis=1)
-    return Dataset(X, Y, y_bits)
+    return Dataset(X, Y, _row_masks(Y > 0))
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

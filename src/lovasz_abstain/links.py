@@ -30,9 +30,8 @@ evaluates only the unsigned chains on each: 3/11/51/299 at k = 1..4, against
 reject a larger u or us. A point's envelope is the AND of the member words
 (one uint64 per 64 reports) of its qualifying faces. The face tables are
 built once per k from numpy arrays (``_face_tables``); only the chains are
-enumerated in Python. A cold first oracle call at k = 4 takes 3-5 ms, where
-building 3,393 face records took 17-35 ms. Both routes resolve exact eps
-boundaries toward keeping the vertex (tolerance GAP_TOL): they agree as sets.
+enumerated in Python. Both routes resolve exact eps boundaries toward keeping
+the vertex (tolerance GAP_TOL): they agree as sets.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from ._tol import GAP_TOL
 from .lovasz import _checked, clip
-from .setfn import MAX_K, _format, popcounts
+from .setfn import MAX_K, _bit_rows, _format, _row_masks, popcounts
 from .targets import AbstainReport, _report_at, _report_id_table
 
 
@@ -194,8 +193,7 @@ def _link(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
     level only."""
     x, order, seq, qualify = gap_levels(us, eps)
     k = x.shape[1]
-    bits = 1 << np.arange(k)
-    mid, rank, live, plus = (seq[:, :-1] + seq[:, 1:]) / 2.0, order.argsort(), x != 0.0, (x >= 0.0) @ bits
+    mid, rank, live, plus = (seq[:, :-1] + seq[:, 1:]) / 2.0, order.argsort(), x != 0.0, _row_masks(x >= 0.0)
     grid = getattr(tau, "ndim", 0) == 2
     if grid:
         shape = (len(us), tau.shape[1])
@@ -207,7 +205,7 @@ def _link(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"no gap of size 2*eps: eps={eps} exceeds 1/(2k)={1 / (2 * k)}")
     # The coordinates ranked below the level, less exact zeros: zeros sort
     # last, so this keeps the first min(level, nonzeros) and leaves zeros abstained.
-    kept = ((rank < level[:, None]) & live) @ bits
+    kept = _row_masks((rank < level[:, None]) & live)
     pos, zeros = kept & plus, ((1 << k) - 1) ^ kept
     return (pos.reshape(shape), zeros.reshape(shape)) if grid else (pos, zeros)
 
@@ -230,7 +228,7 @@ def trim_rows(pos: np.ndarray, zeros: np.ndarray, us: np.ndarray) -> tuple[np.nd
     the matching row of us there; other rows are returned unchanged."""
     us = _points(us, "us", 2)
     lone = (zeros != 0) & (zeros & (zeros - 1) == 0)
-    plus = np.where(us >= 0, 1 << np.arange(us.shape[1]), 0).sum(axis=1)
+    plus = _row_masks(us >= 0)
     return np.where(lone, pos | (zeros & plus), pos), np.where(lone, 0, zeros)
 
 
@@ -393,11 +391,10 @@ def faces_within(x_rows: np.ndarray, t: float) -> np.ndarray:
     if not t > 0:
         return out
     levels, prefix, union, suffix, face_of = _chain_plan(k)
-    bits = 1 << np.arange(k)
-    big = (np.abs(x_rows) >= t) @ bits
-    plus = (x_rows > 0) @ bits
+    big = _row_masks(np.abs(x_rows) >= t)
+    plus = _row_masks(x_rows > 0)
     point, b = np.nonzero((np.arange(1 << k) ^ plus[:, None]) & big[:, None] == 0)
-    s = np.where(b[:, None] & bits, x_rows[point], -x_rows[point])
+    s = np.where(_bit_rows(b, k), x_rows[point], -x_rows[point])
     lo, hi, one_gap, size = _subset_tables(s)
     run_min = np.full((len(prefix), len(s)), np.inf)
     spread = np.zeros((len(prefix), len(s)))

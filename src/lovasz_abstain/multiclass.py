@@ -18,7 +18,7 @@ from ._tol import EXACT_TOL
 from .links import LinkConfig, _link, _points
 from .lovasz import hinge
 from .oracle import VerificationReport
-from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _check_weights, _mask, _sign_rows
+from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _check_weights, _mask, _row_masks, _sign_rows
 from .setfn import make_jaccard, make_modular
 from .targets import AbstainReport, _report_id_table, _report_masks, abstain_loss_table
 
@@ -26,17 +26,28 @@ ABSTAIN = 0  # class slot reserved for the abstain answer
 _PAIR_ROWS = 4096  # (report, block) pairs per block-domination comparison; 16 MiB of rows at d*k = 9
 
 
+def _is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer; bools and integral floats are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_classes(values, name: str, lo: int, C: int) -> None:
-    """A ValueError naming name unless every value is an integer (not a bool) in [lo, C]."""
+    """A ValueError naming name unless every value is an integer in [lo, C]."""
     for c in values:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not lo <= c <= C:
+        if not _is_integer(c) or not lo <= c <= C:
             raise ValueError(f"{name}: {c!r} is not an integer in [{lo}, {C}]")
 
 
 def _checked_C(C) -> int:
-    if isinstance(C, bool) or not isinstance(C, (int, np.integer)) or C < 1:
+    if not _is_integer(C) or C < 1:
         raise ValueError(f"C must be an integer >= 1, got {C!r}")
     return int(C)
+
+
+def _check_alike(y, name: str, v, other: str) -> None:
+    """A ValueError naming name unless y has the k and C of v."""
+    if (y.k, y.C) != (v.k, v.C):
+        raise ValueError(f"{name} has k={y.k} and C={y.C}, but {other} has k={v.k} and C={v.C}")
 
 
 def _freeze_classes(obj, name: str, lo: int) -> None:
@@ -104,7 +115,9 @@ class MulticlassReport:
         return ",".join("_" if c == 0 else str(c) for c in self.entries)
 
     def mis_abs(self, y: ClassLabel) -> tuple[int, int]:
-        """(misprediction, abstention) bitmasks against a class label."""
+        """(misprediction, abstention) bitmasks against a class label of the
+        same k and C, or a ValueError naming y."""
+        _check_alike(y, "y", self, "v")
         pairs = list(zip(self.entries, y.classes))
         return _mask([v != t for v, t in pairs]), _mask([v == ABSTAIN for v, _ in pairs])
 
@@ -126,9 +139,9 @@ class BlockCodec:
         self._decode = {self.code_bits(c): c for c in range(1, C + 1)}
 
     def code_bits(self, c: int) -> int:
-        """Bitmask (bit j set <=> +1 at in-block position j) of the class code."""
-        if not 1 <= c <= self.C:
-            raise ValueError(f"class {c} outside [1, {self.C}]")
+        """Bitmask (bit j set <=> +1 at in-block position j) of the class code;
+        a ValueError naming c unless it is an integer in [1, C]."""
+        _check_classes([c], "c", 1, self.C)
         return _mask(_bit_rows(c % self.C, self.d)[::-1])  # most significant digit at in-block position 0
 
     def code_signs(self, c: int) -> np.ndarray:
@@ -136,12 +149,12 @@ class BlockCodec:
 
     def decode_bits(self, bits: int) -> int:
         """The class whose code is the bitmask bits; a ValueError naming bits
-        unless it is a d-bit code word."""
-        try:
-            return self._decode[bits]
-        except KeyError:
+        unless it is an integer d-bit code word."""
+        c = self._decode.get(bits) if _is_integer(bits) else None
+        if c is None:
             raise ValueError(f"bits must be a code word in [0, {1 << self.d}) of the {self.C}-class block code, "
-                             f"got {bits!r}") from None
+                             f"got {bits!r}")
+        return c
 
 
 def bep_loss(r, y, n: int) -> float:
@@ -194,6 +207,9 @@ class ClassCosts:
         return cls(g.k, shared=g)
 
     def for_label(self, y: ClassLabel) -> SetFunction:
+        """g_y, or a ValueError naming y unless it has the costs' k."""
+        if y.k != self.k:
+            raise ValueError(f"y has k={y.k}, but the costs have k={self.k}")
         if self.shared is not None:
             return self.shared
         top = max(y.classes, default=0)
@@ -211,12 +227,11 @@ def _as_costs(g) -> ClassCosts:
 
 
 def multiclass_target(g, v: MulticlassReport, y: ClassLabel) -> float:
-    """g_y(mis \\ abs) + g_y(mis) with abstentions always counting as misses."""
+    """g_y(mis \\ abs) + g_y(mis) with abstentions always counting as misses.
+    Raises ValueError naming y unless it has the k and C of v and the k of g."""
     g = _as_costs(g)
-    if v.k != y.k or v.k != g.k:
-        raise ValueError("report, label and cost dimensions must agree")
-    gy = g.for_label(y)
     m, a = v.mis_abs(y)
+    gy = g.for_label(y)
     return gy.eval(m & ~a) + gy.eval(m)
 
 
@@ -235,9 +250,7 @@ def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
     n = d * k
     if n > 12:
         raise ValueError("lifted ground set capped at d*k <= 12")
-    blocks = np.arange(k)
-    touched = (np.arange(1 << n)[:, None] >> (blocks * d)) & ((1 << d) - 1) != 0
-    block_sets = touched @ (1 << blocks)  # the set of blocks each bit subset touches
+    block_sets = _row_masks(_bit_rows(np.arange(1 << n), n).reshape(-1, k, d).any(axis=2))  # blocks touched
     if g.weights is None:  # every class label reads the one shared table
         shared = g.for_label(ClassLabel(C, (1,) * k))
         return PolymatroidCollection.from_setfn(SetFunction(n, shared.values[block_sets]))
@@ -283,12 +296,10 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     labels = np.array([encode_bep(y, codec) for y in _class_labels(codec.C, k)])
     table = abstain_loss_table(lift_polymatroid(g, codec, k))[:, labels]
     pos, zeros = _report_masks(n)
-    block = (1 << d) - 1
-    shifts = np.arange(k) * d
-    in_block = (zeros[:, None] >> shifts) & block
+    in_block = _bit_rows(zeros, n).reshape(-1, k, d)
     # (report, partial block) pairs in case order: report-major, block-minor
-    vids, blocks = np.nonzero((in_block > 0) & (in_block != block))
-    whole = block << shifts[blocks]
+    vids, blocks = np.nonzero(in_block.any(axis=2) & ~in_block.all(axis=2))
+    whole = ((1 << d) - 1) << (blocks * d)
     full_ids = _report_id_table(n)[pos[vids] & ~whole, zeros[vids] | whole]
     cases = 0
     for start in range(0, len(vids), _PAIR_ROWS):
@@ -318,12 +329,16 @@ def onehot_encode(y: ClassLabel) -> int:
 
 def mis_class(yp: ClassLabel, y: ClassLabel, c: int) -> int:
     """One-vs-all misprediction set for class c: positions where exactly one
-    of prediction and label equals c."""
+    of prediction and label equals c. Raises ValueError naming y unless it
+    has the k and C of yp."""
+    _check_alike(y, "y", yp, "yp")
     return _mask([(a == c) != (b == c) for a, b in zip(yp.classes, y.classes)])
 
 
 def ova_target(g_by_class, yp: ClassLabel, y: ClassLabel) -> float:
-    """(1/C) sum_c g_{c,y}(mis_c(y', y)) with per-class cost tables."""
+    """(1/C) sum_c g_{c,y}(mis_c(y', y)) with per-class cost tables. Raises
+    ValueError naming y unless it has the k and C of yp."""
+    _check_alike(y, "y", yp, "yp")
     C = y.C
     return sum(g_by_class(c, y).eval(mis_class(yp, y, c)) for c in range(1, C + 1)) / C
 
@@ -348,8 +363,7 @@ def onehot_lift(g_by_class, C: int, k: int) -> PolymatroidCollection:
     n = C * k
     if n > 12:
         raise ValueError("one-hot lift capped at C*k <= 12")
-    masks = np.arange(1 << n)
-    proj = [np.bitwise_or.reduce([(masks >> (i * C + c) & 1) << i for i in range(k)]) for c in range(C)]
+    proj = _row_masks(_bit_rows(np.arange(1 << n), n).reshape(-1, k, C).swapaxes(1, 2)).T
     ys = _class_labels(C, k)
     values = np.array([sum(g_by_class(c + 1, y).values[proj[c]] for c in range(C)) for y in ys])
     return PolymatroidCollection.from_tables(n, [onehot_encode(y) for y in ys], values / C)

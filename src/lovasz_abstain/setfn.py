@@ -4,10 +4,10 @@ Subsets of [k] = {1..k} are bitmasks: bit i-1 set <=> element i in the subset.
 Labels y in {-1,1}^k use the same indexing: bit i-1 set <=> y_i = +1, so the
 all-minus label is bitmask 0 and subset/label indexing coincide everywhere.
 A report v in {-1,0,1}^k is the disjoint bitmasks pos (v_i = +1) and zeros
-(v_i = 0); its string has one +, - or 0 per coordinate. Outside the perf-tuned
-kernels and bench.synth_data's batched label packing, this format is read and
-written only by the private helpers _checked_k, _mask, _bit_rows, _sign_rows,
-_pack, _parse and _format below.
+(v_i = 0); its string has one +, - or 0 per coordinate. Only the private
+helpers below read and write this format, one value at a time and batched:
+_checked_k, _mask and _row_masks (flags to masks), _bit_rows and _sign_rows
+(masks to rows), _pack, _parse and _format.
 
 A set function is a dense table of its 2^k values. A collection {f_y} is read
 through PolymatroidCollection.at(y, S), the one place f_y(S) is read. Most
@@ -34,6 +34,8 @@ from ._tol import ATOL
 MAX_K = 62  # subsets, labels and reports are packed into int64 bitmasks
 _DENSE_MAX_K = 12  # dense views of a rule-read collection, and sweeps over all 4^k cells
 _CHARS = "-+0"  # the character of a coordinate, indexed by its pos bit | zeros bit << 1
+_WEIGHTS = 1 << np.arange(MAX_K, dtype=np.int64)  # bit i's weight; rows of k bits read the first k
+_WEIGHTS.setflags(write=False)
 
 
 def popcounts(masks: np.ndarray) -> np.ndarray:
@@ -53,16 +55,21 @@ def _mask(flags) -> int:
     return int.from_bytes(np.packbits(np.asarray(flags, dtype=bool), bitorder="little").tobytes(), "little")
 
 
+def _row_masks(flags: np.ndarray) -> np.ndarray:
+    """int64 masks of bool rows flags (..., k): bit i set <=> flags[..., i]. The inverse of _bit_rows."""
+    return flags @ _WEIGHTS[: flags.shape[-1]]
+
+
 def _bit_rows(masks, k: int) -> np.ndarray:
-    """0/1 integer rows of shape masks.shape + (k,): entry i is bit i of each mask."""
-    return (np.asarray(masks)[..., None] >> np.arange(k)) & 1
+    """Bool rows of shape masks.shape + (k,): entry i is bit i of each mask."""
+    return np.asarray(masks)[..., None] & _WEIGHTS[:k] != 0
 
 
 def _sign_rows(pos, k: int, zeros=None) -> np.ndarray:
     """Float rows of shape pos.shape + (k,): +1 where pos has the bit, else -1,
     and 0 where zeros has it, for the labels pos or the reports (pos, zeros)."""
-    signs = np.where(_bit_rows(pos, k) == 1, 1.0, -1.0)
-    return signs if zeros is None else np.where(_bit_rows(zeros, k) == 1, 0.0, signs)
+    signs = np.where(_bit_rows(pos, k), 1.0, -1.0)
+    return signs if zeros is None else np.where(_bit_rows(zeros, k), 0.0, signs)
 
 
 def _pack(v, what: str, zero: bool = False) -> tuple[int, int, int]:
@@ -153,11 +160,10 @@ class SetFunction:
     spec: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        _checked_k(self.k)
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
         if vals.shape != (1 << self.k,):
             raise ValueError(f"need 2^{self.k} values, got shape {vals.shape}")
 
@@ -201,16 +207,14 @@ def make_modular(w) -> SetFunction:
 
 def make_zero_one(k: int) -> SetFunction:
     """Indicator of a nonempty subset: 0 on the empty set, 1 elsewhere."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    values = np.ones(1 << k)
+    values = np.ones(1 << _checked_k(k))
     values[0] = 0.0
     return SetFunction(k, values, {"k": k, "kind": "zero_one"})
 
 
 def make_concave_card(k: int, g) -> SetFunction:
     """f(S) = g(|S|) for a nondecreasing concave g with g(0)=0."""
-    gs = np.array([g(c) for c in range(k + 1)], dtype=float)
+    gs = np.array([g(c) for c in range(_checked_k(k) + 1)], dtype=float)
     if abs(gs[0]) > ATOL:
         raise ValueError("g(0) must be 0")
     diffs = np.diff(gs)
@@ -245,10 +249,11 @@ class PolymatroidCollection:
     spec: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        _checked_k(self.k)
         values = np.ascontiguousarray(self.values, dtype=float)
         rows = np.asarray(self.rows, dtype=np.intp)
-        if self.k < 1 or values.ndim != 2 or values.shape[1] != 1 << self.k:
-            raise ValueError(f"values has shape {values.shape}, expected (R, 2^k) with k={self.k} >= 1")
+        if values.ndim != 2 or values.shape[1] != 1 << self.k:
+            raise ValueError(f"values has shape {values.shape}, expected (R, 2^k) with k={self.k}")
         shared = rows is _shared_rows(self.k)  # total and in range by construction
         if not shared and (rows.shape != (1 << self.k,) or rows.min() < -1 or rows.max() >= len(values)):
             raise ValueError(f"rows must map each of the {1 << self.k} labels to -1 or a row of values")
@@ -370,9 +375,7 @@ class _JaccardCollection(PolymatroidCollection):
 def make_jaccard(k: int) -> PolymatroidCollection:
     """Label-indexed Jaccard family J_y(S) = |S| / |S u {i : y_i = +1}|, with 0/0 = 0,
     read from that rule for 1 <= k <= MAX_K."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"jaccard needs 1 <= k <= {MAX_K}, got k={k}")
-    return _JaccardCollection(k)
+    return _JaccardCollection(_checked_k(k))
 
 
 @dataclass

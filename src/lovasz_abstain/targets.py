@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._tol import ARGMIN_TOL  # kept importable from here; the tie rule itself is oracle._argmin_mask
-from .setfn import Label, _checked_k, _checked_label, _format, _pack, _parse, _sign_rows, as_collection, popcounts
+from .setfn import _DENSE_MAX_K, Label, _checked_k, _checked_label, _format, _pack, _parse, _sign_rows
+from .setfn import as_collection, popcounts
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def _report_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
     subsets of its free coordinates in increasing order. The n-th subset of
     a free mask scatters the bits of n over the free positions, lowest first.
     """
-    if k > 12:
-        raise ValueError("report enumeration capped at k <= 12")
+    if k > _DENSE_MAX_K:
+        raise ValueError(f"report enumeration capped at k <= {_DENSE_MAX_K}")
     masks = np.arange(1 << k, dtype=np.int64)
     sizes = 1 << (k - popcounts(masks))
     zeros = np.repeat(masks, sizes)

@@ -288,11 +288,17 @@ def test_class_label_parsing():
     (lambda: BlockCodec(True), "C must be an integer >= 1, got True"),
     (lambda: BlockCodec("4"), "C must be an integer >= 1, got '4'"),
     (lambda: BlockCodec(np.int64(6)), "block codec needs a power-of-two class count, got 6"),
+    (lambda: BlockCodec(4).code_bits(2.5), "c: 2.5 is not an integer in [1, 4]"),  # numpy's TypeError before
+    (lambda: BlockCodec(4).code_bits(True), "c: True is not an integer in [1, 4]"),
+    (lambda: BlockCodec(4).code_bits(5), "c: 5 is not an integer in [1, 4]"),
+    (lambda: BlockCodec(4).decode_bits(2.0), "bits must be a code word in [0, 4) of the 4-class block code, got 2.0"),
+    (lambda: BlockCodec(4).decode_bits(True), "bits must be a code word in [0, 4) of the 4-class block code, got True"),
 ], ids=["float-class", "bool-class", "string-class", "bool-entry", "float-entry", "float-r", "bool-r", "float-y",
         "y-out-of-range", "label-word", "label-empty-token", "label-float", "report-underscore-digits",
         "fractional-C", "bool-C", "zero-C", "zero-C-abstain-entry", "scalar-classes", "none-entries",
         "bits-outside-the-code", "negative-bits", "float-codec-C", "bool-codec-C", "string-codec-C",
-        "numpy-codec-C-not-a-power-of-two"])
+        "numpy-codec-C-not-a-power-of-two", "float-code-class", "bool-code-class", "code-class-out-of-range",
+        "float-bits", "bool-bits"])
 def test_class_values_must_be_integers(call, message):
     with pytest.raises(ValueError) as err:
         call()
@@ -310,6 +316,35 @@ def test_class_values_accept_integers():
     assert hash(MulticlassReport(4, [0, 3])) == hash(MulticlassReport(4, (0, 3)))
     assert ClassLabel.from_string(8, " 7,+3").classes == (7, 3)
     assert bep_loss(None, 2, 4) == 0.5 and bep_loss(2, 2, 4) == 0.0 and bep_loss(3, 2, 4) == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MulticlassReport(4, (1,)).mis_abs(ClassLabel(4, (2, 3, 4))),  # once (1, 0): the common prefix
+     "y has k=3 and C=4, but v has k=1 and C=4"),
+    (lambda: MulticlassReport(4, (1, 2)).mis_abs(ClassLabel(8, (1, 2))), "y has k=2 and C=8, but v has k=2 and C=4"),
+    (lambda: mis_class(ClassLabel(4, (1,)), ClassLabel(4, (2, 1, 1)), 1),  # once 1
+     "y has k=3 and C=4, but yp has k=1 and C=4"),
+    (lambda: mis_class(ClassLabel(4, (1,)), ClassLabel(2, (1,)), 1), "y has k=1 and C=2, but yp has k=1 and C=4"),
+    (lambda: ova_target(ova_jaccard_costs(4, 2), ClassLabel(4, (1,)), ClassLabel(4, (2, 1))),
+     "y has k=2 and C=4, but yp has k=1 and C=4"),
+    (lambda: ova_target(ova_jaccard_costs(4, 2), ClassLabel(4, (1, 2)), ClassLabel(8, (1, 2))),
+     "y has k=2 and C=8, but yp has k=2 and C=4"),
+    (lambda: multiclass_target(make_sqrt_card(2), MulticlassReport(4, (1, 2)), ClassLabel(8, (1, 2))),  # once 0.0
+     "y has k=2 and C=8, but v has k=2 and C=4"),
+    (lambda: multiclass_target(make_sqrt_card(2), MulticlassReport(4, (1,)), ClassLabel(4, (1, 2))),
+     "y has k=2 and C=4, but v has k=1 and C=4"),
+    (lambda: multiclass_target(make_sqrt_card(3), MulticlassReport(4, (1, 2)), ClassLabel(4, (1, 2))),
+     "y has k=2, but the costs have k=3"),
+    (lambda: ClassCosts(2, weights_by_class=[1.0, 2.0]).for_label(ClassLabel(2, (1,))),
+     "y has k=1, but the costs have k=2"),
+    (lambda: ClassCosts.from_setfn(make_sqrt_card(2)).for_label(ClassLabel(4, (1, 2, 3))),
+     "y has k=3, but the costs have k=2"),
+], ids=["mis-abs-k", "mis-abs-C", "mis-class-k", "mis-class-C", "ova-k", "ova-C", "target-C", "target-k",
+        "target-cost-k", "weights-k", "shared-k"])
+def test_labels_must_match_the_report_and_the_costs(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("call", [
