@@ -230,103 +230,60 @@ def cmd_sweep(args):
     _emit(rows)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQ = {"required": True}
+_FLAG = {"action": "store_true"}
+_TAU = {"type": float, "default": 0.5}
+_EPS = {"default": "auto"}
+_C = {"type": int, "required": True}
+
+# Each subcommand's help and arguments; the handler of "x-y" is cmd_x_y.
+_COMMANDS = {
+    "validate": ("polymatroid axioms on a set function file", {"--setfn": _REQ, "--strict": _FLAG}),
+    "condition1": ("complementary-error condition on a collection", {"--collection": _REQ}),
+    "eval-extension": ("extension value at a nonnegative point", {"--setfn": _REQ, "--x": _REQ}),
+    "eval-hinge": ("hinge value at (u, y)", {"--collection": _REQ, "--u": _REQ, "--y": _REQ}),
+    "eval-target": ("discrete target loss at (v, y)",
+                    {"--collection": _REQ, "--v": _REQ, "--y": _REQ, "--plain": _FLAG}),
+    "link": ("threshold-abstain link output", {"--u": _REQ, "--tau": _TAU, "--eps": _EPS, "--trim": _FLAG}),
+    "envelope": ("link envelope members with witnesses", {"--u": _REQ, "--eps": _EPS, "--oracle": _FLAG}),
+    "verify": ("brute-force verification sweeps",
+               {"what": {"choices": ["embedding", "representative", "tightness"]}, "--collection": _REQ,
+                "--k": {"type": int, "help": "expected dimension (checked)"}, "--grid": {"type": int, "default": 8},
+                "--family": {"choices": ["V", "V0", "Y"], "default": "V0"}}),
+    "counterexample": ("inconsistency certificates", {"--collection": _REQ, "--symmetric": _FLAG}),
+    "mc-encode": ("block-encode a multiclass label", {"--C": _C, "--y": _REQ}),
+    "mc-eval": ("multiclass abstain target value", {"--g": _REQ, "--C": _C, "--v": _REQ, "--y": _REQ}),
+    "mc-link": ("trimmed threshold-abstain link", {"--u": _REQ, "--C": _C, "--tau": _TAU, "--eps": _EPS}),
+    "train": ("fit the linear scorer on synthetic data", {"--config": _REQ, "--out": _REQ}),
+    "metrics": ("abstention-aware metrics from CSV files", {"--pred": _REQ, "--truth": _REQ, "--out": _REQ}),
+    "sweep": ("tau sweep of a trained run directory",
+              {"--model": _REQ, "--taus": {"default": "0,0.25,0.5,0.75,1"}, "--trim": _FLAG}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The lovabs parser with every subcommand, or with only `command` when it names one.
+
+    Both print the same help and errors for that command. The one-command
+    parser's usage lists every command through a metavar; the full parser
+    has none, so its own errors still name the argument "command".
+    """
+    only = command in _COMMANDS
+    names = [command] if only else list(_COMMANDS)
     p = argparse.ArgumentParser(prog="lovabs", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("validate", help="polymatroid axioms on a set function file")
-    q.add_argument("--setfn", required=True)
-    q.add_argument("--strict", action="store_true")
-    q.set_defaults(fn=cmd_validate)
-
-    q = sub.add_parser("condition1", help="complementary-error condition on a collection")
-    q.add_argument("--collection", required=True)
-    q.set_defaults(fn=cmd_condition1)
-
-    q = sub.add_parser("eval-extension", help="extension value at a nonnegative point")
-    q.add_argument("--setfn", required=True)
-    q.add_argument("--x", required=True)
-    q.set_defaults(fn=cmd_eval_extension)
-
-    q = sub.add_parser("eval-hinge", help="hinge value at (u, y)")
-    q.add_argument("--collection", required=True)
-    q.add_argument("--u", required=True)
-    q.add_argument("--y", required=True)
-    q.set_defaults(fn=cmd_eval_hinge)
-
-    q = sub.add_parser("eval-target", help="discrete target loss at (v, y)")
-    q.add_argument("--collection", required=True)
-    q.add_argument("--v", required=True)
-    q.add_argument("--y", required=True)
-    q.add_argument("--plain", action="store_true")
-    q.set_defaults(fn=cmd_eval_target)
-
-    q = sub.add_parser("link", help="threshold-abstain link output")
-    q.add_argument("--u", required=True)
-    q.add_argument("--tau", type=float, default=0.5)
-    q.add_argument("--eps", default="auto")
-    q.add_argument("--trim", action="store_true")
-    q.set_defaults(fn=cmd_link)
-
-    q = sub.add_parser("envelope", help="link envelope members with witnesses")
-    q.add_argument("--u", required=True)
-    q.add_argument("--eps", default="auto")
-    q.add_argument("--oracle", action="store_true")
-    q.set_defaults(fn=cmd_envelope)
-
-    q = sub.add_parser("verify", help="brute-force verification sweeps")
-    q.add_argument("what", choices=["embedding", "representative", "tightness"])
-    q.add_argument("--collection", required=True)
-    q.add_argument("--k", type=int, default=None, help="expected dimension (checked)")
-    q.add_argument("--grid", type=int, default=8)
-    q.add_argument("--family", choices=["V", "V0", "Y"], default="V0")
-    q.set_defaults(fn=cmd_verify)
-
-    q = sub.add_parser("counterexample", help="inconsistency certificates")
-    q.add_argument("--collection", required=True)
-    q.add_argument("--symmetric", action="store_true")
-    q.set_defaults(fn=cmd_counterexample)
-
-    q = sub.add_parser("mc-encode", help="block-encode a multiclass label")
-    q.add_argument("--C", type=int, required=True)
-    q.add_argument("--y", required=True)
-    q.set_defaults(fn=cmd_mc_encode)
-
-    q = sub.add_parser("mc-eval", help="multiclass abstain target value")
-    q.add_argument("--g", required=True)
-    q.add_argument("--C", type=int, required=True)
-    q.add_argument("--v", required=True)
-    q.add_argument("--y", required=True)
-    q.set_defaults(fn=cmd_mc_eval)
-
-    q = sub.add_parser("mc-link", help="trimmed threshold-abstain link")
-    q.add_argument("--u", required=True)
-    q.add_argument("--C", type=int, required=True)
-    q.add_argument("--tau", type=float, default=0.5)
-    q.add_argument("--eps", default="auto")
-    q.set_defaults(fn=cmd_mc_link)
-
-    q = sub.add_parser("train", help="fit the linear scorer on synthetic data")
-    q.add_argument("--config", required=True)
-    q.add_argument("--out", required=True)
-    q.set_defaults(fn=cmd_train)
-
-    q = sub.add_parser("metrics", help="abstention-aware metrics from CSV files")
-    q.add_argument("--pred", required=True)
-    q.add_argument("--truth", required=True)
-    q.add_argument("--out", required=True)
-    q.set_defaults(fn=cmd_metrics)
-
-    q = sub.add_parser("sweep", help="tau sweep of a trained run directory")
-    q.add_argument("--model", required=True)
-    q.add_argument("--taus", default="0,0.25,0.5,0.75,1")
-    q.add_argument("--trim", action="store_true")
-    q.set_defaults(fn=cmd_sweep)
+    sub = p.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
+    for name in names:
+        help_text, arguments = _COMMANDS[name]
+        q = sub.add_parser(name, help=help_text)
+        for flag, spec in arguments.items():
+            q.add_argument(flag, **spec)
+        q.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])  # read now, so a rebound cmd_* is called
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         args.fn(args)
     except (ValueError, OSError) as exc:  # OSError: an input file that cannot be read, named by its path

@@ -58,8 +58,9 @@ def extension_batch(f: SetFunction, xs: np.ndarray) -> np.ndarray:
 
 
 def clip(u) -> np.ndarray:
-    """Clamp each coordinate to [-1, 1], preserving sign."""
-    return np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
+    """Clamp each coordinate of a vector or of (n, k) rows to [-1, 1], preserving sign."""
+    u = np.asarray(u, dtype=float)
+    return np.clip(_checked(u, u.shape[-1] if u.ndim else 1, "u", 2 if u.ndim == 2 else 1), -1.0, 1.0)
 
 
 def hinge(fc, u, y) -> float:
@@ -101,9 +102,7 @@ def expected_hinge(fc, u, p) -> float:
     """E_{Y~p} hinge(fc, u, Y); only labels with positive mass are visited."""
     fc = as_collection(fc)
     u = _checked(u, fc.k, "u", 1)
-    p = np.asarray(p, dtype=float)
-    if p.shape != (1 << fc.k,):
-        raise ValueError(f"p has shape {p.shape}, expected ({1 << fc.k},)")
+    p = _checked(p, 1 << fc.k, "p", 1)
     if np.any(p < 0) or abs(p.sum() - 1.0) > EXACT_TOL:
         raise ValueError("p must be a probability vector summing to 1")
     ys = np.nonzero(p)[0]

@@ -18,17 +18,12 @@ from ._tol import EXACT_TOL
 from .links import LinkConfig, _link, _points
 from .lovasz import hinge
 from .oracle import VerificationReport
-from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _check_weights, _mask, _row_masks, _sign_rows
-from .setfn import make_jaccard, make_modular
+from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _check_weights, _is_integer, _mask, _row_masks
+from .setfn import _sign_rows, make_jaccard, make_modular
 from .targets import AbstainReport, _report_id_table, _report_masks, abstain_loss_table
 
 ABSTAIN = 0  # class slot reserved for the abstain answer
 _PAIR_ROWS = 4096  # (report, block) pairs per block-domination comparison; 16 MiB of rows at d*k = 9
-
-
-def _is_integer(x) -> bool:
-    """Whether x is a Python or numpy integer; bools and integral floats are not."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_classes(values, name: str, lo: int, C: int) -> None:

@@ -20,7 +20,7 @@ from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
 from .links import LinkConfig, _face_member_matrix, _thickening, faces_within, link_rows, naive_threshold_link
 from .lovasz import _checked, clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
-from .setfn import _bit_rows, _checked_bits, _sign_rows, popcounts, validate_polymatroid
+from .setfn import _bit_rows, _checked_bits, _checked_k, _sign_rows, popcounts, validate_polymatroid
 from .targets import AbstainReport, _report_at, _report_id_table, _report_masks, _report_signs
 from .targets import abstain_loss_table, plain_loss_table
 
@@ -31,7 +31,7 @@ from .targets import abstain_loss_table, plain_loss_table
 
 
 def uniform(k: int) -> np.ndarray:
-    return np.full(1 << k, 1.0 / (1 << k))
+    return np.full(1 << _checked_k(k), 1.0 / (1 << k))
 
 
 def point_mass(y_bits: int, k: int) -> np.ndarray:

@@ -43,10 +43,15 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
 
 
+def _is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer; bools and integral floats are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _checked_k(k: int) -> int:
-    """k, or a ValueError naming it unless 1 <= k <= MAX_K (the bitmasks are int64)."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must lie in [1, {MAX_K}], got k={k}")
+    """k, or a ValueError naming it unless it is an integer in [1, MAX_K] (the bitmasks are int64)."""
+    if not _is_integer(k) or not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be an integer in [1, {MAX_K}], got k={k}")
     return k
 
 

@@ -62,31 +62,47 @@ def ref_chain_faces(k):
     return tuple(faces)
 
 
-def ref_face_distances(x_rows):
-    """Exact d_inf from each row of x_rows to each face hull of ref_chain_faces(k),
-    one face at a time: flip the signs outside sigma on the top support, take
-    the largest |1 - s_j| over the forced prefix (the first support) and |x_j|
-    over the forced-zero suffix, and for the free blocks (the differences of
-    consecutive supports) the largest of (max of a block - running min of the
-    block minima) / 2, max - 1 and -min, clamped at 0."""
-    n, k = x_rows.shape
-    faces = ref_chain_faces(k)
+@lru_cache(maxsize=None)
+def ref_face_plans(k):
+    """Per face of ref_chain_faces(k), in its order: (sign, prefix, suffix,
+    block_coords, block_starts). sign is -1 on the top support outside sigma
+    and +1 elsewhere; prefix holds the coordinates of the first support and
+    suffix those outside the top. The free blocks (the differences of
+    consecutive supports, each nonempty) are laid end to end in block_coords,
+    block j starting at block_starts[j]."""
     full = (1 << k) - 1
-    out = np.empty((n, len(faces)))
-    for fi, f in enumerate(faces):
+    plans = []
+    for f in ref_chain_faces(k):
         top = f.supports[-1]
         sign = np.array([-1.0 if top >> j & 1 and not f.sigma >> j & 1 else 1.0 for j in range(k)])
-        prefix, suffix = _coords(f.supports[0], k), _coords(full & ~top, k)
         blocks = [_coords(t & ~p, k) for p, t in zip(f.supports, f.supports[1:])]
+        coords = np.concatenate([np.zeros(0, dtype=np.intp), *blocks])
+        starts = np.cumsum([0] + [len(b) for b in blocks])[:-1]
+        plans.append((sign, _coords(f.supports[0], k), _coords(full & ~top, k), coords, starts))
+    return tuple(plans)
+
+
+def ref_face_distances(x_rows):
+    """Exact d_inf from each row of x_rows to each face hull of ref_chain_faces(k),
+    one face at a time through its ref_face_plans entry: flip the signs outside
+    sigma on the top support, take the largest |1 - s_j| over the forced prefix
+    (the first support) and |x_j| over the forced-zero suffix, and for the free
+    blocks (the differences of consecutive supports) the largest of (max of a
+    block - running min of the block minima) / 2, max - 1 and -min, clamped at 0."""
+    n, k = x_rows.shape
+    plans = ref_face_plans(k)
+    out = np.empty((n, len(plans)))
+    for fi, (sign, prefix, suffix, block_coords, block_starts) in enumerate(plans):
         s = x_rows * sign
         d = np.zeros(n)
         if len(prefix):
             d = np.abs(1.0 - s[:, prefix]).max(axis=1)
         if len(suffix):
             d = np.maximum(d, np.abs(x_rows[:, suffix]).max(axis=1))
-        if blocks:
-            ms = np.stack([s[:, b].min(axis=1) for b in blocks], axis=1)
-            Ms = np.stack([s[:, b].max(axis=1) for b in blocks], axis=1)
+        if len(block_starts):
+            sb = s[:, block_coords]
+            ms = np.minimum.reduceat(sb, block_starts, axis=1)
+            Ms = np.maximum.reduceat(sb, block_starts, axis=1)
             run_min = np.minimum.accumulate(ms, axis=1)
             chain = ((Ms - run_min) / 2.0).max(axis=1)
             chain = np.maximum(chain, (Ms - 1.0).max(axis=1))

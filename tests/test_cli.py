@@ -1,11 +1,16 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lovasz_abstain import SetFunction, make_jaccard, make_sqrt_card, make_zero_one
-from lovasz_abstain.cli import main
+from lovasz_abstain.cli import _COMMANDS, build_parser, main
 from lovasz_abstain.serialize import collection_to_obj, save_collection, save_setfn
 from lovasz_abstain.setfn import PolymatroidCollection
 
@@ -326,3 +331,62 @@ def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1 and word in captured.err
+
+
+def _exit_and_output(call, capsys):
+    """(exit code, stdout, stderr) of a call that ends in SystemExit, as argparse's help and errors do."""
+    with pytest.raises(SystemExit) as exit_:
+        call()
+    captured = capsys.readouterr()
+    return exit_.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_command_parser_prints_the_full_parsers_help(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _exit_and_output(lambda: build_parser().parse_args([command, "-h"]), capsys)
+    assert full[0] == 0 and full[1].startswith(f"usage: lovabs {command} [-h]")
+    assert _exit_and_output(lambda: build_parser(command).parse_args([command, "-h"]), capsys) == full
+    assert _exit_and_output(lambda: main([command, "-h"]), capsys) == full
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["-h"], "sweep               tau sweep of a trained run directory"),
+    (["sweep", "--model", "run", "--bogus"], "lovabs: error: unrecognized arguments: --bogus"),
+    (["sweep"], "lovabs sweep: error: the following arguments are required: --model"),
+    (["bogus"], "lovabs: error: argument command: invalid choice: 'bogus'"),
+    ([], "lovabs: error: the following arguments are required: command"),
+], ids=["help", "unrecognized-argument", "missing-option", "unknown-command", "no-command"])
+def test_help_and_parse_errors_match_the_full_parser(argv, line, capsys, monkeypatch):
+    """main builds one command's parser, yet prints what the full parser prints;
+    the top-level usage still lists every command."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exit_and_output(lambda: main(argv), capsys)
+    assert (code, out, err) == _exit_and_output(lambda: build_parser().parse_args(argv), capsys)
+    assert code == (0 if argv == ["-h"] else 2) and line in out + err
+    usage = (out + err).split("\n\n")[0]
+    if usage.startswith("usage: lovabs [-h]"):
+        assert "{" + ",".join(_COMMANDS) + "}" in usage
+
+
+def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["sweep", "--model", "/nonexistent"]) == 2
+    assert inits == ["lovabs", "lovabs sweep"]
+
+
+def test_module_entry_point_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "lovasz_abstain.cli", "sweep", "-h"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _exit_and_output(
+        lambda: build_parser().parse_args(["sweep", "-h"]), capsys)

@@ -92,6 +92,8 @@ def test_clip():
     assert clip([2.5, -0.4]).tolist() == [1.0, -0.4]
     assert clip([-3.0, -1.0]).tolist() == [-1.0, -1.0]
     assert clip([0.2, 0.9]).tolist() == [0.2, 0.9]
+    with pytest.raises(ValueError, match="^u has a non-finite entry$"):
+        clip([np.nan])
 
 
 def test_hinge_examples():
@@ -221,6 +223,8 @@ def test_expected_hinge():
         expected_hinge(f, [0.0], np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         expected_hinge(f, [0.0], np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="^p has a non-finite entry$"):
+        expected_hinge(make_zero_one(2), [0, 0], [np.nan] * 4)
 
 
 def test_hinge_batch_matches_scalar(rng):

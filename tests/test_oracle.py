@@ -57,7 +57,9 @@ def test_distribution_constructors():
     (lambda: flip(uniform(2), -1, 2), "r_bits has a bitmask outside [0, 4) for k=2"),
     (lambda: flip(uniform(3), 1, 2), "p has shape (8,), expected (4,) for k=2"),
     (lambda: flip(uniform(2)[None], 1, 2), "p has shape (1, 4), expected (4,) for k=2"),
-], ids=["negative-label", "label-2^k", "label-9", "bool-label", "flip-9", "flip-negative", "long-p", "2d-p"])
+    (lambda: uniform(0), "k must be an integer in [1, 62], got k=0"),
+], ids=["negative-label", "label-2^k", "label-9", "bool-label", "flip-9", "flip-negative", "long-p", "2d-p",
+        "uniform-k0"])
 def test_distribution_bitmasks_are_checked(call, message):
     with pytest.raises(ValueError) as err:
         call()

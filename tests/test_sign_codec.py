@@ -97,16 +97,17 @@ def test_rows_of_a_mask_array_are_the_rows_of_each_mask(k):
         assert np.array_equal(_sign_rows(pos, k)[i, j], Label(k, int(pos[i, j])).signs())
 
 
-@pytest.mark.parametrize("k", [0, MAX_K + 1])
+@pytest.mark.parametrize("k", [0, MAX_K + 1, 2.5, 2.0, True])
 def test_k_outside_1_to_max_k_is_rejected_by_name(k):
     calls = [lambda: _checked_k(k), lambda: Label(k, 0), lambda: AbstainReport(k, 0, 0),
-             lambda: Label.from_string("+" * k), lambda: AbstainReport.from_string("0" * k),
-             lambda: Label.from_signs(np.ones(k)), lambda: AbstainReport.from_vector(np.zeros(k)),
              lambda: SetFunction(k, np.zeros(1)), lambda: PolymatroidCollection(k, np.zeros((1, 1)), np.zeros(1)),
              lambda: make_zero_one(k), lambda: make_concave_card(k, math.sqrt), lambda: make_sqrt_card(k),
              lambda: make_jaccard(k)]
+    if type(k) is int:  # a length: strings and vectors of k entries
+        calls += [lambda: Label.from_string("+" * k), lambda: AbstainReport.from_string("0" * k),
+                  lambda: Label.from_signs(np.ones(k)), lambda: AbstainReport.from_vector(np.zeros(k))]
     for call in calls:
-        with pytest.raises(ValueError, match=rf"^k must lie in \[1, {MAX_K}\], got k={k}$"):
+        with pytest.raises(ValueError, match=rf"^k must be an integer in \[1, {MAX_K}\], got k={re.escape(str(k))}$"):
             call()
 
 
