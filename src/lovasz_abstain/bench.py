@@ -13,13 +13,13 @@ with targets' outcome kernel and popcounts, and builds no report objects.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
+from ._args import bitmasks, integer, points, real
 from .links import LinkConfig, link_rows, trim_rows
 from .lovasz import hinge_and_subgradient_rows, hinge_rows, subgradient_rows
-from .setfn import _checked_bits, _checked_label, _row_masks, as_collection, popcounts
+from .setfn import _checked_k, _checked_label, _row_masks, as_collection, popcounts
 from .targets import AbstainReport, _outcomes, _report
 
 
@@ -62,7 +62,7 @@ def metrics(pairs) -> MetricRecord:
     """
     pairs = list(pairs)
     if not pairs:
-        raise ValueError("metrics need at least one (report, label) pair")
+        raise ValueError("pairs must hold at least one (report, label) pair")
     reports = [_report(v) for v, _ in pairs]
     k = reports[0].k
     if any(v.k != k for v in reports):
@@ -107,37 +107,24 @@ class TrainConfig:
     taus: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def __post_init__(self):
-        for name in ("k", "feature_dim", "n_samples", "epochs", "seed", "lr_decay_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("lr_init", "lr_decay", "grad_clip", "margin", "label_corr"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        eps = self.epsilon
-        if eps is not None and (isinstance(eps, bool) or not isinstance(eps, Real) or not 0 < eps < np.inf):
-            raise ValueError(f"epsilon must be None or positive and finite, got {eps!r}")
-        if not (isinstance(self.taus, (list, tuple))
-                and all(isinstance(t, Real) and not isinstance(t, bool) for t in self.taus)):
+        _checked_k(self.k)
+        integer(self.feature_dim, "feature_dim", self.k)
+        integer(self.n_samples, "n_samples", 10)
+        integer(self.epochs, "epochs", 0)
+        integer(self.seed, "seed", 0)
+        integer(self.lr_decay_every, "lr_decay_every", 1)
+        real(self.lr_init, "lr_init", "(0, inf]")
+        real(self.lr_decay, "lr_decay", "(0, 1]")
+        real(self.grad_clip, "grad_clip", "(0, inf]")
+        real(self.margin, "margin", "[0, inf)")
+        real(self.label_corr, "label_corr", "[0, 1]")
+        if self.epsilon is not None:
+            real(self.epsilon, "epsilon", "(0, inf)")
+        if not isinstance(self.taus, (list, tuple)):
             raise ValueError(f"taus must be a list of numbers, got {self.taus!r}")
-        if not all(0 <= t <= 1 for t in self.taus):
-            raise ValueError(f"taus must lie in [0, 1], got {self.taus!r}")
+        for tau in self.taus:
+            real(tau, "taus", "[0, 1]")
         self.taus = tuple(self.taus)
-        if self.k < 1 or self.feature_dim < self.k or self.n_samples < 10:
-            raise ValueError("need k >= 1, feature_dim >= k, n_samples >= 10")
-        if not (self.lr_init > 0) or not (0 < self.lr_decay <= 1) or self.lr_decay_every < 1:
-            raise ValueError("step-size schedule parameters must be positive")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not (self.grad_clip > 0):
-            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
-        if not (0 <= self.label_corr <= 1):
-            raise ValueError(f"label_corr must lie in [0, 1], got {self.label_corr}")
-        if not (0 <= self.margin < np.inf):
-            raise ValueError(f"margin must be finite and nonnegative, got {self.margin}")
         noise = np.asarray(self.noise, dtype=float)
         if noise.ndim > 1 or noise.size not in (1, self.k):
             raise ValueError(f"noise must be one scale or a list of k={self.k}, got {self.noise}")
@@ -272,8 +259,7 @@ def _check_data(cfg: TrainConfig, data: Dataset) -> None:
     if X.shape != (cfg.n_samples, cfg.feature_dim) or y_bits.shape != (cfg.n_samples,):
         raise ValueError(f"data has X of shape {X.shape} and y_bits of shape {y_bits.shape}, expected "
                          f"({cfg.n_samples}, {cfg.feature_dim}) and ({cfg.n_samples},) from the config")
-    if not np.isfinite(X).all():
-        raise ValueError("data has a non-finite feature")
+    points(X, "data", 2, cfg.feature_dim)
 
 
 def _link_masks(W: np.ndarray, X: np.ndarray, tau, epsilon: float | None, trim: bool):
@@ -306,8 +292,8 @@ def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> l
     cfg = result.config
     _, _, te = split_indices(cfg.n_samples, cfg.seed)
     k = result.best_weights.shape[0]
-    X, y_bits = data.X[te], _checked_bits(data.y_bits[te], k, "y_bits")
-    taus = sorted(taus)
+    X, y_bits = data.X[te], bitmasks(data.y_bits[te], "y_bits", k)
+    taus = sorted(real(tau, "taus", "[0, 1]") for tau in taus)
     pos, zeros = _link_masks(result.best_weights, X, np.array([taus], dtype=float), cfg.epsilon, trim)
     if not trim:
         n_abs = popcounts(zeros)

@@ -15,10 +15,11 @@ sort, and the one-tau path runs no extra numpy call. Tie rules are
 fixed: the sign of an exact 0 is +1 wherever a +-1 sign is forced (the link
 leaves an exact 0 abstained), and midpoint ties pick the largest index. Entry
 points raise ValueError naming u or us for a wrong number of axes, no
-coordinates (or more than MAX_K) or a non-finite entry; ``LinkConfig``,
-``link_rows`` and the batch envelope routes raise one naming eps unless it is
-positive and finite, and ``link_rows`` one naming tau for a shape other than
-those above. The verification route shares no code with the kernel: it
+coordinates (or more than MAX_K) or a non-finite entry; ``link_rows`` and
+the batch envelope routes raise one naming eps, and ``LinkConfig`` one naming
+epsilon, unless it is a real number in (0, inf) (bools are not), and
+``link_rows`` one naming tau for a shape other than those above. The rules
+are those of _args.py. The verification route shares no code with the kernel: it
 intersects the chain faces whose hulls pass within eps of the clipped point in
 the infinity norm, all read from one face kernel, ``faces_within``. A face
 whose sign disagrees with x_j at a coordinate j of its top support with |x_j|
@@ -41,9 +42,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._args import points, real
 from ._tol import GAP_TOL
-from .lovasz import _checked, clip
-from .setfn import MAX_K, _bit_rows, _format, _row_masks, popcounts
+from .lovasz import clip
+from .setfn import _bit_rows, _format, _row_masks, popcounts
 from .targets import AbstainReport, _report_at, _report_id_table
 
 
@@ -62,9 +64,8 @@ class LinkConfig:
 
     def __post_init__(self):
         if self.epsilon is not None:
-            _thickening(self.epsilon)
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValueError("tau must lie in [0, 1]")
+            real(self.epsilon, "epsilon", "(0, inf)")
+        real(self.tau, "tau", "[0, 1]")
 
     def resolve_epsilon(self, k: int) -> float:
         return self.epsilon if self.epsilon is not None else 1.0 / (2 * k)
@@ -72,28 +73,9 @@ class LinkConfig:
 
 def naive_threshold_link(u, c: float) -> AbstainReport:
     """Abstain wherever |u_i| < c, otherwise take the sign."""
-    if not c > 0:
-        raise ValueError("threshold must be positive")
-    u = np.asarray(u, dtype=float)
+    c, u = real(c, "c", "(0, inf]"), points(u, "u", 1)
     out = np.where(np.abs(u) < c, 0.0, np.sign(u))
     return AbstainReport.from_vector(out.astype(int))
-
-
-def _points(u, name: str, ndim: int) -> np.ndarray:
-    """u as finite floats with ndim axes, the last of length k in 1..MAX_K."""
-    u = np.asarray(u, dtype=float)
-    k = u.shape[-1] if u.ndim == ndim else 0
-    if not 1 <= k <= MAX_K:
-        want = ("(k,)", "(n, k)")[ndim - 1]
-        raise ValueError(f"{name} has shape {u.shape}, expected {want} with 1 <= k <= {MAX_K}")
-    return _checked(u, k, name, ndim)
-
-
-def _thickening(eps, name: str = "eps") -> float:
-    """eps, or a ValueError naming it unless positive and finite."""
-    if not 0 < eps < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {eps!r}")
-    return eps
 
 
 def gap_levels(us: np.ndarray, eps: float):
@@ -132,7 +114,7 @@ def _level_masks(x: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _one_row(u, cfg: LinkConfig):
     """The kernel at the single point u, checked: (x, order, qualify, pos, zeros) of its row."""
-    u = _points(u, "u", 1)
+    u = points(u, "u", 1)
     x, order, _, qualify = gap_levels(u[None], cfg.resolve_epsilon(len(u)))
     pos, zeros = _level_masks(x, order)
     return x[0], order[0], qualify[0], pos[0], zeros[0]
@@ -176,12 +158,10 @@ def link_rows(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
     value outside [0, 1], one naming eps unless it is positive and finite,
     and one when a row has no qualifying level; eps <= 1/(2k) rules that out.
     """
-    us, tau = _points(us, "us", 2), np.asarray(tau, dtype=float)
+    us, tau = points(us, "us", 2), np.asarray(tau, dtype=float)
     if tau.ndim > 2 or (tau.ndim and len(tau) not in (1, len(us))):
         raise ValueError(f"tau has shape {tau.shape}, expected a number, (n,), (1, T) or (n, T) with n = {len(us)}")
-    if not ((0.0 <= tau) & (tau <= 1.0)).all():
-        raise ValueError("tau must lie in [0, 1]")
-    return _link(us, _thickening(eps), tau)
+    return _link(us, real(eps, "eps", "(0, inf)"), real(tau, "tau", "[0, 1]"))
 
 
 def _link(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +198,7 @@ def threshold_abstain_link(u, cfg: LinkConfig) -> AbstainReport:
     eps <= 1/(2k); larger eps can leave no qualifying gap. One-row view of
     link_rows.
     """
-    u = _points(u, "u", 1)
+    u = points(u, "u", 1)
     pos, zeros = _link(u[None], cfg.resolve_epsilon(len(u)), cfg.tau)
     return AbstainReport(len(u), int(pos[0]), int(zeros[0]))
 
@@ -226,7 +206,7 @@ def threshold_abstain_link(u, cfg: LinkConfig) -> AbstainReport:
 def trim_rows(pos: np.ndarray, zeros: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of (pos, zeros) bitmasks with exactly one abstention take sign* of
     the matching row of us there; other rows are returned unchanged."""
-    us = _points(us, "us", 2)
+    us = points(us, "us", 2)
     lone = (zeros != 0) & (zeros & (zeros - 1) == 0)
     plus = _row_masks(us >= 0)
     return np.where(lone, pos | (zeros & plus), pos), np.where(lone, 0, zeros)
@@ -235,14 +215,14 @@ def trim_rows(pos: np.ndarray, zeros: np.ndarray, us: np.ndarray) -> tuple[np.nd
 def trim_single_abstain(v: AbstainReport, u) -> AbstainReport:
     """Replace a lone abstention by the sign of the corresponding coordinate;
     one-row view of trim_rows."""
-    u = _checked(u, v.k, "u", 1)
+    u = points(u, "u", 1, v.k)
     pos, zeros = trim_rows(np.array([v.pos]), np.array([v.zeros]), u[None])
     return v if zeros[0] == v.zeros else AbstainReport(v.k, int(pos[0]), 0)
 
 
 def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
     """(n, n_reports) boolean membership of the gap-rule envelope, row-wise."""
-    us, eps = _points(us, "us", 2), _thickening(eps)
+    us, eps = points(us, "us", 2), real(eps, "eps", "(0, inf)")
     x, order, _, qualify = gap_levels(us, eps)
     pos, zeros = _level_masks(x, order)
     ids = _report_id_table(us.shape[1])
@@ -273,8 +253,8 @@ _FACE_MAX_K = 4
 
 
 def _face_points(u, name: str, ndim: int) -> np.ndarray:
-    """_points(u, name, ndim), or a ValueError naming u beyond the face route's cap."""
-    u = _points(u, name, ndim)
+    """points(u, name, ndim), or a ValueError naming u beyond the face route's cap."""
+    u = points(u, name, ndim)
     if u.shape[-1] > _FACE_MAX_K:
         raise ValueError(f"{name} has k={u.shape[-1]} coordinates, but the face route enumerates the signed "
                          f"chain faces (3,393 at k = 4) only up to k = {_FACE_MAX_K}")
@@ -447,7 +427,7 @@ def envelope_members_oracle(us: np.ndarray, eps: float) -> np.ndarray:
     verdicts are never held whole. Each point ANDs the packed member words of
     its qualifying faces; a point with none keeps every report, as an empty
     intersection does."""
-    us, eps = _face_points(us, "us", 2), _thickening(eps)
+    us, eps = _face_points(us, "us", 2), real(eps, "eps", "(0, inf)")
     n_reports = 3 ** us.shape[1]
     words = _member_words(_face_member_matrix(us.shape[1]))
     out = np.empty((len(us), n_reports), dtype=bool)

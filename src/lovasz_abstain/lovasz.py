@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._args import bitmasks, points
 from ._tol import EXACT_TOL
-from .setfn import SetFunction, _checked_bits, _checked_label, _sign_rows, as_collection
+from .setfn import SetFunction, _checked_label, _sign_rows, as_collection
 
 
 def descending_order(x: np.ndarray) -> np.ndarray:
@@ -49,30 +50,30 @@ def lovasz_extension(f: SetFunction, x) -> float:
     descending; equals the max of that expression over all orderings when f
     is submodular.
     """
-    return float(_extension(f, _checked(x, f.k, "x", 1, nonnegative=True)[None], 0)[0])
+    return float(_extension(f, _orthant(points(x, "x", 1, f.k), "x")[None], 0)[0])
 
 
 def extension_batch(f: SetFunction, xs: np.ndarray) -> np.ndarray:
     """lovasz_extension row-wise over an (n, k) nonnegative array."""
-    return _extension(f, _checked(xs, f.k, "xs", 2, nonnegative=True), 0)
+    return _extension(f, _orthant(points(xs, "xs", 2, f.k), "xs"), 0)
 
 
 def clip(u) -> np.ndarray:
     """Clamp each coordinate of a vector or of (n, k) rows to [-1, 1], preserving sign."""
     u = np.asarray(u, dtype=float)
-    return np.clip(_checked(u, u.shape[-1] if u.ndim else 1, "u", 2 if u.ndim == 2 else 1), -1.0, 1.0)
+    return np.clip(points(u, "u", 2 if u.ndim == 2 else 1, u.shape[-1] if u.ndim else 1), -1.0, 1.0)
 
 
 def hinge(fc, u, y) -> float:
     """Surrogate loss F_y((1 - u * y)_+) for label y and prediction u."""
     fc = as_collection(fc)
-    return float(_hinge(fc, _checked(u, fc.k, "u", 1)[None], _checked_label(y, fc.k))[0])
+    return float(_hinge(fc, points(u, "u", 1, fc.k)[None], _checked_label(y, fc.k))[0])
 
 
 def hinge_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
     """hinge of each row of us against its own label bitmask y_bits[j]."""
     fc = as_collection(fc)
-    return _hinge(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k, "y_bits"))
+    return _hinge(fc, points(us, "us", 2, fc.k), bitmasks(y_bits, "y_bits", fc.k))
 
 
 def hinge_subgradient(fc, u, y) -> np.ndarray:
@@ -83,7 +84,7 @@ def hinge_subgradient(fc, u, y) -> np.ndarray:
     hinge is inactive; exact kinks (1 - u_i y_i = 0) count as inactive.
     """
     fc = as_collection(fc)
-    return _hinge_and_subgradient(fc, _checked(u, fc.k, "u", 1)[None], _checked_label(y, fc.k))[1][0]
+    return _hinge_and_subgradient(fc, points(u, "u", 1, fc.k)[None], _checked_label(y, fc.k))[1][0]
 
 
 def subgradient_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
@@ -95,14 +96,14 @@ def hinge_and_subgradient_rows(fc, us: np.ndarray, y_bits) -> tuple[np.ndarray, 
     """(hinge_rows, subgradient_rows) of us against the label bitmasks y_bits,
     from one chain_gains call; the hinge is bit-identical to hinge_rows'."""
     fc = as_collection(fc)
-    return _hinge_and_subgradient(fc, _checked(us, fc.k, "us", 2), _checked_bits(y_bits, fc.k, "y_bits"))
+    return _hinge_and_subgradient(fc, points(us, "us", 2, fc.k), bitmasks(y_bits, "y_bits", fc.k))
 
 
 def expected_hinge(fc, u, p) -> float:
     """E_{Y~p} hinge(fc, u, Y); only labels with positive mass are visited."""
     fc = as_collection(fc)
-    u = _checked(u, fc.k, "u", 1)
-    p = _checked(p, 1 << fc.k, "p", 1)
+    u = points(u, "u", 1, fc.k)
+    p = points(p, "p", 1, 1 << fc.k)
     if np.any(p < 0) or abs(p.sum() - 1.0) > EXACT_TOL:
         raise ValueError("p must be a probability vector summing to 1")
     ys = np.nonzero(p)[0]
@@ -133,14 +134,9 @@ def _hinge_and_subgradient(fc, us: np.ndarray, y_bits) -> tuple[np.ndarray, np.n
     return _sorted_sum(W, order, gains), np.where(margins > 0.0, -signs * g, 0.0)
 
 
-def _checked(a, k: int, name: str, ndim: int, nonnegative: bool = False) -> np.ndarray:
-    """a as floats, checked to have ndim axes, the last of length k, and finite entries."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != ndim or a.shape[-1] != k:
-        raise ValueError(f"{name} has shape {a.shape}, expected {(f'({k},)', f'(n, {k})')[ndim - 1]}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} has a non-finite entry")
-    if nonnegative and np.any(a < 0):
+def _orthant(a: np.ndarray, name: str) -> np.ndarray:
+    """a, or a ValueError naming it unless every entry is nonnegative, as the extension needs."""
+    if np.any(a < 0):
         raise ValueError(f"{name} has a negative entry; the extension needs the nonnegative orthant")
     return a
 

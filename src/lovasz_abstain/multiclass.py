@@ -14,29 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._args import integer, points
 from ._tol import EXACT_TOL
-from .links import LinkConfig, _link, _points
+from .links import LinkConfig, _link
 from .lovasz import hinge
 from .oracle import VerificationReport
-from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _check_weights, _is_integer, _mask, _row_masks
+from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _check_weights, _mask, _row_masks
 from .setfn import _sign_rows, make_jaccard, make_modular
 from .targets import AbstainReport, _report_id_table, _report_masks, abstain_loss_table
 
 ABSTAIN = 0  # class slot reserved for the abstain answer
 _PAIR_ROWS = 4096  # (report, block) pairs per block-domination comparison; 16 MiB of rows at d*k = 9
-
-
-def _check_classes(values, name: str, lo: int, C: int) -> None:
-    """A ValueError naming name unless every value is an integer in [lo, C]."""
-    for c in values:
-        if not _is_integer(c) or not lo <= c <= C:
-            raise ValueError(f"{name}: {c!r} is not an integer in [{lo}, {C}]")
-
-
-def _checked_C(C) -> int:
-    if not _is_integer(C) or C < 1:
-        raise ValueError(f"C must be an integer >= 1, got {C!r}")
-    return int(C)
 
 
 def _check_alike(y, name: str, v, other: str) -> None:
@@ -48,13 +36,14 @@ def _check_alike(y, name: str, v, other: str) -> None:
 def _freeze_classes(obj, name: str, lo: int) -> None:
     """Check obj.C and store obj.<name> as a tuple of integers in [lo, C], or
     raise a ValueError naming the field; the frozen dataclass stays hashable."""
-    C, values = _checked_C(obj.C), getattr(obj, name)
+    C, values = integer(obj.C, "C", 1), getattr(obj, name)
     if not isinstance(values, tuple):
         try:
             object.__setattr__(obj, name, tuple(values))
         except TypeError:
             raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
-    _check_classes(getattr(obj, name), name, lo, C)
+    for c in getattr(obj, name):
+        integer(c, name, lo, C)
 
 
 def _parse_classes(s: str, abstain: str | None = None) -> tuple[int, ...]:
@@ -126,7 +115,7 @@ class BlockCodec:
     """
 
     def __init__(self, C: int):
-        C = _checked_C(C)
+        C = int(integer(C, "C", 1))
         if C < 2 or C & (C - 1):
             raise ValueError(f"block codec needs a power-of-two class count, got {C}")
         self.C = C
@@ -136,7 +125,7 @@ class BlockCodec:
     def code_bits(self, c: int) -> int:
         """Bitmask (bit j set <=> +1 at in-block position j) of the class code;
         a ValueError naming c unless it is an integer in [1, C]."""
-        _check_classes([c], "c", 1, self.C)
+        integer(c, "c", 1, self.C)
         return _mask(_bit_rows(c % self.C, self.d)[::-1])  # most significant digit at in-block position 0
 
     def code_signs(self, c: int) -> np.ndarray:
@@ -145,20 +134,16 @@ class BlockCodec:
     def decode_bits(self, bits: int) -> int:
         """The class whose code is the bitmask bits; a ValueError naming bits
         unless it is an integer d-bit code word."""
-        c = self._decode.get(bits) if _is_integer(bits) else None
-        if c is None:
-            raise ValueError(f"bits must be a code word in [0, {1 << self.d}) of the {self.C}-class block code, "
-                             f"got {bits!r}")
-        return c
+        return self._decode[integer(bits, "bits", 0, (1 << self.d) - 1)]
 
 
 def bep_loss(r, y, n: int) -> float:
     """Abstain-aware multiclass 0-1 loss: 0 if correct, 1/2 on abstain (r None),
     else 1. Raises ValueError naming y, or r, unless it is an integer in [1, n]."""
-    _check_classes([y], "y", 1, n)
+    integer(y, "y", 1, integer(n, "n", 1))
     if r is None:
         return 0.5
-    _check_classes([r], "r", 1, n)
+    integer(r, "r", 1, n)
     return 0.0 if r == y else 1.0
 
 
@@ -172,7 +157,7 @@ def bep_surrogate(u, code) -> float:
 def encode_bep(y: ClassLabel, codec: BlockCodec) -> int:
     """Concatenated class codes of y as a dk-bit label bitmask."""
     if y.C != codec.C:
-        raise ValueError("label and codec class counts differ")
+        raise ValueError(f"y has C={y.C}, but codec has C={codec.C}")
     return sum(codec.code_bits(c) << (i * codec.d) for i, c in enumerate(y.classes))  # disjoint blocks: sum is OR
 
 
@@ -189,7 +174,7 @@ class ClassCosts:
     def __init__(self, k: int, shared: SetFunction | None = None, weights_by_class=None):
         if (shared is None) == (weights_by_class is None):
             raise ValueError("exactly one of shared / weights_by_class must be given")
-        self.k = k
+        self.k = integer(k, "k", 1)
         self.shared = shared
         self.weights = None if weights_by_class is None else np.asarray(weights_by_class, float)
         if self.shared is not None and self.shared.k != k:
@@ -239,7 +224,7 @@ def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
     """Bit-level collection charging g on the set of blocks a subset touches.
     Raises ValueError naming g unless its costs are over k predictions."""
     g = _as_costs(g)
-    if g.k != k:
+    if g.k != integer(k, "k", 1):
         raise ValueError(f"g has k={g.k}, expected k={k}")
     d, C = codec.d, codec.C
     n = d * k
@@ -256,22 +241,18 @@ def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
 
 def multiclass_surrogate(g, codec: BlockCodec, u, y: ClassLabel) -> float:
     """Hinge of the lifted collection at the encoded label."""
-    u = np.asarray(u, dtype=float)
-    k = y.k
-    if len(u) != codec.d * k:
-        raise ValueError(f"surrogate point must have length {codec.d * k}")
-    lifted = lift_polymatroid(g, codec, k)
-    return hinge(lifted, u, encode_bep(y, codec))
+    u = points(u, "u", 1, codec.d * y.k)
+    return hinge(lift_polymatroid(g, codec, y.k), u, encode_bep(y, codec))
 
 
 def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
     """Threshold-abstain link followed by per-block trimming: any abstained
     bit inside a block abstains the whole prediction, else the block decodes.
     The k blocks are read off the link's (pos, zeros) bitmasks by integer shifts."""
-    u = _points(u, "u", 1)
+    u = points(u, "u", 1)
     d = codec.d
     if len(u) % d:
-        raise ValueError("surrogate point length must be a multiple of the block size")
+        raise ValueError(f"u has {len(u)} coordinates, not a multiple of the block size d={d}")
     k = len(u) // d
     if cfg.epsilon is not None and cfg.epsilon > 1.0 / (2 * d * k) + EXACT_TOL:
         raise ValueError("epsilon exceeds the lifted-dimension bound 1/(2dk)")
@@ -285,7 +266,7 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     """Zeroing a whole block never costs more than a partial in-block abstention."""
     g = _as_costs(g)
     d = codec.d
-    n = d * k
+    n = d * integer(k, "k", 1)
     if n > 9:
         raise ValueError("block domination check capped at d*k <= 9")
     labels = np.array([encode_bep(y, codec) for y in _class_labels(codec.C, k)])
@@ -355,7 +336,7 @@ def onehot_lift(g_by_class, C: int, k: int) -> PolymatroidCollection:
     per-class table reads off its own bit positions and the average over
     classes reproduces the one-vs-all target on encoded mispredictions.
     """
-    n = C * k
+    n = integer(C, "C", 1) * integer(k, "k", 1)
     if n > 12:
         raise ValueError("one-hot lift capped at C*k <= 12")
     proj = _row_masks(_bit_rows(np.arange(1 << n), n).reshape(-1, k, C).swapaxes(1, 2)).T
@@ -385,7 +366,7 @@ def bep_ova_incompatibility(g_single: SetFunction) -> BepOvaIncompatibility:
     g would need f to drop on a superset, so no submodular f exists.
     """
     if g_single.k != 1:
-        raise ValueError("the worked example uses a single class-level prediction")
+        raise ValueError(f"g_single has k={g_single.k}; the worked example uses a single class-level prediction")
     codec = BlockCodec(8)
     y, v, v_far = ClassLabel(8, (7,)), ClassLabel(8, (5,)), ClassLabel(8, (4,))
     yb, vb, vfb = (encode_bep(lbl, codec) for lbl in (y, v, v_far))

@@ -16,11 +16,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._args import bitmasks, integer, points, real
 from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
-from .links import LinkConfig, _face_member_matrix, _thickening, faces_within, link_rows, naive_threshold_link
-from .lovasz import _checked, clip, expected_hinge, hinge_rows
+from .links import LinkConfig, _face_member_matrix, faces_within, link_rows, naive_threshold_link
+from .lovasz import clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
-from .setfn import _bit_rows, _checked_bits, _checked_k, _sign_rows, popcounts, validate_polymatroid
+from .setfn import _bit_rows, _checked_k, _sign_rows, popcounts, validate_polymatroid
 from .targets import AbstainReport, _report_at, _report_id_table, _report_masks, _report_signs
 from .targets import abstain_loss_table, plain_loss_table
 
@@ -36,15 +37,14 @@ def uniform(k: int) -> np.ndarray:
 
 def point_mass(y_bits: int, k: int) -> np.ndarray:
     """All mass on label y_bits; a ValueError naming y_bits unless it lies in [0, 2^k)."""
-    p = np.zeros(1 << k)
-    p[_checked_bits(y_bits, k, "y_bits")] = 1.0
+    p = np.zeros(1 << _checked_k(k))
+    p[bitmasks(y_bits, "y_bits", k)] = 1.0
     return p
 
 
 def mix(p, q, lam: float) -> np.ndarray:
     """(1 - lam) * p + lam * q."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError("mixing weight must lie in [0, 1]")
+    real(lam, "lam", "[0, 1]")
     return (1.0 - lam) * np.asarray(p, dtype=float) + lam * np.asarray(q, dtype=float)
 
 
@@ -53,10 +53,10 @@ def flip(p, r_bits: int, k: int) -> np.ndarray:
     Raises ValueError naming p unless it has length 2^k, or r_bits unless it
     lies in [0, 2^k)."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (1 << k,):
+    if p.shape != (1 << _checked_k(k),):
         raise ValueError(f"p has shape {p.shape}, expected ({1 << k},) for k={k}")
     masks = np.arange(1 << k)
-    return p[masks ^ (((1 << k) - 1) ^ _checked_bits(r_bits, k, "r_bits"))]
+    return p[masks ^ (((1 << k) - 1) ^ bitmasks(r_bits, "r_bits", k))]
 
 
 _GRID_ROWS = 1024  # distributions per grid block
@@ -67,11 +67,9 @@ def _grid_blocks(k: int, m: int):
     of at most _GRID_ROWS rows; deterministic order. Each row is read from
     its n-1 cut positions in itertools.combinations order: part i is the gap
     between cut i-1 and cut i, with cuts -1 and m+n-1 at the ends."""
-    if k < 1:
-        raise ValueError(f"distribution grid needs k >= 1, got k={k}")
-    if k > 4:
+    if integer(k, "k", 1) > 4:
         raise ValueError("distribution grid capped at k <= 4")
-    _checked_grid(m)
+    integer(m, "m", 1)
     n = 1 << k
     combos = itertools.combinations(range(m + n - 1), n - 1)
     while True:
@@ -81,11 +79,6 @@ def _grid_blocks(k: int, m: int):
             return
         edges = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, m + n - 1))
         yield (np.diff(edges, axis=1) - 1) / m
-
-
-def _checked_grid(m: int) -> None:
-    if m < 1:
-        raise ValueError(f"distribution grid needs m >= 1, got m={m}")
 
 
 def grid_distributions(k: int, m: int):
@@ -155,7 +148,7 @@ def verify_embedding(fc, grid_m: int = 8) -> VerificationReport:
     that both elicit the same optimal report sets over a distribution grid."""
     fc = as_collection(fc)
     k = fc.k
-    _checked_grid(grid_m)
+    integer(grid_m, "grid_m", 1)
     if k > 4:
         raise ValueError("embedding verification capped at k <= 4")
     F = fc.at(np.arange(1 << k)[:, None], np.arange(1 << k))
@@ -198,6 +191,7 @@ def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
     """Grid check that the candidate set meets the optimal-report set everywhere."""
     fc = as_collection(fc)
     k = fc.k
+    integer(grid_m, "grid_m", 1)
     if k > 3:
         raise ValueError("representativeness check capped at k <= 3")
     wrong = next((v for v in reports if v.k != k), None)
@@ -233,7 +227,7 @@ def tightness_witness(v: AbstainReport) -> np.ndarray:
 def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
     """Unique-minimizer witnesses for reports without a lone abstention, and
     grid domination of lone-abstention reports by their sign completions."""
-    _checked_grid(grid_m)
+    integer(grid_m, "grid_m", 1)
     if isinstance(f, PolymatroidCollection):
         if not f.symmetric:
             raise ValueError("tightness check takes a symmetric set function")
@@ -319,7 +313,7 @@ def counterexample_symmetric(f) -> SymmetricCounterexample:
         f = f.for_label(0)
     base = validate_polymatroid(f)
     if not base.valid:
-        raise ValueError("input must be a valid polymatroid")
+        raise ValueError("f must be a valid polymatroid")
     if base.modular:
         return SymmetricCounterexample(consistent_case=True)
 
@@ -510,13 +504,14 @@ def calibration_sweep(
     (distribution, optimal report) pair-major, then perturbation, then tau."""
     fc = as_collection(fc)
     k = fc.k
+    integer(grid_m, "grid_m", 1)
     rng = rng if rng is not None else np.random.default_rng(0)
     eps = LinkConfig(epsilon=epsilon).resolve_epsilon(k)
     vectors = _report_signs(k)
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
     taus = np.asarray(taus, dtype=float)
-    per_pair = n_perturb * len(taus)
+    per_pair = integer(n_perturb, "n_perturb", 1) * len(taus)
     cases = 0
     for P in _grid_blocks(k, grid_m):
         optimal = _argmin_mask(P @ table.T)
@@ -608,7 +603,7 @@ def thickened_envelope_grid(fc, u, epsilon: float, grid_m: int = 8) -> set[int]:
     numbers, or epsilon unless it is positive and finite."""
     fc = as_collection(fc)
     k = fc.k
-    u, epsilon = _checked(u, k, "u", 1), _thickening(epsilon, "epsilon")
+    u, epsilon = points(u, "u", 1, k), real(epsilon, "epsilon", "(0, inf)")
     table = surrogate_loss_table(fc)
     optimal = np.zeros((0, len(table)), dtype=bool)
     for P in _grid_blocks(k, grid_m):

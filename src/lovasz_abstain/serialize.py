@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._args import real
 from .setfn import (
     PolymatroidCollection,
     SetFunction,
@@ -72,9 +73,7 @@ def setfn_from_obj(obj: dict) -> SetFunction:
         return make_zero_one(int(_field(obj, "k", kind)))
     if kind == "concave_card":
         k = int(_field(obj, "k", kind))
-        exponent = float(obj.get("exponent", 0.5))
-        if not 0 < exponent <= 1:
-            raise ValueError("concave_card exponent must lie in (0, 1]")
+        exponent = real(float(obj.get("exponent", 0.5)), "exponent", "(0, 1]")
         f = make_concave_card(k, lambda c: float(c) ** exponent)
         return SetFunction(k, f.values, {"k": k, "kind": "concave_card", "exponent": exponent})
     if kind == "jaccard":

@@ -29,9 +29,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._args import MAX_K, bitmasks, integer, points
 from ._tol import ATOL
 
-MAX_K = 62  # subsets, labels and reports are packed into int64 bitmasks
 _DENSE_MAX_K = 12  # dense views of a rule-read collection, and sweeps over all 4^k cells
 _CHARS = "-+0"  # the character of a coordinate, indexed by its pos bit | zeros bit << 1
 _WEIGHTS = 1 << np.arange(MAX_K, dtype=np.int64)  # bit i's weight; rows of k bits read the first k
@@ -43,16 +43,9 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
 
 
-def _is_integer(x) -> bool:
-    """Whether x is a Python or numpy integer; bools and integral floats are not."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _checked_k(k: int) -> int:
     """k, or a ValueError naming it unless it is an integer in [1, MAX_K] (the bitmasks are int64)."""
-    if not _is_integer(k) or not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be an integer in [1, {MAX_K}], got k={k}")
-    return k
+    return integer(k, "k", 1, MAX_K)
 
 
 def _mask(flags) -> int:
@@ -113,9 +106,7 @@ class Label:
     bits: int
 
     def __post_init__(self):
-        _checked_k(self.k)
-        if not (0 <= self.bits < (1 << self.k)):
-            raise ValueError(f"label bitmask {self.bits} out of range for k={self.k}")
+        bitmasks(self.bits, "bits", _checked_k(self.k))
 
     @classmethod
     def from_signs(cls, signs) -> "Label":
@@ -134,25 +125,13 @@ class Label:
 
 def _checked_label(y, k: int) -> int:
     """Bitmask of one label (a Label, a bitmask or a +-1 vector), checked against k."""
-    if isinstance(y, (int, np.integer)):
-        if not 0 <= y < 1 << k:
-            raise ValueError(f"label bitmask {y} out of range for k={k}")
-        return int(y)
+    if not isinstance(y, (Label, list, tuple, np.ndarray)):
+        return int(bitmasks(y, "y", k))
     if not isinstance(y, Label):
         y = Label.from_signs(y)
     if y.k != k:
         raise ValueError(f"label has k={y.k}, expected k={k}")
     return y.bits
-
-
-def _checked_bits(bits, k: int, name: str) -> np.ndarray:
-    """Bitmasks as an integer array, each checked to lie in [0, 2^k), or a ValueError naming them."""
-    bits = np.asarray(bits)
-    if bits.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integer bitmasks, got dtype {bits.dtype}")
-    if bits.size and (bits.min() < 0 or bits.max() >= 1 << k):
-        raise ValueError(f"{name} has a bitmask outside [0, {1 << k}) for k={k}")
-    return bits
 
 
 @dataclass(frozen=True)
@@ -182,9 +161,7 @@ class SetFunction:
         return f
 
     def eval(self, subset: int) -> float:
-        if not (0 <= subset < (1 << self.k)):
-            raise ValueError(f"subset bitmask {subset} out of range for k={self.k}")
-        return float(self.values[subset])
+        return float(self.values[bitmasks(subset, "subset", self.k)])
 
     def full(self) -> float:
         return float(self.values[-1])
@@ -194,9 +171,7 @@ def _check_weights(w: np.ndarray, name: str) -> None:
     """Reject anything but a vector of finite nonnegative weights, naming the argument."""
     if w.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {w.shape}")
-    bad = np.flatnonzero(~np.isfinite(w))
-    if len(bad):
-        raise ValueError(f"{name} must be finite, got {w[bad[0]]} at index {bad[0]}")
+    points(w, name, 1, len(w))
     if np.any(w < 0):
         raise ValueError(f"{name} must be nonnegative")
 
@@ -219,7 +194,7 @@ def make_zero_one(k: int) -> SetFunction:
 
 def make_concave_card(k: int, g) -> SetFunction:
     """f(S) = g(|S|) for a nondecreasing concave g with g(0)=0."""
-    gs = np.array([g(c) for c in range(_checked_k(k) + 1)], dtype=float)
+    gs = points([g(c) for c in range(_checked_k(k) + 1)], "g", 1, k + 1)
     if abs(gs[0]) > ATOL:
         raise ValueError("g(0) must be 0")
     diffs = np.diff(gs)
@@ -278,10 +253,7 @@ class PolymatroidCollection:
 
         Rows are stored in ascending label order, the order a table file lists
         them in, so a collection and its reloaded file have equal matrices."""
-        labels = np.asarray(labels, dtype=np.intp).reshape(-1)
-        bad = labels[(labels < 0) | (labels >= 1 << k)]
-        if len(bad):
-            raise ValueError(f"label bitmask {bad[0]} out of range for k={k}")
+        labels = bitmasks(np.asarray(labels, dtype=np.intp).reshape(-1), "label", k)
         values = np.reshape(values, (len(labels), 1 << k))
         if np.any(labels[1:] < labels[:-1]):
             order = np.argsort(labels, kind="stable")
@@ -301,7 +273,7 @@ class PolymatroidCollection:
     def at(self, y, S) -> np.ndarray:
         """f_y(S) over broadcast integer arrays of label bitmasks y and subsets S,
         each checked to lie in [0, 2^k)."""
-        return self._at(_checked_bits(y, self.k, "y"), _checked_bits(S, self.k, "S"))
+        return self._at(bitmasks(y, "y", self.k), bitmasks(S, "S", self.k))
 
     def _at(self, y, S) -> np.ndarray:
         """at without the range checks, for callers whose bitmasks are in range by construction."""
@@ -534,7 +506,7 @@ def random_polymatroid(k: int, rng: np.random.Generator, strict: bool = False) -
     increments, giving a strictly submodular, strictly increasing table.
     """
     for _ in range(64):
-        incs = np.sort(rng.uniform(0.05 if strict else 0.0, 1.0, size=k))[::-1]
+        incs = np.sort(rng.uniform(0.05 if strict else 0.0, 1.0, size=_checked_k(k)))[::-1]
         if not strict and rng.random() < 0.25:
             incs[:] = incs.mean()  # flat increments: lands on the modular boundary
         gs = np.concatenate([[0.0], np.cumsum(incs)])
@@ -557,5 +529,5 @@ def random_collection(
     """A random polymatroid collection; asymmetric draws one table per label."""
     if symmetric:
         return PolymatroidCollection.from_setfn(random_polymatroid(k, rng))
-    tables = [random_polymatroid(k, rng).values for _ in range(1 << k)]
+    tables = [random_polymatroid(k, rng).values for _ in range(1 << _checked_k(k))]
     return PolymatroidCollection.from_tables(k, range(1 << k), np.array(tables))

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._args import bitmasks
 from ._tol import ARGMIN_TOL  # kept importable from here; the tie rule itself is oracle._argmin_mask
 from .setfn import _DENSE_MAX_K, Label, _checked_k, _checked_label, _format, _pack, _parse, _sign_rows
 from .setfn import as_collection, popcounts
@@ -40,10 +41,8 @@ class AbstainReport:
     zeros: int
 
     def __post_init__(self):
-        full = (1 << _checked_k(self.k)) - 1
-        if not (0 <= self.pos <= full and 0 <= self.zeros <= full):
-            raise ValueError("report bitmasks out of range")
-        if self.pos & self.zeros:
+        k = _checked_k(self.k)
+        if bitmasks(self.pos, "pos", k) & bitmasks(self.zeros, "zeros", k):
             raise ValueError("positive and abstain masks must be disjoint")
 
     @classmethod
@@ -179,7 +178,7 @@ def enumerate_reports(k: int, family: str = "V") -> list[AbstainReport]:
     """
     if family not in ("V", "V0", "Y"):
         raise ValueError(f"unknown report family {family!r}")
-    pos, zeros = _report_masks(k)
+    pos, zeros = _report_masks(_checked_k(k))
     if family == "Y":
         pos, zeros = pos[:1 << k], zeros[:1 << k]  # zeros == 0 comes first
     elif family == "V0":

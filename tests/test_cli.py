@@ -240,9 +240,9 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["verify", "embedding", "--collection", "nan3"], "non-finite value nan"),
      (["eval-hinge", "--collection", "nan3", "--u=0,0,0", "--y=+++"], "label 0: non-finite value nan at S=0x3"),
      (["metrics", "--pred", "preds2", "--truth", "truth1", "--out", "dir"], "different lengths"),
-     (["eval-hinge", "--collection", "modular_nan", "--u=0,0", "--y=++"], "weights must be finite, got nan"),
+     (["eval-hinge", "--collection", "modular_nan", "--u=0,0", "--y=++"], "weights has a non-finite entry"),
      (["eval-hinge", "--collection", "modular_scalar", "--u=0,0", "--y=++"], "weights must be a vector"),
-     (["mc-eval", "--g", "costs_nan", "--C", "4", "--v=2,_", "--y=1,2"], "weights_by_class must be finite"),
+     (["mc-eval", "--g", "costs_nan", "--C", "4", "--v=2,_", "--y=1,2"], "weights_by_class has a non-finite entry"),
      (["eval-hinge", "--collection", "jaccard_no_k", "--u=0,0", "--y=++"], "jaccard object has no 'k' field"),
      (["eval-hinge", "--collection", "table_no_values", "--u=0,0", "--y=++"],
       "table object has no 'values' field"),
@@ -259,17 +259,20 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["train", "--config", "train_list", "--out", "dir"], "a train config must be a JSON object, got [1]"),
      (["train", "--config", "train_no_setfn", "--out", "dir"], "train config object has no 'setfn' field"),
      (["train", "--config", "train_unknown_field", "--out", "dir"], "train config has no field 'epoch'"),
-     (["train", "--config", "train_negative_epochs", "--out", "dir"], "epochs must be >= 0, got -1"),
-     (["train", "--config", "train_negative_grad_clip", "--out", "dir"], "grad_clip must be positive, got -1"),
+     (["train", "--config", "train_negative_epochs", "--out", "dir"], "epochs must be an integer >= 0, got epochs=-1"),
+     (["train", "--config", "train_negative_grad_clip", "--out", "dir"], "grad_clip must lie in (0, inf], got -1"),
      (["train", "--config", "train_label_corr_2", "--out", "dir"], "label_corr must lie in [0, 1], got 2"),
      (["train", "--config", "train_noise_3", "--out", "dir"], "noise must be one scale or a list of k=2"),
-     (["train", "--config", "train_nan_margin", "--out", "dir"], "margin must be finite and nonnegative, got nan"),
-     (["train", "--config", "train_fractional_epochs", "--out", "dir"], "epochs must be an integer, got 2.5"),
-     (["train", "--config", "train_string_feature_dim", "--out", "dir"], "feature_dim must be an integer, got '8'"),
-     (["train", "--config", "train_float_n_samples", "--out", "dir"], "n_samples must be an integer, got 20.0"),
+     (["train", "--config", "train_nan_margin", "--out", "dir"], "margin must lie in [0, inf), got nan"),
+     (["train", "--config", "train_fractional_epochs", "--out", "dir"],
+      "epochs must be an integer >= 0, got epochs=2.5"),
+     (["train", "--config", "train_string_feature_dim", "--out", "dir"],
+      "feature_dim must be an integer >= 2, got feature_dim='8'"),
+     (["train", "--config", "train_float_n_samples", "--out", "dir"],
+      "n_samples must be an integer >= 10, got n_samples=20.0"),
      (["train", "--config", "train_scalar_taus", "--out", "dir"], "taus must be a list of numbers, got 5"),
-     (["train", "--config", "train_bool_epochs", "--out", "dir"], "epochs must be an integer, got True"),
-     (["train", "--config", "train_negative_seed", "--out", "dir"], "seed must be >= 0, got -1"),
+     (["train", "--config", "train_bool_epochs", "--out", "dir"], "epochs must be an integer >= 0, got epochs=True"),
+     (["train", "--config", "train_negative_seed", "--out", "dir"], "seed must be an integer >= 0, got seed=-1"),
      (["train", "--config", "train_string_lr_init", "--out", "dir"], "lr_init must be a real number, got '0.1'"),
      (["train", "--config", "train_bool_lr_init", "--out", "dir"], "lr_init must be a real number, got True"),
      (["train", "--config", "train_string_lr_decay", "--out", "dir"], "lr_decay must be a real number, got '0.9'"),
@@ -277,20 +280,20 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["train", "--config", "train_string_margin", "--out", "dir"], "margin must be a real number, got '1'"),
      (["train", "--config", "train_bool_label_corr", "--out", "dir"], "label_corr must be a real number, got False"),
      (["train", "--config", "train_negative_epsilon", "--out", "dir"],
-      "epsilon must be None or positive and finite, got -1.0"),
+      "epsilon must lie in (0, inf), got -1.0"),
      (["train", "--config", "train_string_epsilon", "--out", "dir"],
-      "epsilon must be None or positive and finite, got '0.1'"),
+      "epsilon must be a real number, got '0.1'"),
      (["train", "--config", "train_nan_epsilon", "--out", "dir"],
-      "epsilon must be None or positive and finite, got nan"),
-     (["train", "--config", "train_tau_2", "--out", "dir"], "taus must lie in [0, 1], got [0.5, 2.0]"),
-     (["envelope", "--u=0.5,0.5", "--eps", "inf", "--oracle"], "eps must be positive and finite, got inf"),
-     (["envelope", "--u=0.5,0.2", "--eps", "inf"], "eps must be positive and finite, got inf"),
-     (["link", "--u=0.5,0.2", "--eps", "inf"], "eps must be positive and finite, got inf"),
-     (["mc-link", "--C", "4", "--u=0.5,0.2", "--eps", "inf"], "eps must be positive and finite, got inf"),
+      "epsilon must lie in (0, inf), got nan"),
+     (["train", "--config", "train_tau_2", "--out", "dir"], "taus must lie in [0, 1], got 2.0"),
+     (["envelope", "--u=0.5,0.5", "--eps", "inf", "--oracle"], "epsilon must lie in (0, inf), got inf"),
+     (["envelope", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
+     (["link", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
+     (["mc-link", "--C", "4", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
      (["mc-encode", "--C", "4", "--y=1,x"], "s must be comma-separated integers, got '1,x'"),
      (["mc-eval", "--g", "costs_short", "--C", "4", "--v=2.5,_", "--y=1,3"],
       "s must be comma-separated integers or _, got '2.5,_'"),
-     (["mc-eval", "--g", "costs_short", "--C", "0", "--v=_", "--y=1"], "C must be an integer >= 1, got 0"),
+     (["mc-eval", "--g", "costs_short", "--C", "0", "--v=_", "--y=1"], "C must be an integer >= 1, got C=0"),
      (["envelope", "--u=0,0,0,0,0", "--oracle"], "u has k=5 coordinates, but the face route"),
      (["metrics", "--pred", "empty", "--truth", "truth1", "--out", "dir"], "empty.csv is empty"),
      (["metrics", "--pred", "preds2", "--truth", "empty", "--out", "dir"], "empty.csv is empty"),

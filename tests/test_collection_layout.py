@@ -187,7 +187,7 @@ def test_views_are_bit_identical(name, fc, old):
             want = key_error(lambda: old.for_label(y))
             assert key_error(lambda: fc.for_label(y)) == want
             assert key_error(lambda: fc.at(y, subsets)) == want
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=rf"^y has a bitmask outside \[0, {1 << k}\) for k={k}$"):
         fc.for_label(1 << k)
     if len(old.labels()) == 1 << k:
         assert np.array_equal(fc.table_matrix(), old.table_matrix())
@@ -239,17 +239,17 @@ def test_at_rejects_bitmasks_outside_the_range(fc):
 def test_from_per_label_rejects_labels_outside_the_range():
     f = make_zero_one(2)
     for bad in (7, -1, 4):
-        with pytest.raises(ValueError, match=f"label bitmask {bad} out of range for k=2"):
+        with pytest.raises(ValueError, match=r"^label has a bitmask outside \[0, 4\) for k=2$"):
             PolymatroidCollection.from_per_label(2, {0: f, bad: f})
 
 
 def test_collection_loader_rejects_labels_outside_the_range():
     table = setfn_to_obj(make_zero_one(2))
-    with pytest.raises(ValueError, match="label bitmask (7|-1) out of range for k=2"):
+    with pytest.raises(ValueError, match=r"^label has a bitmask outside \[0, 4\) for k=2$"):
         collection_from_obj({"k": 2, "per_label": {"7": table, "-1": table}})
-    with pytest.raises(ValueError, match="label bitmask 4 out of range for k=2"):
+    with pytest.raises(ValueError, match=r"^label has a bitmask outside \[0, 4\) for k=2$"):
         collection_from_obj({"k": 2, "per_label": {"0": table, "4": table}})
-    with pytest.raises(ValueError, match="label bitmask 9 out of range for k=2"):
+    with pytest.raises(ValueError, match=r"^label has a bitmask outside \[0, 4\) for k=2$"):
         collection_from_obj({"k": 2, "symmetric": True, "per_label": {"9": table}})
     with pytest.raises(ValueError, match="label 0 has a k=2 table, collection has k=3"):
         collection_from_obj({"k": 3, "symmetric": True, "per_label": {"0": table}})

@@ -222,9 +222,10 @@ def test_naive_link_inconsistency_witness():
         (lambda: envelope_members_oracle([0.9, 0.1], 0.25), "us"),
         (lambda: envelope_oracle([np.nan, 0.0, 0.0], LinkConfig()), "u"),
         (lambda: envelope_oracle([[0.9, 0.1]], LinkConfig()), "u"),
+        (lambda: naive_threshold_link([np.nan, 0.5], 0.3), "u"),
     ],
     ids=["nan", "inf", "empty", "two-axes", "members-nan-row", "nonempty-one-axis", "trim-length",
-         "oracle-members-nan-row", "oracle-members-one-axis", "oracle-nan", "oracle-two-axes"],
+         "oracle-members-nan-row", "oracle-members-one-axis", "oracle-nan", "oracle-two-axes", "naive-nan"],
 )
 def test_link_entry_points_reject_bad_points(call, name):
     with pytest.raises(ValueError, match=rf"^{name} has"):
@@ -235,16 +236,16 @@ def test_link_entry_points_reject_bad_points(call, name):
 @pytest.mark.parametrize("eps", [-0.1, 0.0, np.nan, np.inf])
 def test_batch_envelope_routes_reject_a_bad_eps(route, eps):
     """At eps = -0.1 the two routes once disagreed on two zero points (8 vs 54 members)."""
-    with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
+    with pytest.raises(ValueError, match=rf"^eps must lie in \(0, inf\), got {eps}$"):
         route(np.zeros((2, 3)), eps)
 
 
 @pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf])
 def test_link_config_and_link_rows_reject_a_bad_eps(eps):
     """LinkConfig(epsilon=inf) and link_rows at eps = inf or -1.0 once linked [0.5, 0.2] to '++'."""
-    with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
+    with pytest.raises(ValueError, match=rf"^epsilon must lie in \(0, inf\), got {eps}$"):
         LinkConfig(epsilon=eps)
-    with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
+    with pytest.raises(ValueError, match=rf"^eps must lie in \(0, inf\), got {eps}$"):
         link_rows(np.array([[0.5, 0.2]]), eps, 0.5)
 
 
@@ -278,9 +279,9 @@ def test_link_rows_rejects_a_bad_tau(tau, message):
     [([np.nan, 0.0], 0.1, "^u has a non-finite entry"),
      ([0.5, 0.2, 0.1], 0.1, r"^u has shape \(3,\), expected \(2,\)"),
      ([[0.5, 0.2]], 0.1, r"^u has shape \(1, 2\), expected \(2,\)"),
-     ([0.5, 0.2], -1.0, "^epsilon must be positive and finite"),
-     ([0.5, 0.2], 0.0, "^epsilon must be positive and finite"),
-     ([0.5, 0.2], np.inf, "^epsilon must be positive and finite")],
+     ([0.5, 0.2], -1.0, r"^epsilon must lie in \(0, inf\), got -1.0$"),
+     ([0.5, 0.2], 0.0, r"^epsilon must lie in \(0, inf\), got 0.0$"),
+     ([0.5, 0.2], np.inf, r"^epsilon must lie in \(0, inf\), got inf$")],
     ids=["nan-u", "long-u", "two-axes-u", "negative-epsilon", "zero-epsilon", "infinite-epsilon"],
 )
 def test_thickened_envelope_grid_rejects_a_bad_point_or_epsilon(u, epsilon, message):

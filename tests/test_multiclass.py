@@ -263,36 +263,36 @@ def test_class_label_parsing():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: ClassLabel(4, (1.5, 2)), "classes: 1.5 is not an integer in [1, 4]"),
-    (lambda: ClassLabel(4, (True, 2)), "classes: True is not an integer in [1, 4]"),
-    (lambda: ClassLabel(4, ("2",)), "classes: '2' is not an integer in [1, 4]"),
-    (lambda: MulticlassReport(4, (True, 0)), "entries: True is not an integer in [0, 4]"),
-    (lambda: MulticlassReport(4, (2.0, 0)), "entries: 2.0 is not an integer in [0, 4]"),
-    (lambda: bep_loss(1.5, 1, 4), "r: 1.5 is not an integer in [1, 4]"),
-    (lambda: bep_loss(True, 1, 4), "r: True is not an integer in [1, 4]"),
-    (lambda: bep_loss(1, 2.0, 4), "y: 2.0 is not an integer in [1, 4]"),
-    (lambda: bep_loss(None, 5, 4), "y: 5 is not an integer in [1, 4]"),
+    (lambda: ClassLabel(4, (1.5, 2)), "classes must be an integer in [1, 4], got classes=1.5"),
+    (lambda: ClassLabel(4, (True, 2)), "classes must be an integer in [1, 4], got classes=True"),
+    (lambda: ClassLabel(4, ("2",)), "classes must be an integer in [1, 4], got classes='2'"),
+    (lambda: MulticlassReport(4, (True, 0)), "entries must be an integer in [0, 4], got entries=True"),
+    (lambda: MulticlassReport(4, (2.0, 0)), "entries must be an integer in [0, 4], got entries=2.0"),
+    (lambda: bep_loss(1.5, 1, 4), "r must be an integer in [1, 4], got r=1.5"),
+    (lambda: bep_loss(True, 1, 4), "r must be an integer in [1, 4], got r=True"),
+    (lambda: bep_loss(1, 2.0, 4), "y must be an integer in [1, 4], got y=2.0"),
+    (lambda: bep_loss(None, 5, 4), "y must be an integer in [1, 4], got y=5"),
     (lambda: ClassLabel.from_string(4, "1,x"), "s must be comma-separated integers, got '1,x'"),
     (lambda: ClassLabel.from_string(4, "1,"), "s must be comma-separated integers, got '1,'"),
     (lambda: ClassLabel.from_string(4, "1.5,2"), "s must be comma-separated integers, got '1.5,2'"),
     (lambda: MulticlassReport.from_string(4, "1_0,_"), "s must be comma-separated integers or _, got '1_0,_'"),
-    (lambda: ClassLabel(4.5, (1,)), "C must be an integer >= 1, got 4.5"),
-    (lambda: ClassLabel(True, (1,)), "C must be an integer >= 1, got True"),
-    (lambda: MulticlassReport(0, ()), "C must be an integer >= 1, got 0"),
-    (lambda: MulticlassReport(0, (0,)), "C must be an integer >= 1, got 0"),
+    (lambda: ClassLabel(4.5, (1,)), "C must be an integer >= 1, got C=4.5"),
+    (lambda: ClassLabel(True, (1,)), "C must be an integer >= 1, got C=True"),
+    (lambda: MulticlassReport(0, ()), "C must be an integer >= 1, got C=0"),
+    (lambda: MulticlassReport(0, (0,)), "C must be an integer >= 1, got C=0"),
     (lambda: ClassLabel(4, 3), "classes must be a sequence of integers, got 3"),
     (lambda: MulticlassReport(4, None), "entries must be a sequence of integers, got None"),
-    (lambda: BlockCodec(4).decode_bits(7), "bits must be a code word in [0, 4) of the 4-class block code, got 7"),
-    (lambda: BlockCodec(8).decode_bits(-1), "bits must be a code word in [0, 8) of the 8-class block code, got -1"),
-    (lambda: BlockCodec(4.0), "C must be an integer >= 1, got 4.0"),
-    (lambda: BlockCodec(True), "C must be an integer >= 1, got True"),
-    (lambda: BlockCodec("4"), "C must be an integer >= 1, got '4'"),
+    (lambda: BlockCodec(4).decode_bits(7), "bits must be an integer in [0, 3], got bits=7"),
+    (lambda: BlockCodec(8).decode_bits(-1), "bits must be an integer in [0, 7], got bits=-1"),
+    (lambda: BlockCodec(4.0), "C must be an integer >= 1, got C=4.0"),
+    (lambda: BlockCodec(True), "C must be an integer >= 1, got C=True"),
+    (lambda: BlockCodec("4"), "C must be an integer >= 1, got C='4'"),
     (lambda: BlockCodec(np.int64(6)), "block codec needs a power-of-two class count, got 6"),
-    (lambda: BlockCodec(4).code_bits(2.5), "c: 2.5 is not an integer in [1, 4]"),  # numpy's TypeError before
-    (lambda: BlockCodec(4).code_bits(True), "c: True is not an integer in [1, 4]"),
-    (lambda: BlockCodec(4).code_bits(5), "c: 5 is not an integer in [1, 4]"),
-    (lambda: BlockCodec(4).decode_bits(2.0), "bits must be a code word in [0, 4) of the 4-class block code, got 2.0"),
-    (lambda: BlockCodec(4).decode_bits(True), "bits must be a code word in [0, 4) of the 4-class block code, got True"),
+    (lambda: BlockCodec(4).code_bits(2.5), "c must be an integer in [1, 4], got c=2.5"),  # numpy's TypeError before
+    (lambda: BlockCodec(4).code_bits(True), "c must be an integer in [1, 4], got c=True"),
+    (lambda: BlockCodec(4).code_bits(5), "c must be an integer in [1, 4], got c=5"),
+    (lambda: BlockCodec(4).decode_bits(2.0), "bits must be an integer in [0, 3], got bits=2.0"),
+    (lambda: BlockCodec(4).decode_bits(True), "bits must be an integer in [0, 3], got bits=True"),
 ], ids=["float-class", "bool-class", "string-class", "bool-entry", "float-entry", "float-r", "bool-r", "float-y",
         "y-out-of-range", "label-word", "label-empty-token", "label-float", "report-underscore-digits",
         "fractional-C", "bool-C", "zero-C", "zero-C-abstain-entry", "scalar-classes", "none-entries",

@@ -126,6 +126,8 @@ def test_concave_card():
         make_concave_card(3, lambda c: -c)  # decreasing
     with pytest.raises(ValueError):
         make_concave_card(3, lambda c: c + 1)  # not normalized
+    with pytest.raises(ValueError, match="^g has a non-finite entry$"):
+        make_concave_card(2, lambda c: math.nan * c)  # once returned a NaN table
 
 
 def test_validate_modular():
