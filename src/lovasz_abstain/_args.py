@@ -1,17 +1,25 @@
-"""The package's argument rules, as _tol.py holds its tolerances.
+"""The package's argument rules and size caps, as _tol.py holds its tolerances.
 
-Four rules decide what counts as an integer, a real number, a finite point and
-an in-range bitmask; every entry point checks its arguments through them, and
-each raises a ValueError that names the argument. Checks that decide a
-verdict rather than reject an argument (a NaN table, a diverged trainer) stay
-with their callers.
+Eight rules decide what counts as an integer, a real number, a finite point,
+an in-range bitmask, a size within its cap, two matching sizes, a nonnegative
+vector and a probability vector; every entry point checks its arguments
+through them, and each raises a ValueError that names the argument, in one
+wording per rule. Checks that decide a verdict rather than reject an argument
+(a NaN table, a diverged trainer) stay with their callers.
 """
 
 from numbers import Real
 
 import numpy as np
 
+from ._tol import EXACT_TOL
+
 MAX_K = 62  # subsets, labels and reports are packed into int64 bitmasks
+DENSE_MAX_K = 12  # dense sweeps: 4^k (label, subset) cells, 16.8M at k = 12, and 3^k reports, 531,441
+ORACLE_MAX_K = 4  # the oracles' reach, set by the grid: 490,314 distributions at k = 4, m = 8; 61.5M at k = 5
+REPRESENTATIVE_MAX_K = 3  # the full grid against every report, with no k = 4 fallback: 40M cells at k = 4, m = 8
+FACE_MAX_K = 4  # the face route enumerates every signed chain face: 3,393 at k = 4
+DOMINATION_MAX_BITS = 9  # block domination holds the lift's (3^n, C^k) loss table: 80 MB at d*k = 9
 
 
 def integer(x, name: str, lo=None, hi=None):
@@ -54,15 +62,58 @@ def points(a, name: str, ndim: int, k=None) -> np.ndarray:
 
 def bitmasks(x, name: str, k: int):
     """x, one bitmask or an integer array of them, each checked to lie in
-    [0, 2^k); else a ValueError naming it. A Python or numpy integer is
-    checked and returned as it is, without building an array."""
+    [0, 2^k); else a ValueError naming it and the first mask outside. A Python
+    or numpy integer is checked and returned as it is, without building an array."""
     if type(x) is int or isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         if 0 <= x < 1 << k:
             return x
+        bad = x
     else:
         x = np.asarray(x)
         if x.dtype.kind not in "iu":
             raise ValueError(f"{name} must be integer bitmasks, got dtype {x.dtype}")
         if not x.size or (x.min() >= 0 and x.max() < 1 << k):
             return x
-    raise ValueError(f"{name} has a bitmask outside [0, {1 << k}) for k={k}")
+        bad = x[(x < 0) | (x >= 1 << k)].flat[0]
+    raise ValueError(f"{name} has a bitmask {bad} outside [0, {1 << k}) for k={k}")
+
+
+def capped(n: int, name: str, cap: int, what: str) -> int:
+    """n, or a ValueError naming it and its value unless n <= cap, one of the
+    caps above: name is the size (k, d*k, C*k) of what it bounds."""
+    if n > cap:
+        raise ValueError(f"{what} capped at {name} <= {cap}, got {name}={n}")
+    return n
+
+
+def alike(name: str, got, other: str, want, dims: str = "k") -> None:
+    """A ValueError naming both sides unless name's sizes got equal other's
+    sizes want: dims names them, one value each or a tuple for several ("k, C"),
+    as in "y has k=3 and C=4, but v has k=1 and C=4"."""
+    if got != want:
+        dims = dims.split(", ")
+        sizes = lambda v: " and ".join(f"{d}={x}" for d, x in zip(dims, v if len(dims) > 1 else (v,)))
+        raise ValueError(f"{name} has {sizes(got)}, but {other} has {sizes(want)}")
+
+
+def nonnegative(a, name: str, ndim: int = 1, k=None) -> np.ndarray:
+    """a as finite nonnegative floats, a vector of any length when k is None,
+    else points(a, name, ndim, k); else a ValueError naming it."""
+    a = np.asarray(a, dtype=float)
+    if k is None:
+        if a.ndim != 1:
+            raise ValueError(f"{name} must be a vector, got shape {a.shape}")
+        k = len(a)
+    a = points(a, name, ndim, k)
+    if (a < 0).any():
+        raise ValueError(f"{name} must be nonnegative, got {a[a < 0][0]}")
+    return a
+
+
+def distribution(p, name: str, n=None) -> np.ndarray:
+    """p as a probability vector, n (or any number of) nonnegative finite
+    floats that sum to 1 within EXACT_TOL; else a ValueError naming it."""
+    p = nonnegative(p, name, 1, n)
+    if abs(p.sum() - 1.0) > EXACT_TOL:
+        raise ValueError(f"{name} must be a probability vector summing to 1, got sum {p.sum()}")
+    return p

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._args import bitmasks, integer, points, real
+from ._args import alike, bitmasks, integer, nonnegative, points, real
 from .links import LinkConfig, link_rows, trim_rows
 from .lovasz import hinge_and_subgradient_rows, hinge_rows, subgradient_rows
 from .setfn import _checked_k, _checked_label, _row_masks, as_collection, popcounts
@@ -27,7 +27,7 @@ def counts(v, y) -> tuple[int, int, int, int]:
     """(TP, TN, FP, FN) bitmasks over the non-abstained coordinates; one-pair
     view of targets._outcomes."""
     v = _report(v)
-    return _outcomes(v.k, v.pos, v.zeros, _checked_label(y, v.k))
+    return _outcomes(v.k, v.pos, v.zeros, _checked_label(y, v.k, "v"))
 
 
 @dataclass
@@ -65,9 +65,9 @@ def metrics(pairs) -> MetricRecord:
         raise ValueError("pairs must hold at least one (report, label) pair")
     reports = [_report(v) for v, _ in pairs]
     k = reports[0].k
-    if any(v.k != k for v in reports):
-        raise ValueError("all pairs must share the same k")
-    rows = [(v.pos, v.zeros, _checked_label(y, k)) for v, (_, y) in zip(reports, pairs)]
+    i = next((i for i, v in enumerate(reports) if v.k != k), 0)
+    alike(f"pairs[{i}]", reports[i].k, "pairs[0]", k)
+    rows = [(v.pos, v.zeros, _checked_label(y, k, "pairs[0]")) for v, (_, y) in zip(reports, pairs)]
     return _pooled(k, *np.array(rows, dtype=np.int64).T)
 
 
@@ -125,11 +125,8 @@ class TrainConfig:
         for tau in self.taus:
             real(tau, "taus", "[0, 1]")
         self.taus = tuple(self.taus)
-        noise = np.asarray(self.noise, dtype=float)
-        if noise.ndim > 1 or noise.size not in (1, self.k):
-            raise ValueError(f"noise must be one scale or a list of k={self.k}, got {self.noise}")
-        if not (np.isfinite(noise).all() and (noise >= 0).all()):
-            raise ValueError(f"noise scales must be finite and nonnegative, got {self.noise}")
+        noise = np.atleast_1d(np.asarray(self.noise, dtype=float))  # one scale, or one per coordinate
+        nonnegative(noise, "noise", 1, 1 if noise.size == 1 else self.k)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "taus": list(self.taus)}
@@ -212,8 +209,7 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     non-finite) and rejects a data set whose shape does not match cfg.
     """
     fc = as_collection(fc)
-    if fc.k != cfg.k:
-        raise ValueError("collection dimension does not match the config")
+    alike("fc", fc.k, "cfg", cfg.k)
     data = data if data is not None else synth_data(cfg)
     _check_data(cfg, data)
     tr, va, _ = split_indices(cfg.n_samples, cfg.seed)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, links, lovasz, multiclass, oracle, serialize, setfn, targets
+from ._args import alike
 
 
 def _vec(s: str, name: str) -> np.ndarray:
@@ -99,8 +100,8 @@ def cmd_envelope(args):
 
 def cmd_verify(args):
     fc = serialize.load_collection(args.collection)
-    if args.k is not None and args.k != fc.k:
-        raise ValueError(f"--k {args.k} does not match the collection (k={fc.k})")
+    if args.k is not None:
+        alike("--k", args.k, "--collection", fc.k)
     if args.what == "embedding":
         rep = oracle.verify_embedding(fc, grid_m=args.grid)
     elif args.what == "representative":

@@ -27,8 +27,9 @@ whose sign disagrees with x_j at a coordinate j of its top support with |x_j|
 there, so it cannot come within t. The kernel therefore expands each point
 into one sign row per sign choice of its coordinates with |x_j| < t and
 evaluates only the unsigned chains on each: 3/11/51/299 at k = 1..4, against
-5/33/293/3,393 signed faces; the route stops at k = 4 and its entry points
-reject a larger u or us. A point's envelope is the AND of the member words
+5/33/293/3,393 signed faces; the route stops at _args.FACE_MAX_K = 4, and its
+entry points reject a larger u or us ("face route of u capped at k <= 4, got
+k=5"). A point's envelope is the AND of the member words
 (one uint64 per 64 reports) of its qualifying faces. The face tables are
 built once per k from numpy arrays (``_face_tables``); only the chains are
 enumerated in Python. Both routes resolve exact eps boundaries toward keeping
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._args import points, real
+from ._args import FACE_MAX_K, capped, points, real
 from ._tol import GAP_TOL
 from .lovasz import clip
 from .setfn import _bit_rows, _format, _row_masks, popcounts
@@ -247,20 +248,6 @@ class _Face:
         self.member_ids = member_ids  # ascending report ids, one per support
 
 
-# The face tables hold every signed chain face, 5/33/293/3,393 of them at
-# k = 1..4, so the face route stops at k = 4.
-_FACE_MAX_K = 4
-
-
-def _face_points(u, name: str, ndim: int) -> np.ndarray:
-    """points(u, name, ndim), or a ValueError naming u beyond the face route's cap."""
-    u = points(u, name, ndim)
-    if u.shape[-1] > _FACE_MAX_K:
-        raise ValueError(f"{name} has k={u.shape[-1]} coordinates, but the face route enumerates the signed "
-                         f"chain faces (3,393 at k = 4) only up to k = {_FACE_MAX_K}")
-    return u
-
-
 @lru_cache(maxsize=None)
 def _face_tables(k: int):
     """(chains, chain, sigma, members, face_of): the signed chain faces as arrays.
@@ -274,8 +261,7 @@ def _face_tables(k: int):
     bitmask; members[f] marks the report ids of its supports, each signed by
     sigma; face_of[c, b] is the face of chain c signed by b & top.
     """
-    if k > _FACE_MAX_K:
-        raise ValueError(f"k={k} exceeds the face route's cap k <= {_FACE_MAX_K}")
+    capped(k, "k", FACE_MAX_K, "face route")
     ending = []  # ending[top]: the chains whose largest support is top
     for top in range(1 << k):
         ending.append([(top,)] + [c + (top,) for s in range(top) if s & top == s for c in ending[s]])
@@ -394,7 +380,8 @@ def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
     """Direct-definition envelope: intersect every face hull within eps of
     the clipped point. Exponential in k; the verification route. One-row
     view of envelope_members_oracle."""
-    u = _face_points(u, "u", 1)
+    u = points(u, "u", 1)
+    capped(len(u), "k", FACE_MAX_K, "face route of u")
     members = envelope_members_oracle(u[None], cfg.resolve_epsilon(len(u)))[0]
     return {_report_at(len(u), i) for i in np.flatnonzero(members)}
 
@@ -427,7 +414,9 @@ def envelope_members_oracle(us: np.ndarray, eps: float) -> np.ndarray:
     verdicts are never held whole. Each point ANDs the packed member words of
     its qualifying faces; a point with none keeps every report, as an empty
     intersection does."""
-    us, eps = _face_points(us, "us", 2), real(eps, "eps", "(0, inf)")
+    us = points(us, "us", 2)
+    capped(us.shape[1], "k", FACE_MAX_K, "face route of us")
+    eps = real(eps, "eps", "(0, inf)")
     n_reports = 3 ** us.shape[1]
     words = _member_words(_face_member_matrix(us.shape[1]))
     out = np.empty((len(us), n_reports), dtype=bool)

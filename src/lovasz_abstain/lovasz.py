@@ -7,16 +7,17 @@ deterministic, and reads the table gains along the sorted prefixes. The hinge
 and its subgradient at the same points come from one ``chain_gains`` call
 (``hinge_and_subgradient_rows``). Exact kinks (1 - u_i y_i = 0) count as
 inactive in the subgradient. Entry points raise ValueError naming the
-argument for a wrong last axis, a non-finite entry or a label bitmask outside
-[0, 2^k).
+argument, through the rules of _args.py, for a wrong last axis or a
+non-finite entry, a negative extension point, a p that is no probability
+vector, a label bitmask outside [0, 2^k) or a label of another k.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._args import bitmasks, points
-from ._tol import EXACT_TOL
+from ._args import bitmasks, distribution, nonnegative, points
+from ._tol import EXACT_TOL  # kept importable from here; p's sum test is _args.distribution
 from .setfn import SetFunction, _checked_label, _sign_rows, as_collection
 
 
@@ -50,12 +51,12 @@ def lovasz_extension(f: SetFunction, x) -> float:
     descending; equals the max of that expression over all orderings when f
     is submodular.
     """
-    return float(_extension(f, _orthant(points(x, "x", 1, f.k), "x")[None], 0)[0])
+    return float(_extension(f, nonnegative(x, "x", 1, f.k)[None], 0)[0])
 
 
 def extension_batch(f: SetFunction, xs: np.ndarray) -> np.ndarray:
     """lovasz_extension row-wise over an (n, k) nonnegative array."""
-    return _extension(f, _orthant(points(xs, "xs", 2, f.k), "xs"), 0)
+    return _extension(f, nonnegative(xs, "xs", 2, f.k), 0)
 
 
 def clip(u) -> np.ndarray:
@@ -103,9 +104,7 @@ def expected_hinge(fc, u, p) -> float:
     """E_{Y~p} hinge(fc, u, Y); only labels with positive mass are visited."""
     fc = as_collection(fc)
     u = points(u, "u", 1, fc.k)
-    p = points(p, "p", 1, 1 << fc.k)
-    if np.any(p < 0) or abs(p.sum() - 1.0) > EXACT_TOL:
-        raise ValueError("p must be a probability vector summing to 1")
+    p = distribution(p, "p", 1 << fc.k)
     ys = np.nonzero(p)[0]
     return float(p[ys] @ _hinge(fc, np.broadcast_to(u, (len(ys), fc.k)), ys))
 
@@ -132,13 +131,6 @@ def _hinge_and_subgradient(fc, us: np.ndarray, y_bits) -> tuple[np.ndarray, np.n
     g = np.empty_like(margins)
     g[np.arange(len(g))[:, None], order] = gains
     return _sorted_sum(W, order, gains), np.where(margins > 0.0, -signs * g, 0.0)
-
-
-def _orthant(a: np.ndarray, name: str) -> np.ndarray:
-    """a, or a ValueError naming it unless every entry is nonnegative, as the extension needs."""
-    if np.any(a < 0):
-        raise ValueError(f"{name} has a negative entry; the extension needs the nonnegative orthant")
-    return a
 
 
 # Read by perfbench/tracer.py to count active hinge coordinates.

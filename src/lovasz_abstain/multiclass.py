@@ -14,23 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._args import integer, points
+from ._args import DENSE_MAX_K, DOMINATION_MAX_BITS, alike, capped, integer, nonnegative, points
 from ._tol import EXACT_TOL
 from .links import LinkConfig, _link
 from .lovasz import hinge
 from .oracle import VerificationReport
-from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _check_weights, _mask, _row_masks
+from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _mask, _row_masks
 from .setfn import _sign_rows, make_jaccard, make_modular
 from .targets import AbstainReport, _report_id_table, _report_masks, abstain_loss_table
 
 ABSTAIN = 0  # class slot reserved for the abstain answer
 _PAIR_ROWS = 4096  # (report, block) pairs per block-domination comparison; 16 MiB of rows at d*k = 9
-
-
-def _check_alike(y, name: str, v, other: str) -> None:
-    """A ValueError naming name unless y has the k and C of v."""
-    if (y.k, y.C) != (v.k, v.C):
-        raise ValueError(f"{name} has k={y.k} and C={y.C}, but {other} has k={v.k} and C={v.C}")
 
 
 def _freeze_classes(obj, name: str, lo: int) -> None:
@@ -101,7 +95,7 @@ class MulticlassReport:
     def mis_abs(self, y: ClassLabel) -> tuple[int, int]:
         """(misprediction, abstention) bitmasks against a class label of the
         same k and C, or a ValueError naming y."""
-        _check_alike(y, "y", self, "v")
+        alike("y", (y.k, y.C), "v", (self.k, self.C), "k, C")
         pairs = list(zip(self.entries, y.classes))
         return _mask([v != t for v, t in pairs]), _mask([v == ABSTAIN for v, _ in pairs])
 
@@ -156,8 +150,7 @@ def bep_surrogate(u, code) -> float:
 
 def encode_bep(y: ClassLabel, codec: BlockCodec) -> int:
     """Concatenated class codes of y as a dk-bit label bitmask."""
-    if y.C != codec.C:
-        raise ValueError(f"y has C={y.C}, but codec has C={codec.C}")
+    alike("y", y.C, "codec", codec.C, "C")
     return sum(codec.code_bits(c) << (i * codec.d) for i, c in enumerate(y.classes))  # disjoint blocks: sum is OR
 
 
@@ -176,11 +169,9 @@ class ClassCosts:
             raise ValueError("exactly one of shared / weights_by_class must be given")
         self.k = integer(k, "k", 1)
         self.shared = shared
-        self.weights = None if weights_by_class is None else np.asarray(weights_by_class, float)
-        if self.shared is not None and self.shared.k != k:
-            raise ValueError("shared table dimension mismatch")
-        if self.weights is not None:
-            _check_weights(self.weights, "weights_by_class")
+        if shared is not None:
+            alike("shared", shared.k, "ClassCosts", k)
+        self.weights = None if weights_by_class is None else nonnegative(weights_by_class, "weights_by_class")
 
     @classmethod
     def from_setfn(cls, g: SetFunction) -> "ClassCosts":
@@ -188,8 +179,7 @@ class ClassCosts:
 
     def for_label(self, y: ClassLabel) -> SetFunction:
         """g_y, or a ValueError naming y unless it has the costs' k."""
-        if y.k != self.k:
-            raise ValueError(f"y has k={y.k}, but the costs have k={self.k}")
+        alike("y", y.k, "ClassCosts", self.k)
         if self.shared is not None:
             return self.shared
         top = max(y.classes, default=0)
@@ -224,12 +214,9 @@ def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
     """Bit-level collection charging g on the set of blocks a subset touches.
     Raises ValueError naming g unless its costs are over k predictions."""
     g = _as_costs(g)
-    if g.k != integer(k, "k", 1):
-        raise ValueError(f"g has k={g.k}, expected k={k}")
+    alike("g", g.k, "the lift", integer(k, "k", 1))
     d, C = codec.d, codec.C
-    n = d * k
-    if n > 12:
-        raise ValueError("lifted ground set capped at d*k <= 12")
+    n = capped(d * k, "d*k", DENSE_MAX_K, "lifted ground set")
     block_sets = _row_masks(_bit_rows(np.arange(1 << n), n).reshape(-1, k, d).any(axis=2))  # blocks touched
     if g.weights is None:  # every class label reads the one shared table
         shared = g.for_label(ClassLabel(C, (1,) * k))
@@ -266,9 +253,7 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     """Zeroing a whole block never costs more than a partial in-block abstention."""
     g = _as_costs(g)
     d = codec.d
-    n = d * integer(k, "k", 1)
-    if n > 9:
-        raise ValueError("block domination check capped at d*k <= 9")
+    n = capped(d * integer(k, "k", 1), "d*k", DOMINATION_MAX_BITS, "block domination check")
     labels = np.array([encode_bep(y, codec) for y in _class_labels(codec.C, k)])
     table = abstain_loss_table(lift_polymatroid(g, codec, k))[:, labels]
     pos, zeros = _report_masks(n)
@@ -307,14 +292,14 @@ def mis_class(yp: ClassLabel, y: ClassLabel, c: int) -> int:
     """One-vs-all misprediction set for class c: positions where exactly one
     of prediction and label equals c. Raises ValueError naming y unless it
     has the k and C of yp."""
-    _check_alike(y, "y", yp, "yp")
+    alike("y", (y.k, y.C), "yp", (yp.k, yp.C), "k, C")
     return _mask([(a == c) != (b == c) for a, b in zip(yp.classes, y.classes)])
 
 
 def ova_target(g_by_class, yp: ClassLabel, y: ClassLabel) -> float:
     """(1/C) sum_c g_{c,y}(mis_c(y', y)) with per-class cost tables. Raises
     ValueError naming y unless it has the k and C of yp."""
-    _check_alike(y, "y", yp, "yp")
+    alike("y", (y.k, y.C), "yp", (yp.k, yp.C), "k, C")
     C = y.C
     return sum(g_by_class(c, y).eval(mis_class(yp, y, c)) for c in range(1, C + 1)) / C
 
@@ -336,9 +321,7 @@ def onehot_lift(g_by_class, C: int, k: int) -> PolymatroidCollection:
     per-class table reads off its own bit positions and the average over
     classes reproduces the one-vs-all target on encoded mispredictions.
     """
-    n = integer(C, "C", 1) * integer(k, "k", 1)
-    if n > 12:
-        raise ValueError("one-hot lift capped at C*k <= 12")
+    n = capped(integer(C, "C", 1) * integer(k, "k", 1), "C*k", DENSE_MAX_K, "one-hot lift")
     proj = _row_masks(_bit_rows(np.arange(1 << n), n).reshape(-1, k, C).swapaxes(1, 2)).T
     ys = _class_labels(C, k)
     values = np.array([sum(g_by_class(c + 1, y).values[proj[c]] for c in range(C)) for y in ys])
@@ -365,8 +348,7 @@ def bep_ova_incompatibility(g_single: SetFunction) -> BepOvaIncompatibility:
     wrong) is not an error at all. A bit-level f compatible with a nontrivial
     g would need f to drop on a superset, so no submodular f exists.
     """
-    if g_single.k != 1:
-        raise ValueError(f"g_single has k={g_single.k}; the worked example uses a single class-level prediction")
+    alike("g_single", g_single.k, "the worked example", 1)  # one class-level prediction
     codec = BlockCodec(8)
     y, v, v_far = ClassLabel(8, (7,)), ClassLabel(8, (5,)), ClassLabel(8, (4,))
     yb, vb, vfb = (encode_bep(lbl, codec) for lbl in (y, v, v_far))

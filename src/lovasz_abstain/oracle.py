@@ -6,7 +6,9 @@ checked against every alternative, and failures always carry a reproducible
 witness. Surrogate argmins are taken over the {-1,0,1}^k points, which is a
 representative set for the hinge; a lattice spot-check guards that choice.
 The sweeps read reports as targets' canonical (pos, zeros) masks and sign
-rows; a report object is built only for a returned value or a witness.
+rows; a report object is built only for a returned value or a witness. They
+stop at _args.ORACLE_MAX_K = 4 (representativeness at 3): a larger k raises
+"embedding verification capped at k <= 4, got k=5".
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._args import bitmasks, integer, points, real
+from ._args import ORACLE_MAX_K, REPRESENTATIVE_MAX_K, alike, bitmasks, capped, distribution, integer, points, real
 from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
 from .links import LinkConfig, _face_member_matrix, faces_within, link_rows, naive_threshold_link
 from .lovasz import clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
 from .setfn import _bit_rows, _checked_k, _sign_rows, popcounts, validate_polymatroid
-from .targets import AbstainReport, _report_at, _report_id_table, _report_masks, _report_signs
+from .targets import AbstainReport, _report, _report_at, _report_id_table, _report_masks, _report_signs
 from .targets import abstain_loss_table, plain_loss_table
 
 
@@ -43,18 +45,17 @@ def point_mass(y_bits: int, k: int) -> np.ndarray:
 
 
 def mix(p, q, lam: float) -> np.ndarray:
-    """(1 - lam) * p + lam * q."""
+    """(1 - lam) * p + lam * q, for probability vectors p and q of one length."""
     real(lam, "lam", "[0, 1]")
-    return (1.0 - lam) * np.asarray(p, dtype=float) + lam * np.asarray(q, dtype=float)
+    p = distribution(p, "p")
+    return (1.0 - lam) * p + lam * distribution(q, "q", len(p))
 
 
 def flip(p, r_bits: int, k: int) -> np.ndarray:
     """Distribution of Y * r when Y ~ p: q[y] = p[y * r] as bitmask indices.
-    Raises ValueError naming p unless it has length 2^k, or r_bits unless it
-    lies in [0, 2^k)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (1 << _checked_k(k),):
-        raise ValueError(f"p has shape {p.shape}, expected ({1 << k},) for k={k}")
+    Raises ValueError naming p unless it is a probability vector of length
+    2^k, or r_bits unless it lies in [0, 2^k)."""
+    p = distribution(p, "p", 1 << _checked_k(k))
     masks = np.arange(1 << k)
     return p[masks ^ (((1 << k) - 1) ^ bitmasks(r_bits, "r_bits", k))]
 
@@ -67,8 +68,7 @@ def _grid_blocks(k: int, m: int):
     of at most _GRID_ROWS rows; deterministic order. Each row is read from
     its n-1 cut positions in itertools.combinations order: part i is the gap
     between cut i-1 and cut i, with cuts -1 and m+n-1 at the ends."""
-    if integer(k, "k", 1) > 4:
-        raise ValueError("distribution grid capped at k <= 4")
+    capped(integer(k, "k", 1), "k", ORACLE_MAX_K, "distribution grid")
     integer(m, "m", 1)
     n = 1 << k
     combos = itertools.combinations(range(m + n - 1), n - 1)
@@ -149,8 +149,7 @@ def verify_embedding(fc, grid_m: int = 8) -> VerificationReport:
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
-    if k > 4:
-        raise ValueError("embedding verification capped at k <= 4")
+    capped(k, "k", ORACLE_MAX_K, "embedding verification")
     F = fc.at(np.arange(1 << k)[:, None], np.arange(1 << k))
     bad = np.argwhere(~np.isfinite(F))
     if len(bad):
@@ -192,11 +191,10 @@ def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
-    if k > 3:
-        raise ValueError("representativeness check capped at k <= 3")
-    wrong = next((v for v in reports if v.k != k), None)
-    if wrong is not None:
-        raise ValueError(f"reports has the report {wrong} with k={wrong.k}, collection has k={k}")
+    capped(k, "k", REPRESENTATIVE_MAX_K, "representativeness check")
+    reports = [_report(v, f"reports[{i}]") for i, v in enumerate(reports)]
+    for i, v in enumerate(reports):
+        alike(f"reports[{i}]", v.k, "fc", k)
     candidates = np.zeros(3**k, dtype=bool)
     candidates[_report_id_table(k)[[v.pos for v in reports], [v.zeros for v in reports]]] = True
     surr = surrogate_loss_table(fc)
@@ -235,9 +233,7 @@ def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
     rep = validate_polymatroid(f, strict=True)
     if not (rep.valid and rep.strictly_submodular and rep.strictly_increasing):
         raise ValueError("tightness requires a strictly submodular, strictly increasing polymatroid")
-    k = f.k
-    if k > 4:
-        raise ValueError("tightness verification capped at k <= 4")
+    k = capped(f.k, "k", ORACLE_MAX_K, "tightness verification")
     fc = as_collection(f)
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
@@ -293,8 +289,10 @@ class SymmetricCounterexample:
 
 
 def restrict_to_coords(f: SetFunction, coords: list[int]) -> SetFunction:
-    """Set function induced on a subset of the ground set."""
+    """Set function induced on the coordinates coords, each checked to lie in [0, k)."""
     kk = len(coords)
+    for c in coords:
+        integer(c, "coords", 0, f.k - 1)
     masks = np.bitwise_or.reduce(_bit_rows(np.arange(1 << kk), kk) << np.array(coords, dtype=np.int64), axis=1)
     return SetFunction(kk, f.values[masks])
 
@@ -401,9 +399,7 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
     and a ray toward it reaches the optimal hinge value ("sequence").
     """
     fc = as_collection(fc)
-    k = fc.k
-    if not (3 <= k <= 4):
-        raise ValueError("asymmetric counterexample needs 3 <= k <= 4")
+    k = capped(integer(fc.k, "k", 3), "k", ORACLE_MAX_K, "asymmetric counterexample")
     cond = check_condition1(fc)
     if not cond.passed:
         raise ValueError(f"collection fails the complementary-error condition: {cond.reason}")

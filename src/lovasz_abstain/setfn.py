@@ -29,10 +29,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._args import MAX_K, bitmasks, integer, points
+from ._args import DENSE_MAX_K, MAX_K, alike, bitmasks, capped, integer, nonnegative, points
 from ._tol import ATOL
 
-_DENSE_MAX_K = 12  # dense views of a rule-read collection, and sweeps over all 4^k cells
 _CHARS = "-+0"  # the character of a coordinate, indexed by its pos bit | zeros bit << 1
 _WEIGHTS = 1 << np.arange(MAX_K, dtype=np.int64)  # bit i's weight; rows of k bits read the first k
 _WEIGHTS.setflags(write=False)
@@ -123,14 +122,13 @@ class Label:
         return _format(self.k, self.bits)
 
 
-def _checked_label(y, k: int) -> int:
-    """Bitmask of one label (a Label, a bitmask or a +-1 vector), checked against k."""
+def _checked_label(y, k: int, other: str = "fc") -> int:
+    """Bitmask of one label y (a Label, a bitmask or a +-1 vector), checked against the k of other."""
     if not isinstance(y, (Label, list, tuple, np.ndarray)):
         return int(bitmasks(y, "y", k))
     if not isinstance(y, Label):
         y = Label.from_signs(y)
-    if y.k != k:
-        raise ValueError(f"label has k={y.k}, expected k={k}")
+    alike("y", y.k, other, k)
     return y.bits
 
 
@@ -167,19 +165,9 @@ class SetFunction:
         return float(self.values[-1])
 
 
-def _check_weights(w: np.ndarray, name: str) -> None:
-    """Reject anything but a vector of finite nonnegative weights, naming the argument."""
-    if w.ndim != 1:
-        raise ValueError(f"{name} must be a vector, got shape {w.shape}")
-    points(w, name, 1, len(w))
-    if np.any(w < 0):
-        raise ValueError(f"{name} must be nonnegative")
-
-
 def make_modular(w) -> SetFunction:
     """f(S) = sum of w_i over i in S, for nonnegative weights w."""
-    w = np.asarray(w, dtype=float)
-    _check_weights(w, "weights")
+    w = nonnegative(w, "weights")
     k = len(w)
     return SetFunction(k, _bit_rows(np.arange(1 << k), k) @ w,
                        {"k": k, "kind": "modular", "weights": tuple(w.tolist())})
@@ -265,8 +253,7 @@ class PolymatroidCollection:
     @classmethod
     def from_per_label(cls, k: int, per_label: dict[int, SetFunction]) -> "PolymatroidCollection":
         for y, f in per_label.items():
-            if f.k != k:
-                raise ValueError(f"label {y} has a k={f.k} table, collection has k={k}")
+            alike(f"per_label[{y}]", f.k, "the collection", k)
         labels = sorted(per_label)
         return cls.from_tables(k, labels, np.array([per_label[y].values for y in labels]))
 
@@ -296,7 +283,7 @@ class PolymatroidCollection:
         return np.arange(1 << self.k)
 
     def for_label(self, label_bits: int) -> SetFunction:
-        return SetFunction(self.k, self.at(_checked_label(label_bits, self.k), self._subsets()))
+        return SetFunction(self.k, self.at(_checked_label(label_bits, self.k, "the collection"), self._subsets()))
 
     def labels(self) -> list[int]:
         return np.flatnonzero(self.rows >= 0).tolist()
@@ -331,8 +318,7 @@ class _JaccardCollection(PolymatroidCollection):
         return np.bitwise_count(S) / np.maximum(np.bitwise_count(S | y), 1)
 
     def _subsets(self) -> np.ndarray:
-        if self.k > _DENSE_MAX_K:
-            raise ValueError(f"dense views of the Jaccard family are capped at k <= {_DENSE_MAX_K}, got k={self.k}")
+        capped(self.k, "k", DENSE_MAX_K, "dense views of the Jaccard family")
         return np.arange(1 << self.k, dtype=np.uint16)  # the narrowest masks keep the 4^k temporaries small
 
     @cached_property
@@ -470,8 +456,7 @@ def check_condition1(fc) -> Condition1Report:
     """
     fc = as_collection(fc)
     k = fc.k
-    if k > _DENSE_MAX_K:
-        raise ValueError(f"complementary-error check capped at k <= {_DENSE_MAX_K}, got k={k}")
+    capped(k, "k", DENSE_MAX_K, "complementary-error check")
     full = (1 << k) - 1
     s = np.arange(full + 1)
     rows = max(1, _CONDITION1_CELLS >> k)

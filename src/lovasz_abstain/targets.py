@@ -26,9 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._args import bitmasks
+from ._args import DENSE_MAX_K, alike, bitmasks, capped
 from ._tol import ARGMIN_TOL  # kept importable from here; the tie rule itself is oracle._argmin_mask
-from .setfn import _DENSE_MAX_K, Label, _checked_k, _checked_label, _format, _pack, _parse, _sign_rows
+from .setfn import Label, _checked_k, _checked_label, _format, _pack, _parse, _sign_rows
 from .setfn import as_collection, popcounts
 
 
@@ -67,12 +67,13 @@ class AbstainReport:
         return _format(self.k, self.pos, self.zeros)
 
 
-def _report(v) -> AbstainReport:
+def _report(v, name: str = "report") -> AbstainReport:
+    """v as a report (an AbstainReport, a Label or a vector over {-1, 0, 1}), else a ValueError naming name."""
     if isinstance(v, AbstainReport):
         return v
     if isinstance(v, Label):
         return AbstainReport.from_label(v)
-    return AbstainReport.from_vector(v)
+    return AbstainReport(*_pack(v, name, zero=True))
 
 
 def _outcomes(k: int, pos, zeros, y):
@@ -88,7 +89,7 @@ def mis(v, y) -> int:
     Abstained coordinates always disagree with a +-1 label.
     """
     v = _report(v)
-    _, _, fp, fn = _outcomes(v.k, v.pos, v.zeros, _checked_label(y, v.k))
+    _, _, fp, fn = _outcomes(v.k, v.pos, v.zeros, _checked_label(y, v.k, "v"))
     return fp | fn | v.zeros
 
 
@@ -103,8 +104,7 @@ def target_plain(fc, r, y) -> float:
     r = _report(r)
     if r.zeros:
         raise ValueError("plain structured loss is defined on +-1 reports only")
-    if r.k != fc.k:
-        raise ValueError(f"report has k={r.k}, collection has k={fc.k}")
+    alike("r", r.k, "fc", fc.k)
     y_bits = _checked_label(y, r.k)
     return float(fc.at(y_bits, mis(r, y_bits)))
 
@@ -113,8 +113,7 @@ def target_abstain(fc, v, y) -> float:
     """Structured abstain loss f_y(mis \\ abs) + f_y(mis)."""
     fc = as_collection(fc)
     v = _report(v)
-    if v.k != fc.k:
-        raise ValueError(f"report has k={v.k}, collection has k={fc.k}")
+    alike("v", v.k, "fc", fc.k)
     y_bits = _checked_label(y, v.k)
     m = mis(v, y_bits)
     return float(fc.at(y_bits, m & ~v.zeros) + fc.at(y_bits, m))
@@ -128,8 +127,7 @@ def _report_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
     subsets of its free coordinates in increasing order. The n-th subset of
     a free mask scatters the bits of n over the free positions, lowest first.
     """
-    if k > _DENSE_MAX_K:
-        raise ValueError(f"report enumeration capped at k <= {_DENSE_MAX_K}")
+    capped(k, "k", DENSE_MAX_K, "report enumeration")
     masks = np.arange(1 << k, dtype=np.int64)
     sizes = 1 << (k - popcounts(masks))
     zeros = np.repeat(masks, sizes)

@@ -10,7 +10,10 @@ exported carry a dotted name. The argument column holds the parameter's name,
 or the word the message uses for it when the parameter is a whole object
 (a report vector is named "report", the weights of make_modular "weights");
 the rows of check_condition1, counterexample_asymmetric, onehot_lift and
-verify_block_domination name the k or C that puts their input past a cap.
+verify_block_domination name the k or C that puts their input past a cap. The
+rows of the other size caps and size matches name the size too (k=5, shared
+has k=3), as the one wording of those rules does, and WORDINGS pins that
+wording for each rule.
 """
 
 import inspect
@@ -82,7 +85,7 @@ from lovasz_abstain import (
     verify_tightness,
 )
 from lovasz_abstain.links import link_rows
-from lovasz_abstain.oracle import calibration_sweep
+from lovasz_abstain.oracle import calibration_sweep, restrict_to_coords
 from lovasz_abstain.setfn import MAX_K
 
 NAN, INF = math.nan, math.inf
@@ -115,7 +118,8 @@ ROWS = [
     # lovasz
     ("clip", "u", clip, [[NAN], [[0.0, INF]]]),
     ("expected_hinge", "u", lambda v: expected_hinge(F2, v, uniform(2)), [[NAN, 0.0], [0.0]]),
-    ("expected_hinge", "p", lambda v: expected_hinge(F2, [0.0, 0.0], v), [[NAN] * 4, [0.5] * 4, [0.5] * 2]),
+    ("expected_hinge", "p", lambda v: expected_hinge(F2, [0.0, 0.0], v),
+     [[NAN] * 4, [0.5] * 4, [0.5] * 2, [-0.5, 0.5, 0.5, 0.5]]),
     ("hinge", "u", lambda v: hinge(F2, v, 0), [[NAN, 0.0], [0.0] * 3]),
     ("hinge", "y", lambda v: hinge(F2, [0.0, 0.0], v), [4, -1, True, 1.0]),
     ("hinge_subgradient", "u", lambda v: hinge_subgradient(F2, v, 0), [[INF, 0.0]]),
@@ -146,24 +150,33 @@ ROWS = [
     # oracle
     ("counterexample_asymmetric", "k", counterexample_asymmetric, [make_jaccard(2)]),
     ("counterexample_symmetric", "f", counterexample_symmetric, [SetFunction(2, [0.0, 1.0, 1.0, 0.5])]),
-    ("flip", "p", lambda v: flip(v, 1, 2), [np.ones(3), np.ones((1, 4))]),
+    ("flip", "p", lambda v: flip(v, 1, 2), [np.ones(3), np.ones((1, 4)), [-1.0, 2.0, 0.0, 0.0], [NAN] * 4]),
     ("flip", "r_bits", lambda v: flip(uniform(2), v, 2), [4, -1, True]),
     ("flip", "k", lambda v: flip(uniform(2), 1, v), [2.5, True]),
     ("grid_distributions", "k", lambda v: list(grid_distributions(v, 2)), [0, 5, 2.0, True]),
     ("grid_distributions", "m", lambda v: list(grid_distributions(2, v)), [0, 2.5, True]),
     ("mix", "lam", lambda v: mix(uniform(2), uniform(2), v), [True, 1.5, NAN]),
+    ("mix", "p", lambda v: mix(v, uniform(2), 0.5), [[NAN] * 4, [0.5] * 4, [[0.25] * 4]]),
+    ("mix", "q", lambda v: mix(uniform(2), v, 0.5), [[NAN] * 4, uniform(3), [-1.0, 2.0, 0.0, 0.0]]),
     ("point_mass", "y_bits", lambda v: point_mass(v, 2), [4, -1, True]),
     ("point_mass", "k", lambda v: point_mass(1, v), [0, 2.5, True]),
     ("uniform", "k", uniform, [0, 2.5, True]),
     ("verify_embedding", "grid_m", lambda v: verify_embedding(F2, v), [0, 2.5, True]),
+    ("verify_embedding", "k=5", verify_embedding, [make_sqrt_card(5)]),
     ("verify_representative", "grid_m", lambda v: verify_representative(F2, [], v), [0, 2.5, True]),
-    ("verify_representative", "reports", lambda v: verify_representative(F2, v, 2), [[AbstainReport(3, 0, 0)]]),
+    ("verify_representative", "reports", lambda v: verify_representative(F2, v, 2),
+     [[AbstainReport(3, 0, 0)], ["+0"]]),
+    ("verify_representative", "k=4", lambda v: verify_representative(v, []), [make_sqrt_card(4)]),
     ("verify_tightness", "grid_m", lambda v: verify_tightness(F2, v), [0, 2.5, True]),
+    ("verify_tightness", "k=5", verify_tightness, [make_sqrt_card(5)]),
     ("oracle.calibration_sweep", "grid_m", lambda v: calibration_sweep(F2, v), [0, 2.5, True]),
+    ("oracle.calibration_sweep", "k=5", lambda v: calibration_sweep(v, 2), [make_sqrt_card(5)]),
+    ("oracle.restrict_to_coords", "coords", lambda v: restrict_to_coords(F2, v), [[5], [-1], [0.5]]),
     ("oracle.calibration_sweep", "n_perturb", lambda v: calibration_sweep(F2, 2, n_perturb=v), [0, 2.5, True]),
     # multiclass
     ("BlockCodec", "C", BlockCodec, [0, 4.0, True, "4"]),
     ("ClassCosts", "k", lambda v: ClassCosts(v, weights_by_class=[1.0]), [0, 2.5, True]),
+    ("ClassCosts", "shared has k=3", lambda v: ClassCosts(2, shared=v), [make_sqrt_card(3)]),
     ("ClassCosts", "weights_by_class", lambda v: ClassCosts(1, weights_by_class=v), [[NAN], [-1.0], 1.0]),
     ("ClassLabel", "C", lambda v: ClassLabel(v, (1,)), [0, 4.5, True]),
     ("ClassLabel", "classes", lambda v: ClassLabel(4, v), [(1.5,), (True,), (5,), 3]),
@@ -192,6 +205,7 @@ ROWS = [
     ("metrics", "pairs", metrics, [[]]),
     ("tau_sweep", "taus", lambda v: tau_sweep(RESULT, DATA, v), [[1.5], [True], [NAN]]),
     ("train", "data", lambda v: train(SMALL, F2, v), [synth_data(TrainConfig(k=2, feature_dim=3, n_samples=10))]),
+    ("train", "fc has k=3", lambda v: train(SMALL, v), [make_sqrt_card(3)]),
 ]
 
 EXEMPT = {
@@ -232,13 +246,21 @@ RULE_COPIES = [
     (re.compile(r"\b0(\.0)? <=? [\w.]+ <=? np\.inf\b"), "    if not 0 < eps < np.inf:"),
     (re.compile(r"\b0(\.0)? <=? [\w.]+ <=? 1(\.0)?\b"), "        if not (0.0 <= self.tau <= 1.0):"),
     (re.compile(r"\(0(\.0)? <= \w+\) & \(\w+ <= 1(\.0)?\)"), "    if not ((0.0 <= tau) & (tau <= 1.0)).all():"),
+    (re.compile(r"raise ValueError\(.*(\bcap(ped)?\b| <= k <= )"),
+     '        raise ValueError("distribution grid capped at k <= 4")'),
+    (re.compile(r"\bhas (a )?[kC]=\{|\bdimension mismatch\b|\bdoes not match the (collection|config)\b"
+                r"|\bshare the same k\b"),
+     '        raise ValueError(f"label has k={y.k}, expected k={k}")'),
+    (re.compile(r"np\.any\([^()]*< 0(\.0)?\)|\(\w+ >= 0(\.0)?\)\.all\(\)|\.sum\(\) - 1(\.0)?\)"),
+     "    if np.any(p < 0) or abs(p.sum() - 1.0) > EXACT_TOL:"),
 ]
 
 
 def test_only_args_holds_the_argument_rules():
-    """The integer, real-range and bitmask rules live in _args.py: no other
-    module tests numbers.Integral or numbers.Real, (int, np.integer), or a
-    hand-written (0, inf) or [0, 1] range."""
+    """The argument rules live in _args.py: no other module tests
+    numbers.Integral or numbers.Real, (int, np.integer), a hand-written
+    (0, inf) or [0, 1] range, raises its own size-cap error or "has k=..."
+    mismatch, or tests a sign or a sum to 1 by hand."""
     package = Path(lovasz_abstain.__file__).parent
     hits = [f"{path.name}:{n}: {line.strip()}"
             for path in sorted(package.glob("*.py")) if path.name != "_args.py"
@@ -246,3 +268,25 @@ def test_only_args_holds_the_argument_rules():
             if any(pattern.search(line) for pattern, _ in RULE_COPIES)]
     assert hits == []
     assert all(pattern.search(line) for pattern, line in RULE_COPIES)
+
+
+# One wording per rule: a call that breaks the rule and the whole message.
+WORDINGS = {
+    "integer": (lambda: make_jaccard(2.5), "k must be an integer in [1, 62], got k=2.5"),
+    "real": (lambda: LinkConfig(epsilon=INF), "epsilon must lie in (0, inf), got inf"),
+    "points": (lambda: clip([NAN]), "u has a non-finite entry"),
+    "bitmasks": (lambda: Label(2, 7), "bits has a bitmask 7 outside [0, 4) for k=2"),
+    "capped": (lambda: verify_embedding(make_sqrt_card(5)), "embedding verification capped at k <= 4, got k=5"),
+    "alike": (lambda: ClassCosts(2, shared=make_sqrt_card(3)), "shared has k=3, but ClassCosts has k=2"),
+    "nonnegative": (lambda: expected_hinge(F2, [0.0, 0.0], [-0.5, 0.5, 0.5, 0.5]), "p must be nonnegative, got -0.5"),
+    "distribution": (lambda: mix([0.5] * 4, uniform(2), 0.5),
+                     "p must be a probability vector summing to 1, got sum 2.0"),
+}
+
+
+@pytest.mark.parametrize("rule", WORDINGS)
+def test_each_rule_has_one_wording(rule):
+    call, message = WORDINGS[rule]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -136,7 +136,7 @@ def test_verify_subcommands(files, capsys):
 
 def test_verify_k_mismatch(files, capsys):
     assert main(["verify", "embedding", "--collection", str(files["sqrt2"]), "--k", "3"]) == 2
-    assert "--k 3 does not match the collection (k=2)" in capsys.readouterr().err
+    assert "--k has k=3, but --collection has k=2" in capsys.readouterr().err
 
 
 def test_counterexample(files, capsys):
@@ -262,7 +262,7 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["train", "--config", "train_negative_epochs", "--out", "dir"], "epochs must be an integer >= 0, got epochs=-1"),
      (["train", "--config", "train_negative_grad_clip", "--out", "dir"], "grad_clip must lie in (0, inf], got -1"),
      (["train", "--config", "train_label_corr_2", "--out", "dir"], "label_corr must lie in [0, 1], got 2"),
-     (["train", "--config", "train_noise_3", "--out", "dir"], "noise must be one scale or a list of k=2"),
+     (["train", "--config", "train_noise_3", "--out", "dir"], "noise has shape (3,), expected (2,)"),
      (["train", "--config", "train_nan_margin", "--out", "dir"], "margin must lie in [0, inf), got nan"),
      (["train", "--config", "train_fractional_epochs", "--out", "dir"],
       "epochs must be an integer >= 0, got epochs=2.5"),
@@ -294,7 +294,7 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["mc-eval", "--g", "costs_short", "--C", "4", "--v=2.5,_", "--y=1,3"],
       "s must be comma-separated integers or _, got '2.5,_'"),
      (["mc-eval", "--g", "costs_short", "--C", "0", "--v=_", "--y=1"], "C must be an integer >= 1, got C=0"),
-     (["envelope", "--u=0,0,0,0,0", "--oracle"], "u has k=5 coordinates, but the face route"),
+     (["envelope", "--u=0,0,0,0,0", "--oracle"], "face route of u capped at k <= 4, got k=5"),
      (["metrics", "--pred", "empty", "--truth", "truth1", "--out", "dir"], "empty.csv is empty"),
      (["metrics", "--pred", "preds2", "--truth", "empty", "--out", "dir"], "empty.csv is empty"),
      (["verify", "representative", "--collection", "sqrt2", "--grid", "0"], "m=0"),

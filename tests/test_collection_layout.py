@@ -187,7 +187,7 @@ def test_views_are_bit_identical(name, fc, old):
             want = key_error(lambda: old.for_label(y))
             assert key_error(lambda: fc.for_label(y)) == want
             assert key_error(lambda: fc.at(y, subsets)) == want
-    with pytest.raises(ValueError, match=rf"^y has a bitmask outside \[0, {1 << k}\) for k={k}$"):
+    with pytest.raises(ValueError, match=rf"^y has a bitmask {1 << k} outside \[0, {1 << k}\) for k={k}$"):
         fc.for_label(1 << k)
     if len(old.labels()) == 1 << k:
         assert np.array_equal(fc.table_matrix(), old.table_matrix())
@@ -227,9 +227,9 @@ def test_symmetric_index_is_a_broadcast():
                          ids=["rule", "shared-table", "per-label"])
 def test_at_rejects_bitmasks_outside_the_range(fc):
     """A subset past 2^k used to read the next label's row, and a negative label wrapped to the last one."""
-    for y, S, name in ((0, 9, "S"), (-1, 0, "y"), (8, 0, "y"), (0, -1, "S"),
-                       (np.array([0, 8]), np.array([1, 2]), "y"), (0, np.array([[3], [8]]), "S")):
-        with pytest.raises(ValueError, match=rf"^{name} has a bitmask outside \[0, 8\) for k=3$"):
+    for y, S, name, bad in ((0, 9, "S", 9), (-1, 0, "y", -1), (8, 0, "y", 8), (0, -1, "S", -1),
+                            (np.array([0, 8]), np.array([1, 2]), "y", 8), (0, np.array([[3], [8]]), "S", 8)):
+        with pytest.raises(ValueError, match=rf"^{name} has a bitmask {bad} outside \[0, 8\) for k=3$"):
             fc.at(y, S)
     with pytest.raises(ValueError, match="S must be integer bitmasks, got dtype float64"):
         fc.at(0, 1.0)
@@ -239,17 +239,17 @@ def test_at_rejects_bitmasks_outside_the_range(fc):
 def test_from_per_label_rejects_labels_outside_the_range():
     f = make_zero_one(2)
     for bad in (7, -1, 4):
-        with pytest.raises(ValueError, match=r"^label has a bitmask outside \[0, 4\) for k=2$"):
+        with pytest.raises(ValueError, match=rf"^label has a bitmask {bad} outside \[0, 4\) for k=2$"):
             PolymatroidCollection.from_per_label(2, {0: f, bad: f})
 
 
 def test_collection_loader_rejects_labels_outside_the_range():
     table = setfn_to_obj(make_zero_one(2))
-    with pytest.raises(ValueError, match=r"^label has a bitmask outside \[0, 4\) for k=2$"):
+    with pytest.raises(ValueError, match=r"^label has a bitmask -1 outside \[0, 4\) for k=2$"):
         collection_from_obj({"k": 2, "per_label": {"7": table, "-1": table}})
-    with pytest.raises(ValueError, match=r"^label has a bitmask outside \[0, 4\) for k=2$"):
+    with pytest.raises(ValueError, match=r"^label has a bitmask 4 outside \[0, 4\) for k=2$"):
         collection_from_obj({"k": 2, "per_label": {"0": table, "4": table}})
-    with pytest.raises(ValueError, match=r"^label has a bitmask outside \[0, 4\) for k=2$"):
+    with pytest.raises(ValueError, match=r"^label has a bitmask 9 outside \[0, 4\) for k=2$"):
         collection_from_obj({"k": 2, "symmetric": True, "per_label": {"9": table}})
-    with pytest.raises(ValueError, match="label 0 has a k=2 table, collection has k=3"):
+    with pytest.raises(ValueError, match=r"^per_label\[0\] has k=2, but the collection has k=3$"):
         collection_from_obj({"k": 3, "symmetric": True, "per_label": {"0": table}})

@@ -234,7 +234,7 @@ def test_loss_tables_keep_the_scalar_errors():
             table()
         errors.append(str(exc.value))
     assert len(set(errors)) == 1 and "label bitmask 2" in errors[0]
-    with pytest.raises(ValueError, match="report has k=2, collection has k=3"):
+    with pytest.raises(ValueError, match="v has k=2, but fc has k=3"):
         loop_abstain_table(make_zero_one(3), [AbstainReport.from_string("+0")])
     with pytest.raises(ValueError, match="entries must be in"):
         target_abstain(make_zero_one(2), [2, 0], 0)

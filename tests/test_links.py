@@ -254,7 +254,7 @@ def test_link_config_and_link_rows_reject_a_bad_eps(eps):
 def test_face_route_names_its_cap(call):
     """At k = 5 both routes once failed in the face-table builder with "face
     enumeration capped at k <= 4", which named neither us nor u."""
-    with pytest.raises(ValueError, match=r"^us? has k=5 coordinates, but the face route .* only up to k = 4$"):
+    with pytest.raises(ValueError, match=r"^face route of us? capped at k <= 4, got k=5$"):
         call()
 
 

@@ -334,11 +334,11 @@ def test_class_values_accept_integers():
     (lambda: multiclass_target(make_sqrt_card(2), MulticlassReport(4, (1,)), ClassLabel(4, (1, 2))),
      "y has k=2 and C=4, but v has k=1 and C=4"),
     (lambda: multiclass_target(make_sqrt_card(3), MulticlassReport(4, (1, 2)), ClassLabel(4, (1, 2))),
-     "y has k=2, but the costs have k=3"),
+     "y has k=2, but ClassCosts has k=3"),
     (lambda: ClassCosts(2, weights_by_class=[1.0, 2.0]).for_label(ClassLabel(2, (1,))),
-     "y has k=1, but the costs have k=2"),
+     "y has k=1, but ClassCosts has k=2"),
     (lambda: ClassCosts.from_setfn(make_sqrt_card(2)).for_label(ClassLabel(4, (1, 2, 3))),
-     "y has k=3, but the costs have k=2"),
+     "y has k=3, but ClassCosts has k=2"),
 ], ids=["mis-abs-k", "mis-abs-C", "mis-class-k", "mis-class-C", "ova-k", "ova-C", "target-C", "target-k",
         "target-cost-k", "weights-k", "shared-k"])
 def test_labels_must_match_the_report_and_the_costs(call, message):
@@ -354,7 +354,7 @@ def test_labels_must_match_the_report_and_the_costs(call, message):
     lambda: verify_block_domination(ClassCosts(2, weights_by_class=[1.0, 2.0, 3.0, 4.0]), BlockCodec(4), 1),
 ], ids=["lift", "surrogate", "block-domination", "block-domination-class-weights"])
 def test_costs_must_match_the_lifted_k(call):
-    with pytest.raises(ValueError, match=r"g has k=\d+, expected k=\d+"):
+    with pytest.raises(ValueError, match=r"^g has k=\d+, but the lift has k=\d+$"):
         call()
 
 

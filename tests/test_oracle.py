@@ -49,14 +49,14 @@ def test_distribution_constructors():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: point_mass(-1, 2), "y_bits has a bitmask outside [0, 4) for k=2"),
-    (lambda: point_mass(4, 2), "y_bits has a bitmask outside [0, 4) for k=2"),
-    (lambda: point_mass(9, 2), "y_bits has a bitmask outside [0, 4) for k=2"),
+    (lambda: point_mass(-1, 2), "y_bits has a bitmask -1 outside [0, 4) for k=2"),
+    (lambda: point_mass(4, 2), "y_bits has a bitmask 4 outside [0, 4) for k=2"),
+    (lambda: point_mass(9, 2), "y_bits has a bitmask 9 outside [0, 4) for k=2"),
     (lambda: point_mass(True, 2), "y_bits must be integer bitmasks, got dtype bool"),
-    (lambda: flip(uniform(2), 9, 2), "r_bits has a bitmask outside [0, 4) for k=2"),
-    (lambda: flip(uniform(2), -1, 2), "r_bits has a bitmask outside [0, 4) for k=2"),
-    (lambda: flip(uniform(3), 1, 2), "p has shape (8,), expected (4,) for k=2"),
-    (lambda: flip(uniform(2)[None], 1, 2), "p has shape (1, 4), expected (4,) for k=2"),
+    (lambda: flip(uniform(2), 9, 2), "r_bits has a bitmask 9 outside [0, 4) for k=2"),
+    (lambda: flip(uniform(2), -1, 2), "r_bits has a bitmask -1 outside [0, 4) for k=2"),
+    (lambda: flip(uniform(3), 1, 2), "p has shape (8,), expected (4,)"),
+    (lambda: flip(uniform(2)[None], 1, 2), "p has shape (1, 4), expected (4,)"),
     (lambda: uniform(0), "k must be an integer in [1, 62], got k=0"),
 ], ids=["negative-label", "label-2^k", "label-9", "bool-label", "flip-9", "flip-negative", "long-p", "2d-p",
         "uniform-k0"])
@@ -118,9 +118,9 @@ def test_verify_representative():
 
 def test_verify_representative_rejects_reports_of_another_k():
     """Candidates of another k used to be read as other reports (or to index out of range)."""
-    with pytest.raises(ValueError, match="reports has the report .* with k=2, collection has k=3"):
+    with pytest.raises(ValueError, match=r"^reports\[0\] has k=2, but fc has k=3$"):
         verify_representative(make_sqrt_card(3), enumerate_reports(2, "V0"))
-    with pytest.raises(ValueError, match="reports has the report .* with k=3, collection has k=2"):
+    with pytest.raises(ValueError, match=r"^reports\[0\] has k=3, but fc has k=2$"):
         verify_representative(make_sqrt_card(2), enumerate_reports(3, "V0"))
 
 
