@@ -15,6 +15,7 @@ import numpy as np
 from ._tol import EXACT_TOL
 
 MAX_K = 62  # subsets, labels and reports are packed into int64 bitmasks
+TABLE_MAX_K = 20  # one dense table of 2^k float64 values: 8 MiB at k = 20, the largest measured
 DENSE_MAX_K = 12  # dense sweeps: 4^k (label, subset) cells, 16.8M at k = 12, and 3^k reports, 531,441
 ORACLE_MAX_K = 4  # the oracles' reach, set by the grid: 490,314 distributions at k = 4, m = 8; 61.5M at k = 5
 REPRESENTATIVE_MAX_K = 3  # the full grid against every report, with no k = 4 fallback: 40M cells at k = 4, m = 8

@@ -97,14 +97,8 @@ class TrainConfig:
     epochs: int = 200
     seed: int = 0
     lr_init: float = 0.1
-    lr_decay: float = 0.96
-    lr_decay_every: int = 10000
-    grad_clip: float = 1.0
     noise: float | list = 0.0
-    margin: float = 1.0
-    label_corr: float = 0.0
     epsilon: float | None = None
-    taus: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def __post_init__(self):
         _checked_k(self.k)
@@ -112,54 +106,34 @@ class TrainConfig:
         integer(self.n_samples, "n_samples", 10)
         integer(self.epochs, "epochs", 0)
         integer(self.seed, "seed", 0)
-        integer(self.lr_decay_every, "lr_decay_every", 1)
         real(self.lr_init, "lr_init", "(0, inf]")
-        real(self.lr_decay, "lr_decay", "(0, 1]")
-        real(self.grad_clip, "grad_clip", "(0, inf]")
-        real(self.margin, "margin", "[0, inf)")
-        real(self.label_corr, "label_corr", "[0, 1]")
         if self.epsilon is not None:
             real(self.epsilon, "epsilon", "(0, inf)")
-        if not isinstance(self.taus, (list, tuple)):
-            raise ValueError(f"taus must be a list of numbers, got {self.taus!r}")
-        for tau in self.taus:
-            real(tau, "taus", "[0, 1]")
-        self.taus = tuple(self.taus)
         noise = np.atleast_1d(np.asarray(self.noise, dtype=float))  # one scale, or one per coordinate
         nonnegative(noise, "noise", 1, 1 if noise.size == 1 else self.k)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "taus": list(self.taus)}
 
 
 @dataclass
 class Dataset:
     X: np.ndarray  # (n, feature_dim)
-    Y: np.ndarray  # (n, k) signs
     y_bits: np.ndarray  # (n,) label bitmasks
 
 
 def synth_data(cfg: TrainConfig) -> Dataset:
     """Per-coordinate signed clusters with controllable noise.
 
-    Feature i < k is y_i * (margin + |gauss|) plus gaussian noise of scale
+    Feature i < k is y_i * (1 + |gauss|) plus gaussian noise of scale
     noise_i, so zero noise guarantees a linear scorer with zero hinge loss;
     a noisy coordinate is genuinely ambiguous. Extra features are standard
-    normal distractors. label_corr > 0 correlates the coordinate signs.
+    normal distractors.
     """
     rng = np.random.default_rng(cfg.seed)
     n, k = cfg.n_samples, cfg.k
     noise = np.broadcast_to(np.asarray(cfg.noise, dtype=float), (k,))
-    if cfg.label_corr > 0:
-        shared = rng.standard_normal((n, 1))
-        own = rng.standard_normal((n, k))
-        latent = np.sqrt(cfg.label_corr) * shared + np.sqrt(1 - cfg.label_corr) * own
-        Y = np.where(latent >= 0, 1.0, -1.0)
-    else:
-        Y = rng.choice([-1.0, 1.0], size=(n, k))
+    Y = rng.choice([-1.0, 1.0], size=(n, k))
     X = rng.standard_normal((n, cfg.feature_dim))
-    X[:, :k] = Y * (cfg.margin + np.abs(rng.standard_normal((n, k)))) + noise * rng.standard_normal((n, k))
-    return Dataset(X, Y, _row_masks(Y > 0))
+    X[:, :k] = Y * (1.0 + np.abs(rng.standard_normal((n, k)))) + noise * rng.standard_normal((n, k))
+    return Dataset(X, _row_masks(Y > 0))
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,7 +160,7 @@ class TrainResult:
             "best_epoch": self.best_epoch,
             "train_trace": self.train_trace,
             "val_trace": self.val_trace,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
         }
 
 
@@ -201,7 +175,8 @@ def _mean_subgradient(fc, W, X, y_bits) -> np.ndarray:
 
 
 def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
-    """Full-batch subgradient descent on the mean hinge; one step per epoch.
+    """Full-batch subgradient descent on the mean hinge; one step per epoch,
+    of size lr_init along the subgradient clipped to [-1, 1] entrywise.
 
     Each epoch makes one hinge_and_subgradient_rows call on the stacked train
     and validation scores. Keeps the weights with the best validation loss.
@@ -235,10 +210,9 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
         val_trace.append(val)
         if val < best_val:
             best_val, best_W, best_epoch = val, W.copy(), epoch
-        lr = cfg.lr_init * cfg.lr_decay ** (epoch // cfg.lr_decay_every)
         G = S[:n_tr].T @ Xtr / n_tr
-        np.clip(G, -cfg.grad_clip, cfg.grad_clip, out=G)
-        W = W - lr * G
+        np.clip(G, -1.0, 1.0, out=G)
+        W = W - cfg.lr_init * G
     h = hinge_rows(fc, scores(W), y_bits)
     final_val = float(h[n_tr:].mean())
     train_trace.append(float(h[:n_tr].mean()))

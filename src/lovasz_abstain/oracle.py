@@ -23,7 +23,7 @@ from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
 from .links import LinkConfig, _face_member_matrix, faces_within, link_rows, naive_threshold_link
 from .lovasz import clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
-from .setfn import _bit_rows, _checked_k, _sign_rows, popcounts, validate_polymatroid
+from .setfn import _bit_rows, _checked_k, _sign_rows, _table_k, popcounts, validate_polymatroid
 from .targets import AbstainReport, _report, _report_at, _report_id_table, _report_masks, _report_signs
 from .targets import abstain_loss_table, plain_loss_table
 
@@ -34,12 +34,12 @@ from .targets import abstain_loss_table, plain_loss_table
 
 
 def uniform(k: int) -> np.ndarray:
-    return np.full(1 << _checked_k(k), 1.0 / (1 << k))
+    return np.full(1 << _table_k(k), 1.0 / (1 << k))
 
 
 def point_mass(y_bits: int, k: int) -> np.ndarray:
     """All mass on label y_bits; a ValueError naming y_bits unless it lies in [0, 2^k)."""
-    p = np.zeros(1 << _checked_k(k))
+    p = np.zeros(1 << _table_k(k))
     p[bitmasks(y_bits, "y_bits", k)] = 1.0
     return p
 
@@ -133,8 +133,8 @@ def argmin_ids(values: np.ndarray) -> set[int]:
     return set(np.flatnonzero(_argmin_mask(values[None])[0]).tolist())
 
 
-def _lattice(k: int, step: float = 0.25) -> np.ndarray:
-    axis = np.arange(-1.0, 1.0 + step / 2, step)
+def _lattice(k: int) -> np.ndarray:
+    axis = np.arange(-1.0, 1.125, 0.25)  # [-1, 1] in steps of 0.25
     return np.array(list(itertools.product(axis, repeat=k)))
 
 
@@ -208,6 +208,15 @@ def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
     return VerificationReport("representative", True, cases)
 
 
+def _symmetric_table(f, what: str) -> SetFunction:
+    """f, or the one table of a symmetric collection f; else a ValueError naming what takes f."""
+    if isinstance(f, PolymatroidCollection):
+        if not f.symmetric:
+            raise ValueError(f"{what} takes a symmetric set function")
+        f = f.for_label(0)
+    return f
+
+
 def _tightness_witnesses(k: int, pos: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     """(n, 2^k) tightness witnesses of the reports (pos, zeros), one per row."""
     committed = ((1 << k) - 1) & ~zeros
@@ -226,10 +235,7 @@ def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
     """Unique-minimizer witnesses for reports without a lone abstention, and
     grid domination of lone-abstention reports by their sign completions."""
     integer(grid_m, "grid_m", 1)
-    if isinstance(f, PolymatroidCollection):
-        if not f.symmetric:
-            raise ValueError("tightness check takes a symmetric set function")
-        f = f.for_label(0)
+    f = _symmetric_table(f, "tightness check")
     rep = validate_polymatroid(f, strict=True)
     if not (rep.valid and rep.strictly_submodular and rep.strictly_increasing):
         raise ValueError("tightness requires a strictly submodular, strictly increasing polymatroid")
@@ -305,10 +311,7 @@ def counterexample_symmetric(f) -> SymmetricCounterexample:
     no such certificate exists). Coordinates with a zero singleton value are
     discarded first; they never affect the loss.
     """
-    if isinstance(f, PolymatroidCollection):
-        if not f.symmetric:
-            raise ValueError("symmetric counterexample takes a symmetric set function")
-        f = f.for_label(0)
+    f = _symmetric_table(f, "symmetric counterexample")
     base = validate_polymatroid(f)
     if not base.valid:
         raise ValueError("f must be a valid polymatroid")

@@ -30,6 +30,7 @@ from ._args import real
 from .setfn import (
     PolymatroidCollection,
     SetFunction,
+    _checked_k,
     as_collection,
     make_concave_card,
     make_jaccard,
@@ -66,14 +67,14 @@ def setfn_from_obj(obj: dict) -> SetFunction:
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             raise ValueError(f"non-finite value {values.flat[bad[0]]} at S={bad[0]:#x}")
-        return SetFunction.from_values(int(_field(obj, "k", kind)), values)
+        return SetFunction.from_values(_field(obj, "k", kind), values)
     if kind == "modular":
         return make_modular(_field(obj, "weights", kind))
     if kind == "zero_one":
-        return make_zero_one(int(_field(obj, "k", kind)))
+        return make_zero_one(_field(obj, "k", kind))
     if kind == "concave_card":
-        k = int(_field(obj, "k", kind))
-        exponent = real(float(obj.get("exponent", 0.5)), "exponent", "(0, 1]")
+        k = _checked_k(_field(obj, "k", kind))
+        exponent = float(real(obj.get("exponent", 0.5), "exponent", "(0, 1]"))
         f = make_concave_card(k, lambda c: float(c) ** exponent)
         return SetFunction(k, f.values, {"k": k, "kind": "concave_card", "exponent": exponent})
     if kind == "jaccard":
@@ -95,10 +96,10 @@ def collection_to_obj(fc) -> dict:
 
 def collection_from_obj(obj: dict) -> PolymatroidCollection:
     if _object(obj, "a collection").get("kind") == "jaccard":
-        return make_jaccard(int(_field(obj, "k", "jaccard")))
+        return make_jaccard(_field(obj, "k", "jaccard"))
     if "per_label" not in obj:  # a bare set function doubles as a symmetric collection
         return PolymatroidCollection.from_setfn(setfn_from_obj(obj))
-    k = int(_field(obj, "k", "collection"))
+    k = _checked_k(_field(obj, "k", "collection"))
     per = {}
     for key, sub in _object(obj["per_label"], "per_label").items():
         try:

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._args import DENSE_MAX_K, MAX_K, alike, bitmasks, capped, integer, nonnegative, points
+from ._args import DENSE_MAX_K, MAX_K, TABLE_MAX_K, alike, bitmasks, capped, integer, nonnegative, points
 from ._tol import ATOL
 
 _CHARS = "-+0"  # the character of a coordinate, indexed by its pos bit | zeros bit << 1
@@ -45,6 +45,11 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
 def _checked_k(k: int) -> int:
     """k, or a ValueError naming it unless it is an integer in [1, MAX_K] (the bitmasks are int64)."""
     return integer(k, "k", 1, MAX_K)
+
+
+def _table_k(k: int) -> int:
+    """_checked_k(k), capped at TABLE_MAX_K for a dense table of 2^k values."""
+    return capped(_checked_k(k), "k", TABLE_MAX_K, "dense 2^k tables")
 
 
 def _mask(flags) -> int:
@@ -153,9 +158,9 @@ class SetFunction:
     def from_values(cls, k: int, values) -> "SetFunction":
         f = cls(k, np.asarray(values, dtype=float))
         if abs(f.values[0]) > ATOL:
-            raise ValueError(f"not normalized: f(empty) = {f.values[0]}")
+            raise ValueError(f"values must be normalized within ATOL={ATOL}, got f(empty) = {f.values[0]}")
         if np.any(f.values < -ATOL):
-            raise ValueError("set function has negative values")
+            raise ValueError(f"values must be nonnegative within ATOL={ATOL}, got {f.values.min()}")
         return f
 
     def eval(self, subset: int) -> float:
@@ -168,21 +173,21 @@ class SetFunction:
 def make_modular(w) -> SetFunction:
     """f(S) = sum of w_i over i in S, for nonnegative weights w."""
     w = nonnegative(w, "weights")
-    k = len(w)
+    k = capped(len(w), "len(weights)", TABLE_MAX_K, "dense 2^k tables")
     return SetFunction(k, _bit_rows(np.arange(1 << k), k) @ w,
                        {"k": k, "kind": "modular", "weights": tuple(w.tolist())})
 
 
 def make_zero_one(k: int) -> SetFunction:
     """Indicator of a nonempty subset: 0 on the empty set, 1 elsewhere."""
-    values = np.ones(1 << _checked_k(k))
+    values = np.ones(1 << _table_k(k))
     values[0] = 0.0
     return SetFunction(k, values, {"k": k, "kind": "zero_one"})
 
 
 def make_concave_card(k: int, g) -> SetFunction:
     """f(S) = g(|S|) for a nondecreasing concave g with g(0)=0."""
-    gs = points([g(c) for c in range(_checked_k(k) + 1)], "g", 1, k + 1)
+    gs = points([g(c) for c in range(_table_k(k) + 1)], "g", 1, k + 1)
     if abs(gs[0]) > ATOL:
         raise ValueError("g(0) must be 0")
     diffs = np.diff(gs)
@@ -491,7 +496,7 @@ def random_polymatroid(k: int, rng: np.random.Generator, strict: bool = False) -
     increments, giving a strictly submodular, strictly increasing table.
     """
     for _ in range(64):
-        incs = np.sort(rng.uniform(0.05 if strict else 0.0, 1.0, size=_checked_k(k)))[::-1]
+        incs = np.sort(rng.uniform(0.05 if strict else 0.0, 1.0, size=_table_k(k)))[::-1]
         if not strict and rng.random() < 0.25:
             incs[:] = incs.mean()  # flat increments: lands on the modular boundary
         gs = np.concatenate([[0.0], np.cumsum(incs)])
@@ -511,8 +516,9 @@ def random_polymatroid(k: int, rng: np.random.Generator, strict: bool = False) -
 def random_collection(
     k: int, rng: np.random.Generator, symmetric: bool = False
 ) -> PolymatroidCollection:
-    """A random polymatroid collection; asymmetric draws one table per label."""
+    """A random polymatroid collection; asymmetric draws one table per label, 4^k values in all."""
     if symmetric:
         return PolymatroidCollection.from_setfn(random_polymatroid(k, rng))
-    tables = [random_polymatroid(k, rng).values for _ in range(1 << _checked_k(k))]
+    k = capped(_checked_k(k), "k", DENSE_MAX_K, "per-label random collection")
+    tables = [random_polymatroid(k, rng).values for _ in range(1 << k)]
     return PolymatroidCollection.from_tables(k, range(1 << k), np.array(tables))

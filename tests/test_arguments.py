@@ -86,6 +86,7 @@ from lovasz_abstain import (
 )
 from lovasz_abstain.links import link_rows
 from lovasz_abstain.oracle import calibration_sweep, restrict_to_coords
+from lovasz_abstain.serialize import collection_from_obj
 from lovasz_abstain.setfn import MAX_K
 
 NAN, INF = math.nan, math.inf
@@ -93,9 +94,8 @@ F2 = make_sqrt_card(2)
 SMALL = TrainConfig(k=2, feature_dim=2, n_samples=10, epochs=0)
 RESULT, DATA = train(SMALL, F2), synth_data(SMALL)
 BAD_FIELDS = {"k": [0, MAX_K + 1, 2.5, True], "feature_dim": [1, "8"], "n_samples": [9, 20.0], "epochs": [-1, 2.5, True],
-          "seed": [-1, True], "lr_decay_every": [0, 1.0], "lr_init": [0.0, NAN, True, "0.1"], "lr_decay": [0.0, 1.5],
-          "grad_clip": [0.0, -1.0], "margin": [-1.0, INF], "label_corr": [1.5, False], "epsilon": [0.0, True, "0.1"],
-          "taus": [5, [1.5], [True]], "noise": [[0.1, 0.2], [INF]]}
+          "seed": [-1, True], "lr_init": [0.0, NAN, True, "0.1"], "epsilon": [0.0, True, "0.1"],
+          "noise": [[0.1, 0.2], [INF]]}
 
 ROWS = [
     # setfn
@@ -106,15 +106,26 @@ ROWS = [
     ("PolymatroidCollection", "rows", lambda v: PolymatroidCollection(2, np.zeros((1, 4)), v), [np.zeros(3)]),
     ("SetFunction", "k", lambda v: SetFunction(v, np.zeros(4)), [0, 2.5, True]),
     ("SetFunction.eval", "subset", lambda v: F2.eval(v), [4, -1, 1.0, True]),
+    ("SetFunction.from_values", "values", lambda v: SetFunction.from_values(2, v), [[0.5, 0, 0, 0], [0, -1, 0, 0]]),
     ("check_condition1", "k", check_condition1, [make_jaccard(13)]),
     ("make_concave_card", "k", lambda v: make_concave_card(v, math.sqrt), [0, 2.5, True]),
     ("make_concave_card", "g", lambda v: make_concave_card(2, v), [lambda c: NAN * c, lambda c: c * c]),
+    ("make_concave_card", "k=21", lambda v: make_concave_card(v, math.sqrt), [21]),
     ("make_jaccard", "k", make_jaccard, [0, MAX_K + 1, 2.5, True]),
-    ("make_modular", "weights", make_modular, [[NAN, 1.0], [-1.0], 1.0]),
+    ("make_modular", "weights", make_modular, [[NAN, 1.0], [-1.0], 1.0, [1.0] * 63]),
     ("make_sqrt_card", "k", make_sqrt_card, [0, 2.0, True]),
     ("make_zero_one", "k", make_zero_one, [0, 2.0, True]),
+    ("make_zero_one", "k=21", make_zero_one, [21]),
     ("random_collection", "k", lambda v: random_collection(v, np.random.default_rng(0)), [0, 2.5, True]),
+    ("random_collection", "k=13", lambda v: random_collection(v, np.random.default_rng(0)), [13]),
     ("random_polymatroid", "k", lambda v: random_polymatroid(v, np.random.default_rng(0)), [0, 2.5, True]),
+    ("random_polymatroid", "k=21", lambda v: random_polymatroid(v, np.random.default_rng(0)), [21]),
+    ("serialize.collection_from_obj", "k", collection_from_obj,
+     [{"k": 2.7, "kind": "zero_one"}, {"kind": "jaccard", "k": 2.5}, {"k": True, "kind": "zero_one"},
+      {"k": "3", "kind": "zero_one"}, {"k": "x", "kind": "zero_one"}, {"k": 2.0, "kind": "table", "values": [0, 1, 1, 1]},
+      {"k": 3.5, "kind": "concave_card"}, {"k": 2.5, "symmetric": False, "per_label": {"0": {"kind": "zero_one", "k": 2}}}]),
+    ("serialize.collection_from_obj", "exponent", collection_from_obj,
+     [{"kind": "concave_card", "k": 2, "exponent": True}]),
     # lovasz
     ("clip", "u", clip, [[NAN], [[0.0, INF]]]),
     ("expected_hinge", "u", lambda v: expected_hinge(F2, v, uniform(2)), [[NAN, 0.0], [0.0]]),
@@ -160,7 +171,9 @@ ROWS = [
     ("mix", "q", lambda v: mix(uniform(2), v, 0.5), [[NAN] * 4, uniform(3), [-1.0, 2.0, 0.0, 0.0]]),
     ("point_mass", "y_bits", lambda v: point_mass(v, 2), [4, -1, True]),
     ("point_mass", "k", lambda v: point_mass(1, v), [0, 2.5, True]),
+    ("point_mass", "k=21", lambda v: point_mass(1, v), [21]),
     ("uniform", "k", uniform, [0, 2.5, True]),
+    ("uniform", "k=21", uniform, [21]),
     ("verify_embedding", "grid_m", lambda v: verify_embedding(F2, v), [0, 2.5, True]),
     ("verify_embedding", "k=5", verify_embedding, [make_sqrt_card(5)]),
     ("verify_representative", "grid_m", lambda v: verify_representative(F2, [], v), [0, 2.5, True]),

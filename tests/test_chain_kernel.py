@@ -202,11 +202,10 @@ def three_call_train(cfg, fc):
         val_trace.append(val)
         if val < best_val:
             best_val, best_W, best_epoch = val, W.copy(), epoch
-        lr = cfg.lr_init * cfg.lr_decay ** (epoch // cfg.lr_decay_every)
         X, y_bits = data.X[tr], data.y_bits[tr]
         G = separate_subgradient_rows(fc, X @ W.T, y_bits).T @ X / len(X)
-        np.clip(G, -cfg.grad_clip, cfg.grad_clip, out=G)
-        W = W - lr * G
+        np.clip(G, -1.0, 1.0, out=G)
+        W = W - cfg.lr_init * G
     train_trace.append(mean_hinge(fc, W, data.X[tr], data.y_bits[tr]))
     val_trace.append(mean_hinge(fc, W, data.X[va], data.y_bits[va]))
     if val_trace[-1] < best_val:

@@ -46,23 +46,23 @@ def files(tmp_path):
               "train_no_setfn": '{"k": 2}',
               "train_unknown_field": '{"k": 2, "epoch": 3, "setfn": {"kind": "zero_one", "k": 2}}',
               **{f"train_{name}": json.dumps({"k": 2, field: value, "setfn": {"kind": "zero_one", "k": 2}})
-                 for name, field, value in [("negative_epochs", "epochs", -1), ("negative_grad_clip", "grad_clip", -1),
-                                            ("label_corr_2", "label_corr", 2), ("noise_3", "noise", [0, 1, 2]),
-                                            ("nan_margin", "margin", float("nan")),
+                 for name, field, value in [("negative_epochs", "epochs", -1), ("noise_3", "noise", [0, 1, 2]),
                                             ("fractional_epochs", "epochs", 2.5),
                                             ("string_feature_dim", "feature_dim", "8"),
-                                            ("float_n_samples", "n_samples", 20.0), ("scalar_taus", "taus", 5),
+                                            ("float_n_samples", "n_samples", 20.0),
                                             ("bool_epochs", "epochs", True), ("negative_seed", "seed", -1),
                                             ("string_lr_init", "lr_init", "0.1"), ("bool_lr_init", "lr_init", True),
-                                            ("string_lr_decay", "lr_decay", "0.9"),
-                                            ("bool_grad_clip", "grad_clip", True), ("string_margin", "margin", "1"),
-                                            ("bool_label_corr", "label_corr", False),
                                             ("negative_epsilon", "epsilon", -1.0),
                                             ("string_epsilon", "epsilon", "0.1"),
-                                            ("nan_epsilon", "epsilon", float("nan")),
-                                            ("tau_2", "taus", [0.5, 2.0])]}}
+                                            ("nan_epsilon", "epsilon", float("nan"))]}}
     for key, text in broken.items():
         (tmp_path / f"{key}.json").write_text(text)
+    old_run = tmp_path / "old_run"  # written when the config had six more trainer options
+    old_run.mkdir()
+    (old_run / "model.json").write_text(json.dumps({"config": {
+        "k": 2, "feature_dim": 4, "n_samples": 40, "epochs": 2, "seed": 1, "lr_init": 0.1, "lr_decay": 0.96,
+        "lr_decay_every": 10000, "grad_clip": 1.0, "noise": 0.0, "margin": 1.0, "label_corr": 0.0, "epsilon": None,
+        "taus": [0.0, 0.25, 0.5, 0.75, 1.0]}}))
     preds = tmp_path / "preds2.csv"
     preds.write_text("c1,c2\n+,0\n-,-\n")
     truth = tmp_path / "truth1.csv"
@@ -70,7 +70,7 @@ def files(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "sqrt4": sqrt4, "nan3": nan,
-            "preds2": preds, "truth1": truth, "empty": empty, "dir": tmp_path,
+            "preds2": preds, "truth1": truth, "empty": empty, "dir": tmp_path, "old_run": old_run,
             **{key: tmp_path / f"{key}.json" for key in broken}}
 
 
@@ -260,32 +260,23 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["train", "--config", "train_no_setfn", "--out", "dir"], "train config object has no 'setfn' field"),
      (["train", "--config", "train_unknown_field", "--out", "dir"], "train config has no field 'epoch'"),
      (["train", "--config", "train_negative_epochs", "--out", "dir"], "epochs must be an integer >= 0, got epochs=-1"),
-     (["train", "--config", "train_negative_grad_clip", "--out", "dir"], "grad_clip must lie in (0, inf], got -1"),
-     (["train", "--config", "train_label_corr_2", "--out", "dir"], "label_corr must lie in [0, 1], got 2"),
      (["train", "--config", "train_noise_3", "--out", "dir"], "noise has shape (3,), expected (2,)"),
-     (["train", "--config", "train_nan_margin", "--out", "dir"], "margin must lie in [0, inf), got nan"),
      (["train", "--config", "train_fractional_epochs", "--out", "dir"],
       "epochs must be an integer >= 0, got epochs=2.5"),
      (["train", "--config", "train_string_feature_dim", "--out", "dir"],
       "feature_dim must be an integer >= 2, got feature_dim='8'"),
      (["train", "--config", "train_float_n_samples", "--out", "dir"],
       "n_samples must be an integer >= 10, got n_samples=20.0"),
-     (["train", "--config", "train_scalar_taus", "--out", "dir"], "taus must be a list of numbers, got 5"),
      (["train", "--config", "train_bool_epochs", "--out", "dir"], "epochs must be an integer >= 0, got epochs=True"),
      (["train", "--config", "train_negative_seed", "--out", "dir"], "seed must be an integer >= 0, got seed=-1"),
      (["train", "--config", "train_string_lr_init", "--out", "dir"], "lr_init must be a real number, got '0.1'"),
      (["train", "--config", "train_bool_lr_init", "--out", "dir"], "lr_init must be a real number, got True"),
-     (["train", "--config", "train_string_lr_decay", "--out", "dir"], "lr_decay must be a real number, got '0.9'"),
-     (["train", "--config", "train_bool_grad_clip", "--out", "dir"], "grad_clip must be a real number, got True"),
-     (["train", "--config", "train_string_margin", "--out", "dir"], "margin must be a real number, got '1'"),
-     (["train", "--config", "train_bool_label_corr", "--out", "dir"], "label_corr must be a real number, got False"),
      (["train", "--config", "train_negative_epsilon", "--out", "dir"],
       "epsilon must lie in (0, inf), got -1.0"),
      (["train", "--config", "train_string_epsilon", "--out", "dir"],
       "epsilon must be a real number, got '0.1'"),
      (["train", "--config", "train_nan_epsilon", "--out", "dir"],
       "epsilon must lie in (0, inf), got nan"),
-     (["train", "--config", "train_tau_2", "--out", "dir"], "taus must lie in [0, 1], got 2.0"),
      (["envelope", "--u=0.5,0.5", "--eps", "inf", "--oracle"], "epsilon must lie in (0, inf), got inf"),
      (["envelope", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
      (["link", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
@@ -308,25 +299,26 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["eval-hinge", "--collection", "sqrt2", "--u=0.5,1e", "--y=++"], "u: could not convert string to float: '1e'"),
      (["mc-link", "--C", "4", "--u=0.5,,0.2"], "u: could not convert string to float: ''"),
      (["eval-extension", "--setfn", "setfn", "--x=0.5,x"], "x: could not convert string to float: 'x'"),
-     (["sweep", "--model", "dir", "--taus", "0,half"], "taus: could not convert string to float: 'half'")],
+     (["sweep", "--model", "dir", "--taus", "0,half"], "taus: could not convert string to float: 'half'"),
+     (["sweep", "--model", "old_run"], "train config has no field 'grad_clip'")],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
          "eval-hinge-nan-table", "metrics-length-mismatch", "eval-hinge-nan-weights", "eval-hinge-scalar-weights",
          "mc-eval-nan-class-weights", "eval-hinge-jaccard-without-k", "eval-hinge-table-without-values",
          "eval-hinge-label-without-values", "eval-hinge-json-list", "eval-hinge-per-label-list",
          "eval-hinge-per-label-number", "validate-json-list", "mc-eval-json-list", "mc-eval-too-few-class-weights",
          "condition1-jaccard-above-the-dense-cap", "train-config-list", "train-config-without-setfn",
-         "train-config-unknown-field", "train-negative-epochs", "train-negative-grad-clip", "train-label-corr-above-1",
-         "train-noise-of-wrong-length", "train-nan-margin", "train-fractional-epochs", "train-string-feature-dim",
-         "train-float-n-samples", "train-scalar-taus", "train-bool-epochs", "train-negative-seed",
-         "train-string-lr-init", "train-bool-lr-init", "train-string-lr-decay", "train-bool-grad-clip",
-         "train-string-margin", "train-bool-label-corr", "train-negative-epsilon", "train-string-epsilon",
-         "train-nan-epsilon", "train-tau-above-1", "envelope-oracle-infinite-eps",
+         "train-config-unknown-field", "train-negative-epochs",
+         "train-noise-of-wrong-length", "train-fractional-epochs", "train-string-feature-dim",
+         "train-float-n-samples", "train-bool-epochs", "train-negative-seed",
+         "train-string-lr-init", "train-bool-lr-init", "train-negative-epsilon", "train-string-epsilon",
+         "train-nan-epsilon", "envelope-oracle-infinite-eps",
          "envelope-infinite-eps", "link-infinite-eps", "mc-link-infinite-eps",
          "mc-encode-malformed-label", "mc-eval-fractional-report", "mc-eval-zero-classes", "envelope-oracle-k5",
          "metrics-empty-pred", "metrics-empty-truth", "verify-representative-empty-grid",
          "verify-tightness-empty-grid", "verify-tightness-k4-empty-grid", "verify-embedding-k4-negative-grid",
          "verify-missing-collection", "sweep-missing-model", "train-missing-config", "link-word-entry",
-         "eval-hinge-bad-exponent", "mc-link-empty-entry", "eval-extension-word-entry", "sweep-word-tau"],
+         "eval-hinge-bad-exponent", "mc-link-empty-entry", "eval-extension-word-entry", "sweep-word-tau",
+         "sweep-run-directory-with-removed-options"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths

@@ -313,3 +313,15 @@ def test_setfn_construction_errors():
     # escape hatch for deliberately degenerate tables
     f = SetFunction(2, np.array([1.0, 1, 1, 1]))
     assert f.eval(0) == 1.0
+
+
+def test_from_values_names_values_within_atol():
+    """Both table checks name values and keep the ATOL slack: a violation
+    within ATOL loads, one beyond it does not."""
+    SetFunction.from_values(2, [1e-10, 0, -1e-10, 0])
+    with pytest.raises(ValueError) as err:
+        SetFunction.from_values(2, [0.5, 0, 0, 0])
+    assert str(err.value) == "values must be normalized within ATOL=1e-09, got f(empty) = 0.5"
+    with pytest.raises(ValueError) as err:
+        SetFunction.from_values(2, [0, -1, 0, 0])
+    assert str(err.value) == "values must be nonnegative within ATOL=1e-09, got -1.0"
