@@ -84,6 +84,7 @@ from lovasz_abstain import (
     verify_representative,
     verify_tightness,
 )
+from lovasz_abstain.cli import _train_config
 from lovasz_abstain.links import link_rows
 from lovasz_abstain.oracle import calibration_sweep, restrict_to_coords
 from lovasz_abstain.serialize import collection_from_obj
@@ -96,6 +97,9 @@ RESULT, DATA = train(SMALL, F2), synth_data(SMALL)
 BAD_FIELDS = {"k": [0, MAX_K + 1, 2.5, True], "feature_dim": [1, "8"], "n_samples": [9, 20.0], "epochs": [-1, 2.5, True],
           "seed": [-1, True], "lr_init": [0.0, NAN, True, "0.1"], "epsilon": [0.0, True, "0.1"],
           "noise": [[0.1, 0.2], [INF]]}
+# Trainer options that no run set, deleted from TrainConfig: a JSON config that still sets one is refused by name.
+REMOVED_FIELDS = {"lr_decay_every": [0, 1.0], "lr_decay": [0.0, 1.5], "grad_clip": [0.0, -1.0], "margin": [-1.0, INF],
+                  "label_corr": [1.5, False], "taus": [5, [1.5], [True]]}
 
 ROWS = [
     # setfn
@@ -214,6 +218,8 @@ ROWS = [
     # bench
     *[("TrainConfig", name, lambda v, name=name: TrainConfig(**{name: v}), values)
       for name, values in BAD_FIELDS.items()],
+    *[("TrainConfig", name, lambda v, name=name: _train_config({name: v}), values)
+      for name, values in REMOVED_FIELDS.items()],
     ("counts", "y", lambda v: counts([1, 0], v), [4, True]),
     ("metrics", "pairs", metrics, [[]]),
     ("tau_sweep", "taus", lambda v: tau_sweep(RESULT, DATA, v), [[1.5], [True], [NAN]]),

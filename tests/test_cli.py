@@ -54,7 +54,13 @@ def files(tmp_path):
                                             ("string_lr_init", "lr_init", "0.1"), ("bool_lr_init", "lr_init", True),
                                             ("negative_epsilon", "epsilon", -1.0),
                                             ("string_epsilon", "epsilon", "0.1"),
-                                            ("nan_epsilon", "epsilon", float("nan"))]}}
+                                            ("nan_epsilon", "epsilon", float("nan")),
+                                            # options the trainer no longer has
+                                            ("negative_grad_clip", "grad_clip", -1), ("label_corr_2", "label_corr", 2),
+                                            ("nan_margin", "margin", float("nan")), ("scalar_taus", "taus", 5),
+                                            ("string_lr_decay", "lr_decay", "0.9"),
+                                            ("bool_grad_clip", "grad_clip", True), ("string_margin", "margin", "1"),
+                                            ("bool_label_corr", "label_corr", False), ("tau_2", "taus", [0.5, 2.0])]}}
     for key, text in broken.items():
         (tmp_path / f"{key}.json").write_text(text)
     old_run = tmp_path / "old_run"  # written when the config had six more trainer options
@@ -277,6 +283,15 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
       "epsilon must be a real number, got '0.1'"),
      (["train", "--config", "train_nan_epsilon", "--out", "dir"],
       "epsilon must lie in (0, inf), got nan"),
+     (["train", "--config", "train_negative_grad_clip", "--out", "dir"], "train config has no field 'grad_clip'"),
+     (["train", "--config", "train_label_corr_2", "--out", "dir"], "train config has no field 'label_corr'"),
+     (["train", "--config", "train_nan_margin", "--out", "dir"], "train config has no field 'margin'"),
+     (["train", "--config", "train_scalar_taus", "--out", "dir"], "train config has no field 'taus'"),
+     (["train", "--config", "train_string_lr_decay", "--out", "dir"], "train config has no field 'lr_decay'"),
+     (["train", "--config", "train_bool_grad_clip", "--out", "dir"], "train config has no field 'grad_clip'"),
+     (["train", "--config", "train_string_margin", "--out", "dir"], "train config has no field 'margin'"),
+     (["train", "--config", "train_bool_label_corr", "--out", "dir"], "train config has no field 'label_corr'"),
+     (["train", "--config", "train_tau_2", "--out", "dir"], "train config has no field 'taus'"),
      (["envelope", "--u=0.5,0.5", "--eps", "inf", "--oracle"], "epsilon must lie in (0, inf), got inf"),
      (["envelope", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
      (["link", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
@@ -311,7 +326,9 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
          "train-noise-of-wrong-length", "train-fractional-epochs", "train-string-feature-dim",
          "train-float-n-samples", "train-bool-epochs", "train-negative-seed",
          "train-string-lr-init", "train-bool-lr-init", "train-negative-epsilon", "train-string-epsilon",
-         "train-nan-epsilon", "envelope-oracle-infinite-eps",
+         "train-nan-epsilon", "train-negative-grad-clip", "train-label-corr-above-1", "train-nan-margin",
+         "train-scalar-taus", "train-string-lr-decay", "train-bool-grad-clip", "train-string-margin",
+         "train-bool-label-corr", "train-tau-above-1", "envelope-oracle-infinite-eps",
          "envelope-infinite-eps", "link-infinite-eps", "mc-link-infinite-eps",
          "mc-encode-malformed-label", "mc-eval-fractional-report", "mc-eval-zero-classes", "envelope-oracle-k5",
          "metrics-empty-pred", "metrics-empty-truth", "verify-representative-empty-grid",
