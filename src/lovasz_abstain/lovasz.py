@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._args import bitmasks, distribution, nonnegative, points
-from ._tol import EXACT_TOL  # kept importable from here; p's sum test is _args.distribution
 from .setfn import SetFunction, _checked_label, _sign_rows, as_collection
 
 

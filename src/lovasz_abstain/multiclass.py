@@ -18,7 +18,7 @@ from ._args import DENSE_MAX_K, DOMINATION_MAX_BITS, alike, capped, integer, non
 from ._tol import EXACT_TOL
 from .links import LinkConfig, _link
 from .lovasz import hinge
-from .oracle import VerificationReport
+from .oracle import VerificationReport, _first_failure
 from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _mask, _row_masks
 from .setfn import _sign_rows, make_jaccard, make_modular
 from .targets import AbstainReport, _report_id_table, _report_masks, abstain_loss_table
@@ -262,20 +262,19 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     vids, blocks = np.nonzero(in_block.any(axis=2) & ~in_block.all(axis=2))
     whole = ((1 << d) - 1) << (blocks * d)
     full_ids = _report_id_table(n)[pos[vids] & ~whole, zeros[vids] | whole]
-    cases = 0
-    for start in range(0, len(vids), _PAIR_ROWS):
-        rows = slice(start, start + _PAIR_ROWS)
-        worse = table[full_ids[rows]] > table[vids[rows]] + EXACT_TOL
-        if worse.any():
-            f = int(worse.argmax())
-            pair, y = start + f // len(labels), labels[f % len(labels)]
-            return VerificationReport(
-                "block-domination", False, cases + f + 1,
-                {"v": str(AbstainReport(n, int(pos[vids[pair]]), int(zeros[vids[pair]]))),
-                 "block": int(blocks[pair]), "y": int(y)},
-            )
-        cases += worse.size
-    return VerificationReport("block-domination", True, cases)
+
+    def checked():
+        for start in range(0, len(vids), _PAIR_ROWS):
+            rows = slice(start, start + _PAIR_ROWS)
+
+            def witness(f):
+                pair, y = start + f // len(labels), labels[f % len(labels)]
+                return {"v": str(AbstainReport(n, int(pos[vids[pair]]), int(zeros[vids[pair]]))),
+                        "block": int(blocks[pair]), "y": int(y)}
+
+            yield table[full_ids[rows]] > table[vids[rows]] + EXACT_TOL, witness
+
+    return _first_failure("block-domination", checked())
 
 
 # ---------------------------------------------------------------------------

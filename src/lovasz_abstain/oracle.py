@@ -9,12 +9,17 @@ The sweeps read reports as targets' canonical (pos, zeros) masks and sign
 rows; a report object is built only for a returned value or a witness. They
 stop at _args.ORACLE_MAX_K = 4 (representativeness at 3): a larger k raises
 "embedding verification capped at k <= 4, got k=5".
+
+Every sweep counts its cases in case order up to and including the first
+failure, whose witness it returns, and never draws a later block, so
+calibration_sweep uses its rng only up to the failure; a passing sweep counts
+every case. _first_failure is the one owner of this rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -104,6 +109,19 @@ class VerificationReport:
         return asdict(self)
 
 
+def _first_failure(name: str, checked, cases: int = 0) -> VerificationReport:
+    """A sweep's verdict under the case-count rule above. checked yields each
+    block lazily, in case order, as (failed, witness): failed flags its cases,
+    flattened in C order, and witness(j) builds case j's witness dict before
+    the next block is drawn. cases counts the cases checked before the first."""
+    for failed, witness in checked:
+        if failed.any():
+            j = int(failed.argmax())
+            return VerificationReport(name, False, cases + j + 1, witness(j))
+        cases += failed.size
+    return VerificationReport(name, True, cases)
+
+
 def _hinge_table(fc, points: np.ndarray) -> np.ndarray:
     """(len(points), 2^k) hinge values of each point against each label, from
     one hinge_rows call over the point-major (point, label) grid."""
@@ -144,8 +162,10 @@ def _lattice(k: int) -> np.ndarray:
 
 
 def verify_embedding(fc, grid_m: int = 8) -> VerificationReport:
-    """Check that the hinge agrees with the abstain loss on report points and
-    that both elicit the same optimal report sets over a distribution grid."""
+    """Check that the hinge agrees with the abstain loss on report points and,
+    at k <= 3 only, that both elicit the same optimal report sets over a
+    distribution grid and no lattice point beats the reports (details then
+    holds worst_lattice_shortfall); at k = 4 only the pointwise check runs."""
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
@@ -157,33 +177,27 @@ def verify_embedding(fc, grid_m: int = 8) -> VerificationReport:
         raise ValueError(f"collection has the non-finite value {F[y, s]} at f_y(S) with y={y:#x}, S={s:#x}")
     surr = surrogate_loss_table(fc)
     disc = abstain_loss_table(fc)
-    gap = np.abs(surr - disc).max()
+    gaps = np.abs(surr - disc)
     cases = surr.size
-    if gap > EXACT_TOL:
-        i, y = np.unravel_index(np.abs(surr - disc).argmax(), surr.shape)
-        return VerificationReport(
-            "embedding",
-            False,
-            cases,
-            {"v": str(_report_at(k, i)), "y": int(y), "hinge": surr[i, y], "target": disc[i, y]},
-        )
-    details = {"max_pointwise_gap": float(gap)}
-    if k <= 3:
+    if gaps.max() > EXACT_TOL:
+        i, y = np.unravel_index(gaps.argmax(), surr.shape)
+        return VerificationReport("embedding", False, cases,
+                                  {"v": str(_report_at(k, i)), "y": int(y), "hinge": surr[i, y], "target": disc[i, y]})
+    details = {"max_pointwise_gap": float(gaps.max())}
+
+    def checked():  # the grid phase, at k <= 3 only
         lat_table = _hinge_table(fc, _lattice(k))
-        worst_lattice = 0.0
+        details["worst_lattice_shortfall"] = 0.0
         for P in _grid_blocks(k, grid_m):
             disc_vals = P @ disc.T
             mismatch = (_argmin_mask(P @ surr.T) != _argmin_mask(disc_vals)).any(axis=1)
             shortfall = disc_vals.min(axis=1) - (P @ lat_table.T).min(axis=1)
-            failed = mismatch | (shortfall > MARGIN)
-            if failed.any():
-                i = int(failed.argmax())
-                kind = "mismatch" if mismatch[i] else "lattice_beats_reports"
-                return VerificationReport("embedding", False, cases + i + 1, {"p": P[i].tolist(), kind: True})
-            worst_lattice = max(worst_lattice, shortfall.max())
-            cases += len(P)
-        details["worst_lattice_shortfall"] = float(worst_lattice)
-    return VerificationReport("embedding", True, cases, None, details)
+            details["worst_lattice_shortfall"] = max(details["worst_lattice_shortfall"], float(shortfall.max()))
+            yield (mismatch | (shortfall > MARGIN),
+                   lambda i: {"p": P[i].tolist(), "mismatch" if mismatch[i] else "lattice_beats_reports": True})
+
+    report = _first_failure("embedding", checked() if k <= 3 else (), cases)
+    return replace(report, details=details) if report.passed else report
 
 
 def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
@@ -198,14 +212,8 @@ def verify_representative(fc, reports, grid_m: int = 8) -> VerificationReport:
     candidates = np.zeros(3**k, dtype=bool)
     candidates[_report_id_table(k)[[v.pos for v in reports], [v.zeros for v in reports]]] = True
     surr = surrogate_loss_table(fc)
-    cases = 0
-    for P in _grid_blocks(k, grid_m):
-        missed = ~(_argmin_mask(P @ surr.T) & candidates).any(axis=1)
-        if missed.any():
-            i = int(missed.argmax())
-            return VerificationReport("representative", False, cases + i + 1, {"p": P[i].tolist()})
-        cases += len(P)
-    return VerificationReport("representative", True, cases)
+    return _first_failure("representative", ((~(_argmin_mask(P @ surr.T) & candidates).any(axis=1),
+                                              lambda i: {"p": P[i].tolist()}) for P in _grid_blocks(k, grid_m)))
 
 
 def _symmetric_table(f, what: str) -> SetFunction:
@@ -246,34 +254,24 @@ def verify_tightness(f, grid_m: int = 8) -> VerificationReport:
     pos, zeros = _report_masks(k)
     lone = popcounts(zeros) == 1
 
-    v0 = np.flatnonzero(~lone)  # each is the unique minimizer at its witness
-    P = _tightness_witnesses(k, pos[v0], zeros[v0])
-    vals = P @ table.T
-    rows = np.arange(len(v0))
-    own = vals[rows, v0]
-    vals[rows, v0] = np.inf
-    failed = ~(own < vals.min(axis=1) - MARGIN)
-    if failed.any():
-        j = int(failed.argmax())
-        return VerificationReport(
-            "tightness", False, j + 1, {"v": str(_report_at(k, v0[j])), "p": P[j].tolist(), "unique": False}
-        )
-    cases = len(v0)
-
-    vid = np.flatnonzero(lone)
+    v0, vid = np.flatnonzero(~lone), np.flatnonzero(lone)
     plus, minus = id_of[pos[vid] | zeros[vid], 0], id_of[pos[vid], 0]
-    for P in _grid_blocks(k, grid_m) if k <= 3 else [uniform(k)[None]]:
+
+    def checked():
+        P = _tightness_witnesses(k, pos[v0], zeros[v0])  # each v0 is the unique minimizer at its witness
         vals = P @ table.T
-        failed = np.minimum(vals[:, plus], vals[:, minus]) > vals[:, vid] + EXACT_TOL
-        if failed.any():
-            f = int(failed.argmax())
-            i, j = divmod(f, len(vid))
-            return VerificationReport(
-                "tightness", False, cases + f + 1,
-                {"v": str(_report_at(k, vid[j])), "p": P[i].tolist(), "dominated": False},
-            )
-        cases += failed.size
-    return VerificationReport("tightness", True, cases)
+        rows = np.arange(len(v0))
+        own = vals[rows, v0]
+        vals[rows, v0] = np.inf
+        yield (~(own < vals.min(axis=1) - MARGIN),
+               lambda j: {"v": str(_report_at(k, v0[j])), "p": P[j].tolist(), "unique": False})
+        for P in _grid_blocks(k, grid_m) if k <= 3 else [uniform(k)[None]]:
+            vals = P @ table.T
+            yield (np.minimum(vals[:, plus], vals[:, minus]) > vals[:, vid] + EXACT_TOL,
+                   lambda f: {"v": str(_report_at(k, vid[f % len(vid)])), "p": P[f // len(vid)].tolist(),
+                              "dominated": False})
+
+    return _first_failure("tightness", checked())
 
 
 # ---------------------------------------------------------------------------
@@ -500,38 +498,37 @@ def calibration_sweep(
     threshold-abstain link lands back in the optimal set, for each tau. Each
     grid block's perturbations are linked in one call over the (1, T) grid of
     taus, so each point is sorted once for every tau. Cases run
-    (distribution, optimal report) pair-major, then perturbation, then tau."""
+    (distribution, optimal report) pair-major, then perturbation, then tau.
+    Raises ValueError naming taus unless it is a nonempty vector in [0, 1]."""
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
+    taus = real(np.asarray(taus), "taus", "[0, 1]").astype(float)
+    if taus.ndim != 1 or not len(taus):
+        raise ValueError(f"taus must be a nonempty vector, got shape {taus.shape}")
     rng = rng if rng is not None else np.random.default_rng(0)
     eps = LinkConfig(epsilon=epsilon).resolve_epsilon(k)
     vectors = _report_signs(k)
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
-    taus = np.asarray(taus, dtype=float)
     per_pair = integer(n_perturb, "n_perturb", 1) * len(taus)
-    cases = 0
-    for P in _grid_blocks(k, grid_m):
-        optimal = _argmin_mask(P @ table.T)
-        rows, vids = np.nonzero(optimal)
-        us = vectors[vids, None] + rng.uniform(-0.99 * eps, 0.99 * eps, size=(len(vids), n_perturb, k))
-        pos, zeros = (m.ravel() for m in link_rows(us.reshape(-1, k), eps, taus[None]))
-        missed = np.flatnonzero(~optimal[np.repeat(rows, per_pair), id_of[pos, zeros]])
-        if missed.size:
-            j = int(missed[0])
-            pair, case = divmod(j, per_pair)
-            linked = AbstainReport(k, int(pos[j]), int(zeros[j]))
-            return VerificationReport(
-                "calibration",
-                False,
-                cases + j + 1,
-                {"p": P[rows[pair]].tolist(), "v": str(_report_at(k, vids[pair])),
-                 "u": us[pair, case // len(taus)].tolist(), "tau": float(taus[case % len(taus)]),
-                 "linked": str(linked)},
-            )
-        cases += len(pos)
-    return VerificationReport("calibration", True, cases)
+
+    def checked():
+        for P in _grid_blocks(k, grid_m):
+            optimal = _argmin_mask(P @ table.T)
+            rows, vids = np.nonzero(optimal)
+            us = vectors[vids, None] + rng.uniform(-0.99 * eps, 0.99 * eps, size=(len(vids), n_perturb, k))
+            pos, zeros = (m.ravel() for m in link_rows(us.reshape(-1, k), eps, taus[None]))
+
+            def witness(j):
+                pair, case = divmod(j, per_pair)
+                return {"p": P[rows[pair]].tolist(), "v": str(_report_at(k, vids[pair])),
+                        "u": us[pair, case // len(taus)].tolist(), "tau": float(taus[case % len(taus)]),
+                        "linked": str(AbstainReport(k, int(pos[j]), int(zeros[j])))}
+
+            yield ~optimal[np.repeat(rows, per_pair), id_of[pos, zeros]], witness
+
+    return _first_failure("calibration", checked())
 
 
 @dataclass
@@ -554,6 +551,7 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
     """
     fc = as_collection(fc)
     k = fc.k
+    integer(grid_m, "grid_m", 1)
     pos, zeros = _report_masks(k)
     signs_of = _report_signs(k)
     id_of = _report_id_table(k)
@@ -599,10 +597,12 @@ def thickened_envelope_grid(fc, u, epsilon: float, grid_m: int = 8) -> set[int]:
     A face lies inside an optimal set when none of its member reports lies
     outside it; every set with an inside face within epsilon of u cuts the
     envelope down to itself. Raises ValueError naming u unless it is k finite
-    numbers, or epsilon unless it is positive and finite."""
+    numbers, epsilon unless it is positive and finite, or grid_m unless it is
+    an integer >= 1."""
     fc = as_collection(fc)
     k = fc.k
     u, epsilon = points(u, "u", 1, k), real(epsilon, "epsilon", "(0, inf)")
+    integer(grid_m, "grid_m", 1)
     table = surrogate_loss_table(fc)
     optimal = np.zeros((0, len(table)), dtype=bool)
     for P in _grid_blocks(k, grid_m):

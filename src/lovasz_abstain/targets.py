@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from ._args import DENSE_MAX_K, alike, bitmasks, capped
-from ._tol import ARGMIN_TOL  # kept importable from here; the tie rule itself is oracle._argmin_mask
 from .setfn import Label, _checked_k, _checked_label, _format, _pack, _parse, _sign_rows
 from .setfn import as_collection, popcounts
 

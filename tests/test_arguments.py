@@ -86,7 +86,8 @@ from lovasz_abstain import (
 )
 from lovasz_abstain.cli import _train_config
 from lovasz_abstain.links import link_rows
-from lovasz_abstain.oracle import calibration_sweep, restrict_to_coords
+from lovasz_abstain.oracle import calibration_sweep, naive_link_inconsistency, restrict_to_coords
+from lovasz_abstain.oracle import thickened_envelope_grid
 from lovasz_abstain.serialize import collection_from_obj
 from lovasz_abstain.setfn import MAX_K
 
@@ -190,6 +191,11 @@ ROWS = [
     ("oracle.calibration_sweep", "k=5", lambda v: calibration_sweep(v, 2), [make_sqrt_card(5)]),
     ("oracle.restrict_to_coords", "coords", lambda v: restrict_to_coords(F2, v), [[5], [-1], [0.5]]),
     ("oracle.calibration_sweep", "n_perturb", lambda v: calibration_sweep(F2, 2, n_perturb=v), [0, 2.5, True]),
+    ("oracle.calibration_sweep", "taus", lambda v: calibration_sweep(F2, 2, taus=v),
+     [(), [2.0], [[0.5]], [NAN], [True]]),
+    ("oracle.naive_link_inconsistency", "grid_m", lambda v: naive_link_inconsistency(F2, grid_m=v), [0, 2.5, True]),
+    ("oracle.thickened_envelope_grid", "grid_m", lambda v: thickened_envelope_grid(F2, [0.0, 0.0], 0.25, grid_m=v),
+     [0, 2.5, True]),
     # multiclass
     ("BlockCodec", "C", BlockCodec, [0, 4.0, True, "4"]),
     ("ClassCosts", "k", lambda v: ClassCosts(v, weights_by_class=[1.0]), [0, 2.5, True]),

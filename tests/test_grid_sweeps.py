@@ -7,7 +7,10 @@ for bit, the sweeps by verdict, case count and witness, also when a patched
 table makes a sweep fail in the middle of the grid.
 """
 
+import ast
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +423,31 @@ def test_restrict_to_coords_matches_the_loop():
         for s in range(1 << len(coords)):
             vals[s] = f.values[sum(1 << i for b, i in enumerate(coords) if s >> b & 1)]
         assert np.array_equal(oracle.restrict_to_coords(f, coords).values, vals)
+
+
+# A sweep's first-failure count, with lines of the per-sweep loops that
+# oracle._first_failure replaced, so the pattern is shown to match what it forbids.
+FIRST_FAILURE_COUNT = re.compile(r"\bcases \+ .* \+ 1\b")
+COUNT_COPIES = [
+    '                return VerificationReport("embedding", False, cases + i + 1, {"p": P[i].tolist(), kind: True})',
+    '            return VerificationReport("representative", False, cases + i + 1, {"p": P[i].tolist()})',
+    '                "tightness", False, cases + f + 1,',
+    '                cases + j + 1,',
+    '                "block-domination", False, cases + f + 1,',
+]
+
+
+def test_only_first_failure_counts_to_the_first_failure():
+    """Every sweep counts its cases up to and including the first failure
+    through oracle._first_failure: no other line of the package writes that
+    count out for itself."""
+    package = Path(oracle.__file__).parent
+    driver = next(node for node in ast.walk(ast.parse((package / "oracle.py").read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_first_failure")
+    hits = [(path.name, n) for path in sorted(package.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1) if FIRST_FAILURE_COUNT.search(line)]
+    assert len(hits) == 1 and hits[0][0] == "oracle.py" and driver.lineno <= hits[0][1] <= driver.end_lineno, hits
+    assert all(FIRST_FAILURE_COUNT.search(line) for line in COUNT_COPIES)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from lovasz_abstain import (
     random_polymatroid,
     validate_polymatroid,
 )
+from lovasz_abstain import setfn
 
 from conftest import symmetric_builtins
 
@@ -75,6 +76,17 @@ def test_modular_examples():
     assert make_modular([0, 5]).eval(0b01) == 0.0
     with pytest.raises(ValueError):
         make_modular([1, -0.5])
+
+
+def test_blocked_modular_table_matches_the_single_product():
+    """make_modular builds its table in blocks of _MODULAR_ROWS subsets; at
+    k = 14 the table spans more than one block, and each value equals the one
+    product over all 2^k rows bit for bit."""
+    k = 14
+    assert 1 << k > setfn._MODULAR_ROWS
+    for seed in range(3):
+        w = np.random.default_rng(seed).uniform(0, 2, k)
+        assert np.array_equal(make_modular(w).values, setfn._bit_rows(np.arange(1 << k), k) @ w)
 
 
 def test_zero_one_table():
