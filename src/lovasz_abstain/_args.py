@@ -4,8 +4,8 @@ Eight rules decide what counts as an integer, a real number, a finite point,
 an in-range bitmask, a size within its cap, two matching sizes, a nonnegative
 vector and a probability vector; every entry point checks its arguments
 through them, and each raises a ValueError that names the argument, in one
-wording per rule. Checks that decide a verdict rather than reject an argument
-(a NaN table, a diverged trainer) stay with their callers.
+wording per rule. A check that decides a verdict (a diverged trainer) stays
+with its caller; a NaN table value is refused where setfn builds the table.
 """
 
 from numbers import Real

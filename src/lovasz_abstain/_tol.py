@@ -9,4 +9,5 @@ ATOL = 1e-9  # set-function values: a real tie or bound violation vs. float nois
 ARGMIN_TOL = 1e-9  # expected losses: an exact tie with the minimum vs. rounding
 GAP_TOL = 1e-9  # envelope boundary: a gap (or hull distance) exactly at its eps bound vs. just past it
 MARGIN = 1e-9  # strict uniqueness: a best report that beats the runner-up vs. one that only ties it
+# MARGIN >= ARGMIN_TOL: a report more than MARGIN below every other is then its whole optimal set
 EXACT_TOL = 1e-12  # exact identities (hinge = loss at reports, sums to 1): rounding vs. a real mismatch

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._args import alike, bitmasks, integer, nonnegative, points, real
-from .links import LinkConfig, link_rows, trim_rows
+from .links import LinkConfig, _taus, link_rows, trim_rows
 from .lovasz import hinge_and_subgradient_rows, hinge_rows, subgradient_rows
 from .setfn import _checked_k, _checked_label, _row_masks, as_collection, popcounts
 from .targets import AbstainReport, _outcomes, _report
@@ -255,15 +255,15 @@ def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> l
 
     The test points are scored once and linked in one link_rows call over the
     (1, T) grid of taus, so each point is sorted once for every tau. Raises
-    ValueError when the link-level monotonicity fails (per-point abstention
-    count cannot drop as tau grows); metric monotonicity is reported, never
-    checked.
+    ValueError naming taus unless it is a nonempty vector in [0, 1], and one
+    when the link-level monotonicity fails (per-point abstention count cannot
+    drop as tau grows); metric monotonicity is reported, never checked.
     """
     cfg = result.config
     _, _, te = split_indices(cfg.n_samples, cfg.seed)
     k = result.best_weights.shape[0]
     X, y_bits = data.X[te], bitmasks(data.y_bits[te], "y_bits", k)
-    taus = sorted(real(tau, "taus", "[0, 1]") for tau in taus)
+    taus = sorted(_taus(taus).tolist())
     pos, zeros = _link_masks(result.best_weights, X, np.array([taus], dtype=float), cfg.epsilon, trim)
     if not trim:
         n_abs = popcounts(zeros)

@@ -287,8 +287,8 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         args.fn(args)
-    except (ValueError, OSError) as exc:  # OSError: an input file that cannot be read, named by its path
-        print(f"lovabs {args.command}: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError) as exc:  # an unreadable input file; a label that has no table
+        print(f"lovabs {args.command}: error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     return 0
 

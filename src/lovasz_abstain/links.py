@@ -165,6 +165,14 @@ def link_rows(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
     return _link(us, real(eps, "eps", "(0, inf)"), real(tau, "tau", "[0, 1]"))
 
 
+def _taus(taus) -> np.ndarray:
+    """A sweep's taus as floats; a ValueError naming taus unless a nonempty vector of reals in [0, 1]."""
+    taus = real(np.asarray(taus), "taus", "[0, 1]").astype(float)
+    if taus.ndim != 1 or not len(taus):
+        raise ValueError(f"taus must be a nonempty vector, got shape {taus.shape}")
+    return taus
+
+
 def _link(us: np.ndarray, eps: float, tau) -> tuple[np.ndarray, np.ndarray]:
     """link_rows of checked points us, a checked eps and a checked tau.
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._args import ORACLE_MAX_K, REPRESENTATIVE_MAX_K, alike, bitmasks, capped, distribution, integer, points, real
 from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
-from .links import LinkConfig, _face_member_matrix, faces_within, link_rows, naive_threshold_link
+from .links import LinkConfig, _face_member_matrix, _taus, faces_within, link_rows, naive_threshold_link
 from .lovasz import clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
 from .setfn import _bit_rows, _checked_k, _sign_rows, _table_k, popcounts, validate_polymatroid
@@ -151,6 +151,11 @@ def argmin_ids(values: np.ndarray) -> set[int]:
     return set(np.flatnonzero(_argmin_mask(values[None])[0]).tolist())
 
 
+def _uniquely_optimal(values: np.ndarray, i: int) -> bool:
+    """Whether entry i beats every other by more than MARGIN, so argmin_ids(values) == {i} too."""
+    return bool(np.delete(values, i).min() > values[i] + MARGIN)
+
+
 def _lattice(k: int) -> np.ndarray:
     axis = np.arange(-1.0, 1.125, 0.25)  # [-1, 1] in steps of 0.25
     return np.array(list(itertools.product(axis, repeat=k)))
@@ -170,11 +175,6 @@ def verify_embedding(fc, grid_m: int = 8) -> VerificationReport:
     k = fc.k
     integer(grid_m, "grid_m", 1)
     capped(k, "k", ORACLE_MAX_K, "embedding verification")
-    F = fc.at(np.arange(1 << k)[:, None], np.arange(1 << k))
-    bad = np.argwhere(~np.isfinite(F))
-    if len(bad):
-        y, s = bad[0]
-        raise ValueError(f"collection has the non-finite value {F[y, s]} at f_y(S) with y={y:#x}, S={s:#x}")
     surr = surrogate_loss_table(fc)
     disc = abstain_loss_table(fc)
     gaps = np.abs(surr - disc)
@@ -348,15 +348,8 @@ def counterexample_symmetric(f) -> SymmetricCounterexample:
 
     plain_y = plain @ p_y
     plain_yp = plain @ p_yp
-    ok = (
-        argmin_ids(plain_y) == {full}
-        and np.delete(plain_y, full).min() > plain_y[full] + MARGIN
-        and argmin_ids(plain_yp) == {y_prime}
-        and np.delete(plain_yp, y_prime).min() > plain_yp[y_prime] + MARGIN
-        and pick in argmin_ids(table @ p_yp)
-        and vals[pick] < (1.0 - eps) * 2.0 * fbar - MARGIN
-    )
-    if not ok:
+    if not (_uniquely_optimal(plain_y, full) and _uniquely_optimal(plain_yp, y_prime)
+            and pick in argmin_ids(table @ p_yp) and vals[pick] < (1.0 - eps) * 2.0 * fbar - MARGIN):
         raise RuntimeError("counterexample certificate failed to verify")
     return SymmetricCounterexample(
         consistent_case=False,
@@ -420,7 +413,7 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
     for eps in EPS_SCHEDULE:
         p_eps = mix(uniform(k), point_mass(0, k), eps)
         vals = table @ p_eps
-        if argmin_ids(vals) == {zero_id} and np.delete(vals, zero_id).min() > vals[zero_id] + MARGIN:
+        if _uniquely_optimal(vals, zero_id):
             # The bump term is the abstain loss against the all-minus label;
             # it is zero exactly at the all-minus report, where the dominance
             # inequality holds with a zero left side.
@@ -455,11 +448,7 @@ def counterexample_asymmetric(fc) -> AsymmetricCounterexample:
             p2 = mix(p_eps, point_mass(full ^ y_hat, k), eps2)
             v2 = table @ p2
             pl2 = plain @ p2
-            if (
-                argmin_ids(v2) == {zero_id}
-                and np.delete(v2, zero_id).min() > v2[zero_id] + MARGIN
-                and pl2[y_hat] > pl2.min() + MARGIN
-            ):
+            if _uniquely_optimal(v2, zero_id) and pl2[y_hat] > pl2.min() + MARGIN:
                 return AsymmetricCounterexample(
                     "flipped", eps, p2, v_opt, y_hat,
                     details={"epsilon_prime": eps2},
@@ -503,9 +492,7 @@ def calibration_sweep(
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
-    taus = real(np.asarray(taus), "taus", "[0, 1]").astype(float)
-    if taus.ndim != 1 or not len(taus):
-        raise ValueError(f"taus must be a nonempty vector, got shape {taus.shape}")
+    taus = _taus(taus)
     rng = rng if rng is not None else np.random.default_rng(0)
     eps = LinkConfig(epsilon=epsilon).resolve_epsilon(k)
     vectors = _report_signs(k)

@@ -13,9 +13,9 @@ spec, as does this loader for the non-table kinds; a symmetric collection
 keeps its {"k", "symmetric", "per_label": {"0": ...}} shape with the spec
 inside. Table files still load, and the table and spec forms of a family load
 to bit-identical values. Tables load into one value matrix; a label key
-outside [0, 2^k) or a NaN or infinite entry is a ValueError naming the label
-(and the subset), and so is an object missing a field it needs. JSON that is
-not an object where one is expected is a ValueError that shows it.
+outside [0, 2^k), a NaN or infinite entry (SetFunction refuses it) or an
+object missing a field it needs is a ValueError naming the label, the subset or
+the field; JSON that is not an object where one is expected is one showing it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 import json
 import reprlib
 from pathlib import Path
-
-import numpy as np
 
 from ._args import real
 from .setfn import (
@@ -63,10 +61,7 @@ def setfn_to_obj(f: SetFunction) -> dict:
 def setfn_from_obj(obj: dict) -> SetFunction:
     kind = _object(obj, "a set function").get("kind", "table")
     if kind == "table":
-        values = np.asarray(_field(obj, "values", kind), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise ValueError(f"non-finite value {values.flat[bad[0]]} at S={bad[0]:#x}")
+        values = _field(obj, "values", kind)  # read first: it names "values" when k is missing too
         return SetFunction.from_values(_field(obj, "k", kind), values)
     if kind == "modular":
         return make_modular(_field(obj, "weights", kind))

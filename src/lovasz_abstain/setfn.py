@@ -137,10 +137,21 @@ def _checked_label(y, k: int, other: str = "fc") -> int:
     return y.bits
 
 
+def _finite(values: np.ndarray, rows=()) -> None:
+    """A ValueError naming the first non-finite value and its subset, and in a
+    collection's (R, 2^k) matrix the first label y whose row rows[y] holds it."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        r, s = divmod(int(bad.argmax()), values.shape[-1])
+        readers = np.flatnonzero(np.asarray(rows) == r)  # none for a table, or for a row no label reads
+        label = f"label {readers[0]}: " if len(readers) else ""
+        raise ValueError(f"{label}non-finite value {np.atleast_2d(values)[r, s]} at S={s:#x}")
+
+
 @dataclass(frozen=True)
 class SetFunction:
-    """A nonnegative normalized set function on 2^[k] as a dense value table,
-    with the JSON object that rebuilds it bit for bit, if one is known."""
+    """A nonnegative normalized set function on 2^[k] as a dense table of finite
+    values, with the JSON object that rebuilds it bit for bit, if one is known."""
 
     k: int
     values: np.ndarray = field(repr=False)
@@ -153,6 +164,7 @@ class SetFunction:
         vals.setflags(write=False)
         if vals.shape != (1 << self.k,):
             raise ValueError(f"need 2^{self.k} values, got shape {vals.shape}")
+        _finite(vals)
 
     @classmethod
     def from_values(cls, k: int, values) -> "SetFunction":
@@ -236,8 +248,10 @@ class PolymatroidCollection:
         if values.ndim != 2 or values.shape[1] != 1 << self.k:
             raise ValueError(f"values has shape {values.shape}, expected (R, 2^k) with k={self.k}")
         shared = rows is _shared_rows(self.k)  # total and in range by construction
-        if not shared and (rows.shape != (1 << self.k,) or rows.min() < -1 or rows.max() >= len(values)):
-            raise ValueError(f"rows must map each of the {1 << self.k} labels to -1 or a row of values")
+        if not shared:  # a shared row is an already checked SetFunction's table
+            if rows.shape != (1 << self.k,) or rows.min() < -1 or rows.max() >= len(values):
+                raise ValueError(f"rows must map each of the {1 << self.k} labels to -1 or a row of values")
+            _finite(values, rows)
         values.setflags(write=False)
         rows.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -384,15 +398,9 @@ def validate_polymatroid(f: SetFunction, strict: bool = False) -> ValidationRepo
     f(S+i) + f(S+j) >= f(S+i+j) + f(S), equivalent to the all-pairs
     inequality; strictness over exchanges is equivalent to strictness on
     incomparable pairs (telescoping). Modularity = every exchange tight.
-    A table with a NaN or inf entry is not checked further: every axiom
-    reads False and the one violation names the first such entry.
+    Every value is finite: SetFunction refuses a NaN or infinite one.
     """
     k, vals = f.k, f.values
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        s = int(bad[0])
-        return ValidationReport(k, False, False, False, False, False,
-                                violations=[f"non-finite value {vals[s]} at S={s:#x}"])
     masks = np.arange(1 << k)
     report = ValidationReport(
         k=k,

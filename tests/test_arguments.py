@@ -228,7 +228,7 @@ ROWS = [
       for name, values in REMOVED_FIELDS.items()],
     ("counts", "y", lambda v: counts([1, 0], v), [4, True]),
     ("metrics", "pairs", metrics, [[]]),
-    ("tau_sweep", "taus", lambda v: tau_sweep(RESULT, DATA, v), [[1.5], [True], [NAN]]),
+    ("tau_sweep", "taus", lambda v: tau_sweep(RESULT, DATA, v), [[1.5], [True], [NAN], (), 0.5, [[0.5]], [2.0]]),
     ("train", "data", lambda v: train(SMALL, F2, v), [synth_data(TrainConfig(k=2, feature_dim=3, n_samples=10))]),
     ("train", "fc has k=3", lambda v: train(SMALL, v), [make_sqrt_card(3)]),
 ]

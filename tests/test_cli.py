@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lovasz_abstain import SetFunction, make_jaccard, make_sqrt_card, make_zero_one
+from lovasz_abstain import make_jaccard, make_sqrt_card, make_zero_one
 from lovasz_abstain.cli import _COMMANDS, build_parser, main
 from lovasz_abstain.serialize import collection_to_obj, save_collection, save_setfn
 from lovasz_abstain.setfn import PolymatroidCollection
@@ -27,10 +27,9 @@ def files(tmp_path):
     save_collection(make_sqrt_card(2), sym)
     sqrt4 = tmp_path / "sqrt4.json"
     save_collection(make_sqrt_card(4), sqrt4)
-    nan = tmp_path / "nan3.json"
-    values = make_zero_one(3).values.copy()
-    values[0b011] = np.nan
-    save_collection(SetFunction.from_values(3, values), nan)
+    nan = tmp_path / "nan3.json"  # as save_collection wrote it before SetFunction refused a NaN table
+    nan.write_text('{"k": 3, "symmetric": true, "per_label": {"0": {"k": 3, "kind": "table", '
+                   '"values": [0.0, 1.0, 1.0, NaN, 1.0, 1.0, 1.0, 1.0]}}}')
     broken = {"modular_nan": '{"kind": "modular", "weights": [NaN, 1]}',
               "modular_scalar": '{"kind": "modular", "weights": 3}',
               "costs_nan": '{"weights_by_class": [NaN, 1, 1, 1]}',
@@ -42,6 +41,8 @@ def files(tmp_path):
               "per_label_number": '{"k": 2, "symmetric": false, "per_label": {"0": 3}}',
               "costs_short": '{"weights_by_class": [1]}',
               "jaccard20": '{"kind": "jaccard", "k": 20}',
+              "labels_0_and_3": '{"k": 2, "symmetric": false, "per_label": {"0": {"k": 2, "kind": "zero_one"}, '
+                                '"3": {"k": 2, "kind": "zero_one"}}}',
               "train_list": '[1]',
               "train_no_setfn": '{"k": 2}',
               "train_unknown_field": '{"k": 2, "epoch": 3, "setfn": {"kind": "zero_one", "k": 2}}',
@@ -238,6 +239,9 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
     assert len(trace) == 3 and trace[-1] < trace[0]
 
 
+NO_TABLE = "error: collection has no table for label bitmask 1\n"  # the KeyError's message, unquoted
+
+
 @pytest.mark.parametrize(
     "argv, word",
     [(["link", "--u=nan,0.2"], "non-finite"),
@@ -315,7 +319,11 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
      (["mc-link", "--C", "4", "--u=0.5,,0.2"], "u: could not convert string to float: ''"),
      (["eval-extension", "--setfn", "setfn", "--x=0.5,x"], "x: could not convert string to float: 'x'"),
      (["sweep", "--model", "dir", "--taus", "0,half"], "taus: could not convert string to float: 'half'"),
-     (["sweep", "--model", "old_run"], "train config has no field 'grad_clip'")],
+     (["sweep", "--model", "old_run"], "train config has no field 'grad_clip'"),
+     (["verify", "embedding", "--collection", "labels_0_and_3"], NO_TABLE),
+     (["condition1", "--collection", "labels_0_and_3"], NO_TABLE),
+     (["eval-hinge", "--collection", "labels_0_and_3", "--u=0,0", "--y=+-"], NO_TABLE),
+     (["eval-target", "--collection", "labels_0_and_3", "--v=+0", "--y=+-"], NO_TABLE)],
     ids=["link-nan", "eval-hinge-bad-label", "verify-empty-grid", "verify-nan-table",
          "eval-hinge-nan-table", "metrics-length-mismatch", "eval-hinge-nan-weights", "eval-hinge-scalar-weights",
          "mc-eval-nan-class-weights", "eval-hinge-jaccard-without-k", "eval-hinge-table-without-values",
@@ -335,7 +343,8 @@ def test_train_runs_jaccard_above_the_dense_cap(capsys, tmp_path):
          "verify-tightness-empty-grid", "verify-tightness-k4-empty-grid", "verify-embedding-k4-negative-grid",
          "verify-missing-collection", "sweep-missing-model", "train-missing-config", "link-word-entry",
          "eval-hinge-bad-exponent", "mc-link-empty-entry", "eval-extension-word-entry", "sweep-word-tau",
-         "sweep-run-directory-with-removed-options"],
+         "sweep-run-directory-with-removed-options", "verify-embedding-label-without-table",
+         "condition1-label-without-table", "eval-hinge-label-without-table", "eval-target-label-without-table"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths

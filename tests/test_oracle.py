@@ -21,7 +21,7 @@ from lovasz_abstain import (
     verify_representative,
     verify_tightness,
 )
-from lovasz_abstain import oracle
+from lovasz_abstain import _tol, oracle
 from lovasz_abstain.oracle import argmin_ids, calibration_sweep, surrogate_loss_table
 from lovasz_abstain.setfn import SetFunction
 from lovasz_abstain.targets import abstain_loss_table, report_index
@@ -126,11 +126,12 @@ def test_verify_representative_rejects_reports_of_another_k():
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_verify_embedding_rejects_a_non_finite_table(k):
-    """A NaN cell makes every comparison False, so it has to be refused up front."""
+    """A NaN cell makes every comparison False, so it has to be refused up
+    front: SetFunction refuses the table before verify_embedding can read it."""
     values = make_zero_one(k).values.copy()
     values[0b011] = np.nan
-    with pytest.raises(ValueError, match=r"non-finite value nan at f_y\(S\) with y=0x0, S=0x3"):
-        verify_embedding(SetFunction.from_values(k, values))
+    with pytest.raises(ValueError, match=r"^non-finite value nan at S=0x3$"):
+        SetFunction.from_values(k, values)
 
 
 def test_verify_tightness_sqrt():
@@ -143,6 +144,18 @@ def test_verify_tightness_rejects_non_strict():
         verify_tightness(make_zero_one(3))
     with pytest.raises(ValueError):
         verify_tightness(make_modular([1.0, 1.0, 1.0]))
+
+
+def test_a_strict_optimum_is_the_whole_optimal_set():
+    """The counterexamples test a strict optimum by its MARGIN alone, which
+    implies argmin_ids == {i} only while MARGIN >= ARGMIN_TOL."""
+    assert _tol.MARGIN >= _tol.ARGMIN_TOL
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        vals = 1.0 + rng.choice([0.0, 0.5e-9, 1e-9, 1.5e-9, 3e-9, 1.0], size=6)
+        for i in range(6):
+            if oracle._uniquely_optimal(vals, i):
+                assert argmin_ids(vals) == {i}
 
 
 def test_counterexample_symmetric_zero_one():

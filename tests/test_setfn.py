@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from lovasz_abstain import (
     PolymatroidCollection,
     SetFunction,
     check_condition1,
+    enumerate_reports,
+    hinge,
     make_concave_card,
     make_jaccard,
     make_modular,
@@ -19,8 +22,10 @@ from lovasz_abstain import (
     random_collection,
     random_polymatroid,
     validate_polymatroid,
+    verify_representative,
 )
 from lovasz_abstain import setfn
+from lovasz_abstain.oracle import calibration_sweep, thickened_envelope_grid
 
 from conftest import symmetric_builtins
 
@@ -190,9 +195,57 @@ def test_validator_catches_non_submodular():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validator_reports_non_finite_values(bad):
-    rep = validate_polymatroid(SetFunction(2, np.array([0.0, 1.0, bad, 2.0])))
-    assert not rep.valid
-    assert rep.violations == [f"non-finite value {bad} at S=0x2"]
+    """The validator never sees a NaN or infinite value: SetFunction refuses
+    the table, with the words the validator once reported it in."""
+    with pytest.raises(ValueError, match=rf"^non-finite value {bad} at S=0x2$"):
+        SetFunction(2, np.array([0.0, 1.0, bad, 2.0]))
+
+
+def _nan_at_0b01():
+    """make_sqrt_card(2)'s table with a NaN at S = 0b01."""
+    values = make_sqrt_card(2).values.copy()
+    values[0b01] = np.nan
+    return SetFunction(2, values)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: calibration_sweep(_nan_at_0b01(), 2), "non-finite value nan at S=0x1"),
+     (lambda: thickened_envelope_grid(_nan_at_0b01(), [0.5, 0.2], 0.25), "non-finite value nan at S=0x1"),
+     (lambda: verify_representative(_nan_at_0b01(), enumerate_reports(2, "V0")), "non-finite value nan at S=0x1"),
+     (lambda: check_condition1(_nan_at_0b01()), "non-finite value nan at S=0x1"),
+     (lambda: hinge(_nan_at_0b01(), [0.0, 0.0], 3), "non-finite value nan at S=0x1"),
+     (lambda: make_modular([1e308, 1e308]), "non-finite value inf at S=0x3"),
+     (lambda: PolymatroidCollection.from_tables(2, [2, 1], [[0.0, 1.0, 1.0, np.nan], [0.0, 1.0, 1.0, 1.0]]),
+      "label 2: non-finite value nan at S=0x3")],
+    ids=["calibration-sweep-passed-with-0-cases", "thickened-envelope-returned-all-9-reports",
+         "representative-failed-at-a-point-mass", "condition1-passed", "hinge-returned-nan",
+         "modular-overflowed-to-inf", "from-tables-kept-a-nan-row"],
+)
+def test_a_non_finite_table_is_refused_where_it_is_built(build, message):
+    """Each consumer read a NaN or inf table without a check of its own: every
+    comparison with NaN is False, so a sweep passed or failed on no evidence."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+# Lines of the non-finite checks that consumers wrote for themselves before
+# SetFunction and PolymatroidCollection refused such tables.
+FINITE_CHECK_COPIES = [
+    '            raise ValueError(f"non-finite value {values.flat[bad[0]]} at S={bad[0]:#x}")',
+    '        raise ValueError(f"collection has the non-finite value {F[y, s]} at f_y(S) with y={y:#x}, S={s:#x}")',
+    '                                violations=[f"non-finite value {vals[s]} at S={s:#x}"])',
+]
+
+
+def test_only_setfn_refuses_a_non_finite_table():
+    """The words "non-finite value" appear in no module but setfn.py, whose
+    constructors check every table once, where it is built."""
+    package = Path(setfn.__file__).parent
+    hits = [f"{path.name}:{n}" for path in sorted(package.glob("*.py")) if path.name != "setfn.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1) if "non-finite value" in line]
+    assert hits == []
+    assert all("non-finite value" in line for line in FINITE_CHECK_COPIES)
 
 
 def test_zero_singletons_reported():
