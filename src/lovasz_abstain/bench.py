@@ -18,8 +18,8 @@ import numpy as np
 
 from ._args import alike, bitmasks, integer, nonnegative, points, real
 from .links import LinkConfig, _taus, link_rows, trim_rows
-from .lovasz import hinge_and_subgradient_rows, hinge_rows, subgradient_rows
-from .setfn import _checked_k, _checked_label, _row_masks, as_collection, popcounts
+from .lovasz import _hinge_and_subgradient, hinge_rows, subgradient_rows
+from .setfn import _checked_k, _checked_label, _row_masks, _sign_rows, as_collection, popcounts
 from .targets import AbstainReport, _outcomes, _report
 
 
@@ -178,10 +178,13 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     """Full-batch subgradient descent on the mean hinge; one step per epoch,
     of size lr_init along the subgradient clipped to [-1, 1] entrywise.
 
-    Each epoch makes one hinge_and_subgradient_rows call on the stacked train
-    and validation scores. Keeps the weights with the best validation loss.
-    Deterministic given the seed; raises when the weights diverge (turn
-    non-finite) and rejects a data set whose shape does not match cfg.
+    The labels are checked and turned into sign rows once per run. Each epoch
+    makes one call to the chain kernel's unchecked core on the stacked train
+    and validation scores, for the train loss, the validation loss and the
+    train subgradient. Keeps the weights with the best validation loss.
+    Deterministic given the seed; raises RuntimeError when a step makes the
+    scores non-finite (the weights diverged) and rejects a data set whose
+    shape does not match cfg.
     """
     fc = as_collection(fc)
     alike("fc", fc.k, "cfg", cfg.k)
@@ -189,8 +192,9 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     _check_data(cfg, data)
     tr, va, _ = split_indices(cfg.n_samples, cfg.seed)
     Xtr, Xva = data.X[tr], data.X[va]
-    y_bits = np.concatenate([data.y_bits[tr], data.y_bits[va]])
-    n_tr = len(tr)
+    y_bits = bitmasks(np.concatenate([data.y_bits[tr], data.y_bits[va]]), "y_bits", cfg.k)
+    signs = _sign_rows(y_bits, cfg.k)
+    n_tr, n_va = len(tr), len(va)
 
     def scores(W):
         # two matmuls, not one over the stacked rows: BLAS row blocking could
@@ -198,24 +202,32 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
         # on which block it is computed in
         return np.concatenate([Xtr @ W.T, Xva @ W.T])
 
+    def losses(h):
+        # sum() / count is mean() bit for bit, without mean()'s Python wrapper
+        return float(h[:n_tr].sum() / n_tr), float(h[n_tr:].sum() / n_va)
+
     W = np.zeros((cfg.k, cfg.feature_dim))
+    U = scores(W)
     best_W, best_val, best_epoch = W.copy(), np.inf, 0
     train_trace, val_trace = [], []
     for epoch in range(cfg.epochs):
-        if not np.isfinite(W).all():
-            raise RuntimeError(f"training diverged at epoch {epoch}")
-        h, S = hinge_and_subgradient_rows(fc, scores(W), y_bits)
-        val = float(h[n_tr:].mean())
-        train_trace.append(float(h[:n_tr].mean()))
+        h, S = _hinge_and_subgradient(fc, U, y_bits, signs)
+        loss, val = losses(h)
+        train_trace.append(loss)
         val_trace.append(val)
         if val < best_val:
             best_val, best_W, best_epoch = val, W.copy(), epoch
         G = S[:n_tr].T @ Xtr / n_tr
-        np.clip(G, -1.0, 1.0, out=G)
-        W = W - cfg.lr_init * G
-    h = hinge_rows(fc, scores(W), y_bits)
-    final_val = float(h[n_tr:].mean())
-    train_trace.append(float(h[:n_tr].mean()))
+        np.minimum(np.maximum(G, -1.0, out=G), 1.0, out=G)  # np.clip, without its Python wrapper
+        # a step that overflows the scores, or an infinite lr_init times 0, ends
+        # in the trainer's own verdict below rather than in a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = W - cfg.lr_init * G
+            U = scores(W)
+        if not np.isfinite(U).all():
+            raise RuntimeError(f"training diverged at epoch {epoch + 1}")
+    loss, final_val = losses(_hinge_and_subgradient(fc, U, y_bits, signs)[0])
+    train_trace.append(loss)
     val_trace.append(final_val)
     if final_val < best_val:
         best_W, best_epoch = W.copy(), cfg.epochs

@@ -215,16 +215,17 @@ def cmd_metrics(args):
 
 def cmd_sweep(args):
     taus = _vec(args.taus, "taus").tolist()
-    run = Path(args.model)
-    model = json.loads((run / "model.json").read_text())
-    cfg = _train_config(model["config"])
+    path = Path(args.model) / "model.json"
+    model = serialize._object(json.loads(path.read_text()), str(path))
+    field = lambda name: serialize._field(model, name, str(path))  # names the file and the missing field
+    cfg = _train_config(field("config"))
     data = bench.synth_data(cfg)
     result = bench.TrainResult(
-        weights=np.array(model["weights"]),
-        best_weights=np.array(model["best_weights"]),
-        best_epoch=model["best_epoch"],
-        train_trace=model["train_trace"],
-        val_trace=model["val_trace"],
+        weights=np.array(field("weights")),
+        best_weights=np.array(field("best_weights")),
+        best_epoch=field("best_epoch"),
+        train_trace=field("train_trace"),
+        val_trace=field("val_trace"),
         config=cfg,
     )
     rows = bench.tau_sweep(result, data, taus, trim=args.trim)

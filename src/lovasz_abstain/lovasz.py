@@ -3,13 +3,17 @@
 The extension, hinge and subgradient, scalar or batched, are views of one
 batched kernel, ``chain_gains``: it sorts each row descending with ties broken
 by ascending index (stable), which makes every kink-point output
-deterministic, and reads the table gains along the sorted prefixes. The hinge
-and its subgradient at the same points come from one ``chain_gains`` call
-(``hinge_and_subgradient_rows``). Exact kinks (1 - u_i y_i = 0) count as
-inactive in the subgradient. Entry points raise ValueError naming the
-argument, through the rules of _args.py, for a wrong last axis or a
-non-finite entry, a negative extension point, a p that is no probability
-vector, a label bitmask outside [0, 2^k) or a label of another k.
+deterministic, and reads the table gains along the sorted prefixes. The
+margins are gathered in that order, and the subgradient scattered back,
+through one flat index per entry (order[j, i] + j * k). The hinge and its
+subgradient at the same points come from one ``chain_gains`` call
+(``hinge_and_subgradient_rows``); its unchecked core, which takes the label
+sign rows, is what the trainer calls each epoch after checking and signing its
+labels once. Exact kinks (1 - u_i y_i = 0) count as inactive in the
+subgradient. Entry points raise ValueError naming the argument, through the
+rules of _args.py, for a wrong last axis or a non-finite entry, a negative
+extension point, a p that is no probability vector, a label bitmask outside
+[0, 2^k) or a label of another k.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ def hinge_subgradient(fc, u, y) -> np.ndarray:
     hinge is inactive; exact kinks (1 - u_i y_i = 0) count as inactive.
     """
     fc = as_collection(fc)
-    return _hinge_and_subgradient(fc, points(u, "u", 1, fc.k)[None], _checked_label(y, fc.k))[1][0]
+    u, y = points(u, "u", 1, fc.k), _checked_label(y, fc.k)
+    return _hinge_and_subgradient(fc, u[None], y, _sign_rows(y, fc.k))[1][0]
 
 
 def subgradient_rows(fc, us: np.ndarray, y_bits) -> np.ndarray:
@@ -96,7 +101,8 @@ def hinge_and_subgradient_rows(fc, us: np.ndarray, y_bits) -> tuple[np.ndarray, 
     """(hinge_rows, subgradient_rows) of us against the label bitmasks y_bits,
     from one chain_gains call; the hinge is bit-identical to hinge_rows'."""
     fc = as_collection(fc)
-    return _hinge_and_subgradient(fc, points(us, "us", 2, fc.k), bitmasks(y_bits, "y_bits", fc.k))
+    us, y_bits = points(us, "us", 2, fc.k), bitmasks(y_bits, "y_bits", fc.k)
+    return _hinge_and_subgradient(fc, us, y_bits, _sign_rows(y_bits, fc.k))
 
 
 def expected_hinge(fc, u, p) -> float:
@@ -109,27 +115,37 @@ def expected_hinge(fc, u, p) -> float:
 
 
 def _extension(fc, W: np.ndarray, y_bits) -> np.ndarray:
-    return _sorted_sum(W, *chain_gains(fc, W, y_bits))
+    order, gains = chain_gains(fc, W, y_bits)
+    return _sorted_sum(W, _flat(order), gains)
 
 
-def _sorted_sum(W: np.ndarray, order: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def _flat(order: np.ndarray) -> np.ndarray:
+    """Flat indices into an (n, k) array of the entries order names: order[j, i] + j * k."""
+    n, k = order.shape
+    return order + np.arange(0, n * k, k)[:, None]
+
+
+def _sorted_sum(W: np.ndarray, flat: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """sum_i W[j, pi_i] gains[j, i] per row: the extension from chain_gains'
-    order and gains, so W is read through the one sort chain_gains made."""
-    return (W[np.arange(len(W))[:, None], order] * gains).sum(axis=1)
+    gains and its order as _flat indices, so W is read through the one sort
+    chain_gains made."""
+    return (W.take(flat) * gains).sum(axis=1)
 
 
 def _hinge(fc, us: np.ndarray, y_bits) -> np.ndarray:
     return _extension(fc, np.maximum(1.0 - us * _sign_rows(y_bits, fc.k), 0.0), y_bits)
 
 
-def _hinge_and_subgradient(fc, us: np.ndarray, y_bits) -> tuple[np.ndarray, np.ndarray]:
-    signs = _sign_rows(y_bits, fc.k)
+def _hinge_and_subgradient(fc, us: np.ndarray, y_bits, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hinge_and_subgradient_rows without its checks, for finite (n, k) scores us,
+    in-range label bitmasks y_bits and their sign rows _sign_rows(y_bits, k)."""
     margins = 1.0 - us * signs
     W = np.maximum(margins, 0.0)
     order, gains = chain_gains(fc, W, y_bits)
-    g = np.empty_like(margins)
-    g[np.arange(len(g))[:, None], order] = gains
-    return _sorted_sum(W, order, gains), np.where(margins > 0.0, -signs * g, 0.0)
+    flat = _flat(order)
+    g = np.empty(margins.size)
+    g[flat] = gains  # index assignment, not g.put: put converts and checks each value, and is slower
+    return _sorted_sum(W, flat, gains), np.where(margins > 0.0, -signs * g.reshape(margins.shape), 0.0)
 
 
 # Read by perfbench/tracer.py to count active hinge coordinates.

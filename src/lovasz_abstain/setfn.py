@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._args import DENSE_MAX_K, MAX_K, TABLE_MAX_K, alike, bitmasks, capped, integer, nonnegative, points
+from ._args import DENSE_MAX_K, MAX_K, TABLE_MAX_K, alike, bitmasks, capped, integer, nonnegative, points, real
 from ._tol import ATOL
 
 _CHARS = "-+0"  # the character of a coordinate, indexed by its pos bit | zeros bit << 1
@@ -189,9 +189,10 @@ _MODULAR_ROWS = 4096
 
 
 def make_modular(w) -> SetFunction:
-    """f(S) = sum of w_i over i in S, for nonnegative weights w."""
+    """f(S) = sum of w_i over i in S, for nonnegative weights w whose sum is finite."""
     w = nonnegative(w, "weights")
     k = capped(len(w), "len(weights)", TABLE_MAX_K, "dense 2^k tables")
+    real(sum(w.tolist()), "sum(weights)", "[0, inf)")  # f([k]), the largest value; a Python sum does not warn
     values = np.empty(1 << k)
     for start in range(0, 1 << k, _MODULAR_ROWS):
         values[start:start + _MODULAR_ROWS] = _bit_rows(np.arange(start, min(start + _MODULAR_ROWS, 1 << k)), k) @ w

@@ -117,7 +117,7 @@ ROWS = [
     ("make_concave_card", "g", lambda v: make_concave_card(2, v), [lambda c: NAN * c, lambda c: c * c]),
     ("make_concave_card", "k=21", lambda v: make_concave_card(v, math.sqrt), [21]),
     ("make_jaccard", "k", make_jaccard, [0, MAX_K + 1, 2.5, True]),
-    ("make_modular", "weights", make_modular, [[NAN, 1.0], [-1.0], 1.0, [1.0] * 63]),
+    ("make_modular", "weights", make_modular, [[NAN, 1.0], [-1.0], 1.0, [1.0] * 63, [1e308, 1e308]]),
     ("make_sqrt_card", "k", make_sqrt_card, [0, 2.0, True]),
     ("make_zero_one", "k", make_zero_one, [0, 2.0, True]),
     ("make_zero_one", "k=21", make_zero_one, [21]),

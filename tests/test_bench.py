@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from lovasz_abstain import (
     train,
     TrainConfig,
 )
-from lovasz_abstain import bench, lovasz
+from lovasz_abstain import _args, bench, lovasz
 from lovasz_abstain.bench import link_reports, mean_hinge, split_indices
 from lovasz_abstain.links import LinkConfig, threshold_abstain_link
 from lovasz_abstain.serialize import collection_from_obj
@@ -293,6 +295,54 @@ def test_train_makes_one_chain_kernel_call_per_epoch(epochs, monkeypatch):
     cfg = TrainConfig(k=3, feature_dim=5, n_samples=60, epochs=epochs, seed=2)
     res = train(cfg, make_sqrt_card(3))
     assert len(calls) == epochs + 1 and len(res.train_trace) == epochs + 1
+
+
+@pytest.mark.parametrize("lr_init", [1e308, math.inf])
+@pytest.mark.parametrize("epochs", [1, 5])
+def test_a_step_that_overflows_the_scores_ends_in_the_trainers_verdict(lr_init, epochs):
+    """lr_init may be any positive number up to inf. A first step that makes
+    the scores non-finite is the trainer's divergence verdict: not numpy's
+    overflow warning (an error under this suite's filterwarnings), nor a
+    ValueError naming scores the caller never passed."""
+    cfg = TrainConfig(k=3, feature_dim=5, n_samples=60, epochs=epochs, seed=2, lr_init=lr_init)
+    with pytest.raises(RuntimeError, match="^training diverged at epoch 1$"):
+        train(cfg, make_sqrt_card(3))
+
+
+def test_an_infinite_step_along_a_zero_gradient_ends_in_the_trainers_verdict():
+    """A feature that is 0 in every row has a zero gradient, and inf * 0 is
+    NaN: that too is the divergence verdict, not an invalid-value warning."""
+    cfg = TrainConfig(k=3, feature_dim=5, n_samples=60, epochs=3, seed=2, lr_init=math.inf)
+    data = synth_data(cfg)
+    data.X[:, -1] = 0.0
+    with pytest.raises(RuntimeError, match="^training diverged at epoch 1$"):
+        train(cfg, make_sqrt_card(3), data)
+
+
+def test_the_epoch_loop_runs_no_argument_rule(monkeypatch):
+    """train checks its features and labels once per run: it makes as many
+    calls of the points and bitmasks rules at 6 epochs as at 0, wherever a
+    module of the package bound them."""
+    calls = []
+
+    def counting(rule):
+        def counted(*args, **kwargs):
+            calls.append(rule.__name__)
+            return rule(*args, **kwargs)
+        return counted
+
+    rules = (_args.points, _args.bitmasks)
+    for module in [m for name, m in sys.modules.items() if name.startswith("lovasz_abstain")]:
+        for rule in rules:
+            if getattr(module, rule.__name__, None) is rule:
+                monkeypatch.setattr(module, rule.__name__, counting(rule))
+    fc, counts_by_epochs = make_sqrt_card(3), {}
+    for epochs in (0, 1, 6):
+        cfg = TrainConfig(k=3, feature_dim=5, n_samples=60, epochs=epochs, seed=2)
+        calls.clear()
+        train(cfg, fc)
+        counts_by_epochs[epochs] = sorted(calls)
+    assert counts_by_epochs[0] and counts_by_epochs[1] == counts_by_epochs[0] == counts_by_epochs[6]
 
 
 def test_trainer_loss_rejects_out_of_range_y_bits():

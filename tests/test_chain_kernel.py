@@ -90,6 +90,16 @@ def batches(draw):
     return fc, U, y_bits
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_a_batch_of_zero_rows_gives_empty_outputs(name):
+    """The batched entries on a (0, k) batch, the edge case of the flat index
+    into the sorted chain; the property tests below draw n >= 1 only."""
+    fc, U, y_bits = COLLECTIONS[3][name], np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+    h, g = hinge_and_subgradient_rows(fc, U, y_bits)
+    assert h.shape == hinge_rows(fc, U, y_bits).shape == extension_batch(fc, U).shape == (0,)
+    assert g.shape == subgradient_rows(fc, U, y_bits).shape == (0, 3)
+
+
 KINKS = (COLLECTIONS[3]["sqrt_card"], np.array([[1.0, -1.0, 0.5], [1.0, 1.0, 1.0]]), np.array([7, 5]))
 TIES = (COLLECTIONS[3]["jaccard"], np.array([[0.5, 0.5, -0.5], [2.0, -2.0, 0.0]]), np.array([3, 0]))
 

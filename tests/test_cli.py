@@ -70,6 +70,9 @@ def files(tmp_path):
         "k": 2, "feature_dim": 4, "n_samples": 40, "epochs": 2, "seed": 1, "lr_init": 0.1, "lr_decay": 0.96,
         "lr_decay_every": 10000, "grad_clip": 1.0, "noise": 0.0, "margin": 1.0, "label_corr": 0.0, "epsilon": None,
         "taus": [0.0, 0.25, 0.5, 0.75, 1.0]}}))
+    no_weights = tmp_path / "no_weights"  # a run directory whose model.json lost its weights
+    no_weights.mkdir()
+    (no_weights / "model.json").write_text(json.dumps({"config": {"k": 2, "feature_dim": 4, "n_samples": 40}}))
     preds = tmp_path / "preds2.csv"
     preds.write_text("c1,c2\n+,0\n-,-\n")
     truth = tmp_path / "truth1.csv"
@@ -78,6 +81,7 @@ def files(tmp_path):
     empty.write_text("")
     return {"setfn": sf, "sqrt3": sq, "jaccard3": coll, "sqrt2": sym, "sqrt4": sqrt4, "nan3": nan,
             "preds2": preds, "truth1": truth, "empty": empty, "dir": tmp_path, "old_run": old_run,
+            "no_weights": no_weights,
             **{key: tmp_path / f"{key}.json" for key in broken}}
 
 
@@ -320,6 +324,7 @@ NO_TABLE = "error: collection has no table for label bitmask 1\n"  # the KeyErro
      (["eval-extension", "--setfn", "setfn", "--x=0.5,x"], "x: could not convert string to float: 'x'"),
      (["sweep", "--model", "dir", "--taus", "0,half"], "taus: could not convert string to float: 'half'"),
      (["sweep", "--model", "old_run"], "train config has no field 'grad_clip'"),
+     (["sweep", "--model", "no_weights"], "no_weights/model.json object has no 'weights' field"),
      (["verify", "embedding", "--collection", "labels_0_and_3"], NO_TABLE),
      (["condition1", "--collection", "labels_0_and_3"], NO_TABLE),
      (["eval-hinge", "--collection", "labels_0_and_3", "--u=0,0", "--y=+-"], NO_TABLE),
@@ -343,8 +348,9 @@ NO_TABLE = "error: collection has no table for label bitmask 1\n"  # the KeyErro
          "verify-tightness-empty-grid", "verify-tightness-k4-empty-grid", "verify-embedding-k4-negative-grid",
          "verify-missing-collection", "sweep-missing-model", "train-missing-config", "link-word-entry",
          "eval-hinge-bad-exponent", "mc-link-empty-entry", "eval-extension-word-entry", "sweep-word-tau",
-         "sweep-run-directory-with-removed-options", "verify-embedding-label-without-table",
-         "condition1-label-without-table", "eval-hinge-label-without-table", "eval-target-label-without-table"],
+         "sweep-run-directory-with-removed-options", "sweep-model-without-weights",
+         "verify-embedding-label-without-table", "condition1-label-without-table", "eval-hinge-label-without-table",
+         "eval-target-label-without-table"],
 )
 def test_value_errors_exit_with_status_2(files, capsys, argv, word):
     argv = [str(files[a]) if a in files else a for a in argv]  # file keys become paths
