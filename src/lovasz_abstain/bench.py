@@ -178,12 +178,13 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     """Full-batch subgradient descent on the mean hinge; one step per epoch,
     of size lr_init along the subgradient clipped to [-1, 1] entrywise.
 
-    The labels are checked and turned into sign rows once per run. Each epoch
-    makes one call to the chain kernel's unchecked core on the stacked train
-    and validation scores, for the train loss, the validation loss and the
-    train subgradient. Keeps the weights with the best validation loss.
-    Deterministic given the seed; raises RuntimeError when a step makes the
-    scores non-finite (the weights diverged) and rejects a data set whose
+    The labels are checked and turned into sign rows once per run. Each of
+    the epochs + 1 passes makes one call to the chain kernel's unchecked core
+    on the stacked train and validation scores, for the train loss, the
+    validation loss and the train subgradient; the last pass evaluates the
+    final weights and takes no step. Keeps the weights with the best validation
+    loss. Deterministic given the seed; raises RuntimeError when a step makes
+    the scores non-finite (the weights diverged) and rejects a data set whose
     shape does not match cfg.
     """
     fc = as_collection(fc)
@@ -210,13 +211,15 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
     U = scores(W)
     best_W, best_val, best_epoch = W.copy(), np.inf, 0
     train_trace, val_trace = [], []
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs + 1):
         h, S = _hinge_and_subgradient(fc, U, y_bits, signs)
         loss, val = losses(h)
         train_trace.append(loss)
         val_trace.append(val)
         if val < best_val:
             best_val, best_W, best_epoch = val, W.copy(), epoch
+        if epoch == cfg.epochs:
+            break
         G = S[:n_tr].T @ Xtr / n_tr
         np.minimum(np.maximum(G, -1.0, out=G), 1.0, out=G)  # np.clip, without its Python wrapper
         # a step that overflows the scores, or an infinite lr_init times 0, ends
@@ -226,11 +229,6 @@ def train(cfg: TrainConfig, fc, data: Dataset | None = None) -> TrainResult:
             U = scores(W)
         if not np.isfinite(U).all():
             raise RuntimeError(f"training diverged at epoch {epoch + 1}")
-    loss, final_val = losses(_hinge_and_subgradient(fc, U, y_bits, signs)[0])
-    train_trace.append(loss)
-    val_trace.append(final_val)
-    if final_val < best_val:
-        best_W, best_epoch = W.copy(), cfg.epochs
     return TrainResult(W, best_W, best_epoch, train_trace, val_trace, cfg)
 
 
@@ -267,11 +265,13 @@ def tau_sweep(result: TrainResult, data: Dataset, taus, trim: bool = False) -> l
 
     The test points are scored once and linked in one link_rows call over the
     (1, T) grid of taus, so each point is sorted once for every tau. Raises
-    ValueError naming taus unless it is a nonempty vector in [0, 1], and one
-    when the link-level monotonicity fails (per-point abstention count cannot
-    drop as tau grows); metric monotonicity is reported, never checked.
+    ValueError naming data as train does, one naming taus unless it is a
+    nonempty vector in [0, 1], and one when the link-level monotonicity fails
+    (per-point abstention count cannot drop as tau grows); metric
+    monotonicity is reported, never checked.
     """
     cfg = result.config
+    _check_data(cfg, data)
     _, _, te = split_indices(cfg.n_samples, cfg.seed)
     k = result.best_weights.shape[0]
     X, y_bits = data.X[te], bitmasks(data.y_bits[te], "y_bits", k)

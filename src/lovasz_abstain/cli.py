@@ -116,31 +116,10 @@ def cmd_counterexample(args):
     fc = serialize.load_collection(args.collection)
     if args.symmetric:
         res = oracle.counterexample_symmetric(fc)
-        if res.consistent_case:
-            _emit({"consistent_case": True})
-        else:
-            _emit({
-                "consistent_case": False,
-                "epsilon": res.epsilon,
-                "kept_coords": res.kept_coords,
-                "y": res.y_bits,
-                "y_prime": res.y_prime_bits,
-                "v": str(res.v),
-                "p_y": res.p_y,
-                "p_y_prime": res.p_y_prime,
-                "details": res.details,
-            })
+        fields = {"consistent_case": True} if res.consistent_case else vars(res)
     else:
-        res = oracle.counterexample_asymmetric(fc)
-        _emit({
-            "mode": res.mode,
-            "epsilon": res.epsilon,
-            "p_witness": res.p_witness,
-            "v_opt": str(res.v_opt),
-            "linked_bits": res.linked_bits,
-            "bad_sign_bits": res.bad_sign_bits,
-            "details": res.details,
-        })
+        fields = vars(oracle.counterexample_asymmetric(fc))
+    _emit({{"y_bits": "y", "y_prime_bits": "y_prime"}.get(key, key): value for key, value in fields.items()})
 
 
 def cmd_mc_encode(args):
@@ -181,8 +160,7 @@ def cmd_train(args):
     spec = serialize._object(json.loads(Path(args.config).read_text()), "a train config")
     fc = serialize.collection_from_obj(serialize._field(spec, "setfn", "train config"))
     cfg = _train_config({key: v for key, v in spec.items() if key != "setfn"})
-    data = bench.synth_data(cfg)
-    result = bench.train(cfg, fc, data)
+    result = bench.train(cfg, fc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(json.dumps(result.to_dict(), indent=2))

@@ -293,10 +293,12 @@ class SymmetricCounterexample:
 
 
 def restrict_to_coords(f: SetFunction, coords: list[int]) -> SetFunction:
-    """Set function induced on the coordinates coords, each checked to lie in [0, k)."""
+    """Set function induced on the coordinates coords, in their order, each checked to lie in [0, k) once."""
     kk = len(coords)
     for c in coords:
         integer(c, "coords", 0, f.k - 1)
+    if len(set(coords)) < kk:
+        raise ValueError(f"coords must not repeat a coordinate, got {coords}")
     masks = np.bitwise_or.reduce(_bit_rows(np.arange(1 << kk), kk) << np.array(coords, dtype=np.int64), axis=1)
     return SetFunction(kk, f.values[masks])
 
@@ -481,9 +483,8 @@ def calibration_sweep(
     taus=(0.0, 0.5, 1.0),
     n_perturb: int = 20,
     rng: np.random.Generator | None = None,
-    epsilon: float | None = None,
 ) -> VerificationReport:
-    """Perturb every optimal report by less than eps and demand the
+    """Perturb every optimal report by less than eps = 1/(2k) and demand the
     threshold-abstain link lands back in the optimal set, for each tau. Each
     grid block's perturbations are linked in one call over the (1, T) grid of
     taus, so each point is sorted once for every tau. Cases run
@@ -494,7 +495,7 @@ def calibration_sweep(
     integer(grid_m, "grid_m", 1)
     taus = _taus(taus)
     rng = rng if rng is not None else np.random.default_rng(0)
-    eps = LinkConfig(epsilon=epsilon).resolve_epsilon(k)
+    eps = LinkConfig().resolve_epsilon(k)
     vectors = _report_signs(k)
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)

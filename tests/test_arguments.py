@@ -84,6 +84,7 @@ from lovasz_abstain import (
     verify_representative,
     verify_tightness,
 )
+from lovasz_abstain.bench import Dataset
 from lovasz_abstain.cli import _train_config
 from lovasz_abstain.links import link_rows
 from lovasz_abstain.oracle import calibration_sweep, naive_link_inconsistency, restrict_to_coords
@@ -189,7 +190,7 @@ ROWS = [
     ("verify_tightness", "k=5", verify_tightness, [make_sqrt_card(5)]),
     ("oracle.calibration_sweep", "grid_m", lambda v: calibration_sweep(F2, v), [0, 2.5, True]),
     ("oracle.calibration_sweep", "k=5", lambda v: calibration_sweep(v, 2), [make_sqrt_card(5)]),
-    ("oracle.restrict_to_coords", "coords", lambda v: restrict_to_coords(F2, v), [[5], [-1], [0.5]]),
+    ("oracle.restrict_to_coords", "coords", lambda v: restrict_to_coords(F2, v), [[5], [-1], [0.5], [0, 0]]),
     ("oracle.calibration_sweep", "n_perturb", lambda v: calibration_sweep(F2, 2, n_perturb=v), [0, 2.5, True]),
     ("oracle.calibration_sweep", "taus", lambda v: calibration_sweep(F2, 2, taus=v),
      [(), [2.0], [[0.5]], [NAN], [True]]),
@@ -229,6 +230,9 @@ ROWS = [
     ("counts", "y", lambda v: counts([1, 0], v), [4, True]),
     ("metrics", "pairs", metrics, [[]]),
     ("tau_sweep", "taus", lambda v: tau_sweep(RESULT, DATA, v), [[1.5], [True], [NAN], (), 0.5, [[0.5]], [2.0]]),
+    ("tau_sweep", "data", lambda v: tau_sweep(RESULT, v, [0.5]),
+     [Dataset(DATA.X[:8], DATA.y_bits[:8]), synth_data(TrainConfig(k=2, feature_dim=3, n_samples=10)),
+      synth_data(TrainConfig(k=2, feature_dim=2, n_samples=20))]),
     ("train", "data", lambda v: train(SMALL, F2, v), [synth_data(TrainConfig(k=2, feature_dim=3, n_samples=10))]),
     ("train", "fc has k=3", lambda v: train(SMALL, v), [make_sqrt_card(3)]),
 ]

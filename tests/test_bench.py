@@ -268,6 +268,20 @@ def test_train_rejects_data_that_does_not_match_the_config(n_samples, feature_di
         train(cfg, make_modular([1.0, 1.0]), data)
 
 
+@pytest.mark.parametrize(
+    "n_samples, feature_dim",
+    [(20, 4), (60, 4), (40, 5)],
+    ids=["too-few-rows", "too-many-rows", "wrong-width"],
+)
+def test_tau_sweep_rejects_data_that_does_not_match_the_config(n_samples, feature_dim):
+    """As train does: the run's test split is read from data by the config's row count and width."""
+    cfg = TrainConfig(k=2, feature_dim=4, n_samples=40, epochs=2, seed=1)
+    res = train(cfg, make_modular([1.0, 1.0]))
+    data = synth_data(TrainConfig(k=2, feature_dim=feature_dim, n_samples=n_samples, seed=1))
+    with pytest.raises(ValueError, match=r"^data has X of shape"):
+        tau_sweep(res, data, [0.5])
+
+
 def test_train_rejects_non_finite_features_and_out_of_range_labels():
     cfg = TrainConfig(k=2, feature_dim=4, n_samples=40, epochs=2, seed=1)
     data = synth_data(cfg)

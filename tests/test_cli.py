@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lovasz_abstain import make_jaccard, make_sqrt_card, make_zero_one
+from lovasz_abstain import make_jaccard, make_modular, make_sqrt_card, make_zero_one
 from lovasz_abstain.cli import _COMMANDS, build_parser, main
 from lovasz_abstain.serialize import collection_to_obj, save_collection, save_setfn
 from lovasz_abstain.setfn import PolymatroidCollection
@@ -156,6 +156,25 @@ def test_counterexample(files, capsys):
     assert out["consistent_case"] is False and out["epsilon"] > 0
     out = json.loads(run(capsys, ["counterexample", "--collection", str(files["jaccard3"])]))
     assert out["mode"] in ("direct", "flipped", "sequence")
+
+
+# The whole stdout of lovabs counterexample, pinned in tests/data: a change of key, key order, value or
+# layout fails here. The four cover both records, the consistent case and the "direct" and "sequence" modes.
+PINNED_COUNTEREXAMPLES = {
+    "zero_one3_symmetric": (lambda: make_zero_one(3), ["--symmetric"]),
+    "modular123_symmetric": (lambda: make_modular([1, 2, 3]), ["--symmetric"]),
+    "sqrt3": (lambda: make_sqrt_card(3), []),
+    "jaccard4": (lambda: make_jaccard(4), []),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_COUNTEREXAMPLES)
+def test_counterexample_prints_the_pinned_json(name, capsys, tmp_path):
+    make, flags = PINNED_COUNTEREXAMPLES[name]
+    path = tmp_path / f"{name}.json"
+    save_collection(make(), path)
+    out = run(capsys, ["counterexample", "--collection", str(path), *flags])
+    assert out == (Path(__file__).parent / "data" / f"counterexample_{name}.json").read_text()
 
 
 def test_mc_commands(files, capsys, tmp_path):

@@ -104,6 +104,12 @@ def test_hinge_examples():
     assert hinge(make_modular([2, 3]), [-1.0, 1.0], Label.from_string("++")) == pytest.approx(4.0)
 
 
+def test_a_label_given_as_signs_is_its_label():
+    f, u = make_sqrt_card(3), [0.4, -0.1, 0.7]
+    assert hinge(f, u, [1, -1, 1]) == hinge(f, u, Label.from_signs([1, -1, 1])) == hinge(f, u, 0b101)
+    assert hinge(f, u, np.array([-1, -1, 1])) == hinge(f, u, Label.from_string("--+"))
+
+
 def test_clip_domination(rng):
     for k in (2, 3):
         for _ in range(5):

@@ -4,6 +4,8 @@ import pytest
 from lovasz_abstain import (
     AbstainReport,
     Label,
+    PolymatroidCollection,
+    check_condition1,
     counterexample_asymmetric,
     counterexample_symmetric,
     enumerate_reports,
@@ -17,6 +19,7 @@ from lovasz_abstain import (
     mix,
     point_mass,
     uniform,
+    validate_polymatroid,
     verify_embedding,
     verify_representative,
     verify_tightness,
@@ -24,7 +27,7 @@ from lovasz_abstain import (
 from lovasz_abstain import _tol, oracle
 from lovasz_abstain.oracle import argmin_ids, calibration_sweep, surrogate_loss_table
 from lovasz_abstain.setfn import SetFunction
-from lovasz_abstain.targets import abstain_loss_table, report_index
+from lovasz_abstain.targets import _report_masks, abstain_loss_table, plain_loss_table, report_index
 
 from conftest import symmetric_builtins
 
@@ -134,6 +137,29 @@ def test_verify_embedding_rejects_a_non_finite_table(k):
         SetFunction.from_values(k, values)
 
 
+def test_verify_embedding_reports_a_pointwise_mismatch(monkeypatch):
+    """One target cell moved by 0.5 fails the pointwise phase, which counts
+    every (report, label) cell and names the cell as its witness."""
+    sqrt3 = make_sqrt_card(3)
+    table = abstain_loss_table(sqrt3).copy()
+    i, y = report_index(3)[(0b001, 0b010)], 0b101
+    table[i, y] += 0.5
+    monkeypatch.setattr(oracle, "abstain_loss_table", lambda fc: table)
+    rep = verify_embedding(sqrt3)
+    assert (rep.passed, rep.cases) == (False, 27 * 8)
+    assert rep.witness == {"v": "+0-", "y": 5, "hinge": surrogate_loss_table(sqrt3)[i, y], "target": table[i, y]}
+    assert rep.witness["target"] - rep.witness["hinge"] == pytest.approx(0.5)
+
+
+def test_tightness_witness_is_a_row_of_the_batch():
+    pos, zeros = _report_masks(3)
+    batch = oracle._tightness_witnesses(3, pos, zeros)
+    for i in range(len(pos)):
+        assert np.array_equal(oracle.tightness_witness(AbstainReport(3, int(pos[i]), int(zeros[i]))), batch[i])
+    # +0-: half the mass on each label that is + at coordinate 0 and - at coordinate 2
+    assert oracle.tightness_witness(AbstainReport.from_string("+0-")).tolist() == [0, 0.5, 0, 0.5, 0, 0, 0, 0]
+
+
 def test_verify_tightness_sqrt():
     for k in (2, 3):
         assert verify_tightness(make_sqrt_card(k), grid_m=8 if k == 2 else 4).passed
@@ -201,6 +227,45 @@ def test_counterexample_asymmetric_jaccard():
         # the ray gaps shrink linearly toward the optimum
         gaps = res.details["ray_gaps"]
         assert gaps[-1] < 1e-3 and gaps[0] > 0
+
+
+@pytest.mark.parametrize("fc", [make_zero_one(3), make_sqrt_card(3)], ids=["zero_one", "sqrt_card"])
+def test_counterexample_asymmetric_direct_mode(fc):
+    """The sign of the zero report, the all-plus label, is already plain-suboptimal at the witness."""
+    res = counterexample_asymmetric(fc)
+    assert (res.mode, res.epsilon, str(res.v_opt), res.linked_bits, res.bad_sign_bits) == ("direct", 0.125, "000", 7, None)
+    plain = argmin_ids(plain_loss_table(fc) @ res.p_witness)
+    assert 7 not in plain and sorted(plain) == res.details["plain_argmin"]
+    assert argmin_ids(abstain_loss_table(fc) @ res.p_witness) == {report_index(3)[(0, 7)]}
+
+
+# Integer tables at k = 3, one per label, from a linear program over the 64 table values: polymatroids
+# that pass the complementary-error condition, and at the first bump (eps = 1/8 toward the all-minus
+# label) every +-1 report has the same plain loss, so the certificate needs its second bump.
+FLIPPED_TABLES = [
+    [0, 7742, 8624, 14581, 14581, 14581, 14581, 14581],
+    [0, 16590, 16590, 16590, 7742, 16590, 16590, 16590],
+    [0, 18480, 18480, 18480, 8368, 18480, 18480, 18480],
+    [0, 31245, 31245, 31245, 31245, 31245, 31245, 31245],
+    [0, 27328, 26702, 31245, 31245, 31245, 31245, 31245],
+    [0, 18480, 10020, 18480, 18480, 18480, 18480, 18480],
+    [0, 8386, 16590, 16590, 16590, 16590, 16590, 16590],
+    [0, 14581, 14581, 14581, 14581, 14581, 14581, 14581],
+]
+
+
+def test_counterexample_asymmetric_flipped_mode():
+    fc = PolymatroidCollection.from_tables(3, range(8), FLIPPED_TABLES)
+    assert all(validate_polymatroid(SetFunction(3, row)).valid for row in fc.values)
+    assert check_condition1(fc).passed
+    p_eps = mix(uniform(3), point_mass(0, 3), 0.125)
+    assert argmin_ids(plain_loss_table(fc) @ p_eps) == set(range(8))  # every +-1 report ties
+    res = counterexample_asymmetric(fc)
+    assert (res.mode, res.epsilon, str(res.v_opt), res.linked_bits) == ("flipped", 0.125, "000", 7)
+    assert res.details == {"epsilon_prime": 0.125}
+    assert np.array_equal(res.p_witness, mix(p_eps, point_mass(0, 3), 0.125))
+    assert argmin_ids(abstain_loss_table(fc) @ res.p_witness) == {report_index(3)[(0, 7)]}
+    assert 7 not in argmin_ids(plain_loss_table(fc) @ res.p_witness)
 
 
 def test_counterexample_asymmetric_rejects_bad_collections():

@@ -360,6 +360,14 @@ def test_random_polymatroid_valid(rng):
         assert rep.valid
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_strict_random_polymatroids_are_strict(k):
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        rep = validate_polymatroid(random_polymatroid(k, rng, strict=True), strict=True)
+        assert rep.valid and rep.strictly_submodular and rep.strictly_increasing
+
+
 def test_label_round_trip():
     for s in ("+", "-", "+-+", "---", "++++"):
         assert str(Label.from_string(s)) == s
