@@ -41,8 +41,6 @@ def _jsonable(x):
         return x.tolist()
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
-    if isinstance(x, set):
-        return sorted(str(v) for v in x)
     return str(x)
 
 

@@ -18,13 +18,12 @@ from ._args import DENSE_MAX_K, DOMINATION_MAX_BITS, alike, capped, integer, non
 from ._tol import EXACT_TOL
 from .links import LinkConfig, _link
 from .lovasz import hinge
-from .oracle import VerificationReport, _first_failure
+from .oracle import _SWEEP_CELLS, VerificationReport, _first_failure
 from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _mask, _row_masks
 from .setfn import _sign_rows, make_jaccard, make_modular
-from .targets import AbstainReport, _report_id_table, _report_masks, abstain_loss_table
+from .targets import AbstainReport, _abstain_losses, _report_id_table, _report_masks
 
 ABSTAIN = 0  # class slot reserved for the abstain answer
-_PAIR_ROWS = 4096  # (report, block) pairs per block-domination comparison; 16 MiB of rows at d*k = 9
 
 
 def _freeze_classes(obj, name: str, lo: int) -> None:
@@ -250,13 +249,23 @@ def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
 
 
 def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
-    """Zeroing a whole block never costs more than a partial in-block abstention."""
+    """Zeroing a whole block never costs more than a partial in-block abstention.
+
+    The lift's (3^n, C^k) loss table, labels in class-label order, is the one
+    array held whole (80 MB at d*k = 9). The loss kernel fills it, and its
+    (report, partial block) pairs are compared, _SWEEP_CELLS // C^k rows at a
+    time, so each float64 array of a step is 2 MiB."""
     g = _as_costs(g)
     d = codec.d
     n = capped(d * integer(k, "k", 1), "d*k", DOMINATION_MAX_BITS, "block domination check")
+    lifted = lift_polymatroid(g, codec, k)
     labels = np.array([encode_bep(y, codec) for y in _class_labels(codec.C, k)])
-    table = abstain_loss_table(lift_polymatroid(g, codec, k))[:, labels]
     pos, zeros = _report_masks(n)
+    step = _SWEEP_CELLS // len(labels)
+    table = np.empty((len(pos), len(labels)))
+    for start in range(0, len(pos), step):
+        rows = slice(start, start + step)
+        table[rows] = _abstain_losses(lifted, pos[rows], zeros[rows], labels)
     in_block = _bit_rows(zeros, n).reshape(-1, k, d)
     # (report, partial block) pairs in case order: report-major, block-minor
     vids, blocks = np.nonzero(in_block.any(axis=2) & ~in_block.all(axis=2))
@@ -264,8 +273,8 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     full_ids = _report_id_table(n)[pos[vids] & ~whole, zeros[vids] | whole]
 
     def checked():
-        for start in range(0, len(vids), _PAIR_ROWS):
-            rows = slice(start, start + _PAIR_ROWS)
+        for start in range(0, len(vids), step):
+            rows = slice(start, start + step)
 
             def witness(f):
                 pair, y = start + f // len(labels), labels[f % len(labels)]

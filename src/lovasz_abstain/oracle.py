@@ -18,6 +18,7 @@ every case. _first_failure is the one owner of this rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field, replace
 
@@ -66,6 +67,20 @@ def flip(p, r_bits: int, k: int) -> np.ndarray:
 
 
 _GRID_ROWS = 1024  # distributions per grid block
+# Working memory of one sweep step, in float64 cells: 2^18 cells, 2 MiB. Past
+# their tables and one grid block, the sweeps work in steps of this size.
+# verify_embedding takes each block's lattice minimum over _SWEEP_CELLS //
+# _GRID_ROWS = 256 lattice points at a time, a (1024, 256) product: with the
+# bundled OpenBLAS, 256- and 512-point products give the one-product minima
+# bit for bit in every grid block tried (k = 2 and 3, m = 4, 8 and 12, six
+# families), while 128- and 300-point products differ in the last bit.
+# calibration_sweep links _SWEEP_CELLS // _LINK_CELLS = 2,048 points per
+# call: a linked point's temporaries traced at 550 and 680 bytes at k = 3
+# and 4 with three taus, under _LINK_CELLS cells (1 KiB).
+# multiclass.verify_block_domination fills and compares its loss table
+# _SWEEP_CELLS // C^k rows at a time.
+_SWEEP_CELLS = 1 << 18
+_LINK_CELLS = 128
 
 
 def _grid_blocks(k: int, m: int):
@@ -170,7 +185,10 @@ def verify_embedding(fc, grid_m: int = 8) -> VerificationReport:
     """Check that the hinge agrees with the abstain loss on report points and,
     at k <= 3 only, that both elicit the same optimal report sets over a
     distribution grid and no lattice point beats the reports (details then
-    holds worst_lattice_shortfall); at k = 4 only the pointwise check runs."""
+    holds worst_lattice_shortfall); at k = 4 only the pointwise check runs.
+    A grid block's lattice minimum is the least of its products with 256
+    lattice points at a time (_SWEEP_CELLS), so the grid phase holds one
+    (1024, 256) float64 product, 2 MiB, past the block's own arrays."""
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
@@ -187,11 +205,14 @@ def verify_embedding(fc, grid_m: int = 8) -> VerificationReport:
 
     def checked():  # the grid phase, at k <= 3 only
         lat_table = _hinge_table(fc, _lattice(k))
+        step = _SWEEP_CELLS // _GRID_ROWS
         details["worst_lattice_shortfall"] = 0.0
         for P in _grid_blocks(k, grid_m):
+            lat_min = functools.reduce(np.minimum, ((P @ lat_table[start : start + step].T).min(axis=1)
+                                                    for start in range(0, len(lat_table), step)))
             disc_vals = P @ disc.T
             mismatch = (_argmin_mask(P @ surr.T) != _argmin_mask(disc_vals)).any(axis=1)
-            shortfall = disc_vals.min(axis=1) - (P @ lat_table.T).min(axis=1)
+            shortfall = disc_vals.min(axis=1) - lat_min
             details["worst_lattice_shortfall"] = max(details["worst_lattice_shortfall"], float(shortfall.max()))
             yield (mismatch | (shortfall > MARGIN),
                    lambda i: {"p": P[i].tolist(), "mismatch" if mismatch[i] else "lattice_beats_reports": True})
@@ -486,10 +507,12 @@ def calibration_sweep(
 ) -> VerificationReport:
     """Perturb every optimal report by less than eps = 1/(2k) and demand the
     threshold-abstain link lands back in the optimal set, for each tau. Each
-    grid block's perturbations are linked in one call over the (1, T) grid of
-    taus, so each point is sorted once for every tau. Cases run
-    (distribution, optimal report) pair-major, then perturbation, then tau.
-    Raises ValueError naming taus unless it is a nonempty vector in [0, 1]."""
+    grid block's perturbations are drawn whole, then linked 2,048 points at a
+    time (_SWEEP_CELLS), each call over the (1, T) grid of taus, so each
+    point is sorted once for every tau and a call's temporaries stay under
+    2 MiB at k <= 4 with three taus. Cases run (distribution, optimal report)
+    pair-major, then perturbation, then tau. Raises ValueError naming taus
+    unless it is a nonempty vector in [0, 1]."""
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
@@ -499,22 +522,26 @@ def calibration_sweep(
     vectors = _report_signs(k)
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
-    per_pair = integer(n_perturb, "n_perturb", 1) * len(taus)
+    integer(n_perturb, "n_perturb", 1)
 
     def checked():
+        step = _SWEEP_CELLS // _LINK_CELLS
         for P in _grid_blocks(k, grid_m):
             optimal = _argmin_mask(P @ table.T)
             rows, vids = np.nonzero(optimal)
             us = vectors[vids, None] + rng.uniform(-0.99 * eps, 0.99 * eps, size=(len(vids), n_perturb, k))
-            pos, zeros = (m.ravel() for m in link_rows(us.reshape(-1, k), eps, taus[None]))
+            us = us.reshape(-1, k)  # one row per (pair, perturbation), in case order
+            for start in range(0, len(us), step):
+                pos, zeros = link_rows(us[start : start + step], eps, taus[None])
+                pairs = np.arange(start, start + len(pos)) // n_perturb
 
-            def witness(j):
-                pair, case = divmod(j, per_pair)
-                return {"p": P[rows[pair]].tolist(), "v": str(_report_at(k, vids[pair])),
-                        "u": us[pair, case // len(taus)].tolist(), "tau": float(taus[case % len(taus)]),
-                        "linked": str(AbstainReport(k, int(pos[j]), int(zeros[j])))}
+                def witness(j):
+                    point, t = divmod(j, len(taus))
+                    return {"p": P[rows[pairs[point]]].tolist(), "v": str(_report_at(k, vids[pairs[point]])),
+                            "u": us[start + point].tolist(), "tau": float(taus[t]),
+                            "linked": str(AbstainReport(k, int(pos.flat[j]), int(zeros.flat[j])))}
 
-            yield ~optimal[np.repeat(rows, per_pair), id_of[pos, zeros]], witness
+                yield ~optimal[rows[pairs, None], id_of[pos, zeros]], witness
 
     return _first_failure("calibration", checked())
 

@@ -9,8 +9,9 @@ which the Lovasz hinge reproduces exactly at the points of {-1,0,1}^k.
 
 Report-vs-label bit arithmetic lives in one elementwise kernel, _outcomes,
 which splits the committed coordinates into (TP, TN, FP, FN) bitmasks for
-ints or broadcasting integer arrays alike; mis, abstain_loss_table and
-bench.counts are views of it. The hinge does not use it, so the extension
+ints or broadcasting integer arrays alike; mis, the loss kernel
+_abstain_losses (abstain_loss_table and multiclass block domination read it)
+and bench.counts are views of it. The hinge does not use it, so the extension
 route stays independent of the table route.
 
 This module owns the canonical report order: the (pos, zeros) masks of
@@ -190,24 +191,27 @@ def report_index(k: int) -> dict[tuple[int, int], int]:
     return dict(zip(zip(pos.tolist(), zeros.tolist()), range(len(pos))))
 
 
-def abstain_loss_table(fc) -> np.ndarray:
-    """(3^k, 2^k) matrix of abstain losses, reports in the canonical "V" order
-    along rows, labels along columns.
-
-    The outcome kernel over the (report, label) grid: the same two lookups as
-    target_abstain for every cell at once. The masks are in range by
-    construction, so the reads skip at's range checks.
-    """
-    fc = as_collection(fc)
-    # uint16 holds every mask at k <= 12 and keeps the four (3^k, 2^k) outcome
-    # masks at a quarter of int64's size; the d*k = 9 block check builds this table
-    pos, zeros = (m[:, None].astype(np.uint16) for m in _report_masks(fc.k))
-    y = np.arange(1 << fc.k, dtype=np.uint16)
+def _abstain_losses(fc, pos, zeros, y) -> np.ndarray:
+    """(len(pos), len(y)) abstain losses of the reports (pos, zeros) against
+    the labels y, all bitmask vectors in range by construction: the outcome
+    kernel over the (report, label) grid and the same two lookups as
+    target_abstain for every cell at once, skipping at's range checks."""
+    # uint16 holds every mask at k <= DENSE_MAX_K = 12 and keeps the four
+    # (report, label) outcome masks at a quarter of int64's size
+    pos, zeros = (np.asarray(m, dtype=np.uint16)[:, None] for m in (pos, zeros))
+    y = np.asarray(y, dtype=np.uint16)
     fp, fn = _outcomes(fc.k, pos, zeros, y)[2:]
     wrong = fp | fn
     out = fc._at(y, wrong)
     out += fc._at(y, wrong | zeros)
     return out
+
+
+def abstain_loss_table(fc) -> np.ndarray:
+    """(3^k, 2^k) matrix of abstain losses, reports in the canonical "V" order
+    along rows, labels along columns: _abstain_losses over every report and label."""
+    fc = as_collection(fc)
+    return _abstain_losses(fc, *_report_masks(fc.k), np.arange(1 << fc.k))
 
 
 def plain_loss_table(fc) -> np.ndarray:

@@ -8,7 +8,9 @@ or an entry in EXEMPT with the reason it has none, so a new export without one
 fails test_every_export_has_a_row. Rows for module functions that are not
 exported carry a dotted name. The argument column holds the parameter's name,
 or the word the message uses for it when the parameter is a whole object
-(a report vector is named "report", the weights of make_modular "weights");
+(a report vector is named "report", the weights of make_modular "weights",
+a per-label collection given to verify_tightness or counterexample_symmetric
+"takes a symmetric set function");
 the rows of check_condition1, counterexample_asymmetric, onehot_lift and
 verify_block_domination name the k or C that puts their input past a cap. The
 rows of the other size caps and size matches name the size too (k=5, shared
@@ -167,6 +169,7 @@ ROWS = [
     # oracle
     ("counterexample_asymmetric", "k", counterexample_asymmetric, [make_jaccard(2)]),
     ("counterexample_symmetric", "f", counterexample_symmetric, [SetFunction(2, [0.0, 1.0, 1.0, 0.5])]),
+    ("counterexample_symmetric", "takes a symmetric set function", counterexample_symmetric, [make_jaccard(3)]),
     ("flip", "p", lambda v: flip(v, 1, 2), [np.ones(3), np.ones((1, 4)), [-1.0, 2.0, 0.0, 0.0], [NAN] * 4]),
     ("flip", "r_bits", lambda v: flip(uniform(2), v, 2), [4, -1, True]),
     ("flip", "k", lambda v: flip(uniform(2), 1, v), [2.5, True]),
@@ -188,6 +191,7 @@ ROWS = [
     ("verify_representative", "k=4", lambda v: verify_representative(v, []), [make_sqrt_card(4)]),
     ("verify_tightness", "grid_m", lambda v: verify_tightness(F2, v), [0, 2.5, True]),
     ("verify_tightness", "k=5", verify_tightness, [make_sqrt_card(5)]),
+    ("verify_tightness", "takes a symmetric set function", verify_tightness, [make_jaccard(3)]),
     ("oracle.calibration_sweep", "grid_m", lambda v: calibration_sweep(F2, v), [0, 2.5, True]),
     ("oracle.calibration_sweep", "k=5", lambda v: calibration_sweep(v, 2), [make_sqrt_card(5)]),
     ("oracle.restrict_to_coords", "coords", lambda v: restrict_to_coords(F2, v), [[5], [-1], [0.5], [0, 0]]),

@@ -225,6 +225,23 @@ def test_train_metrics_sweep(files, capsys, tmp_path):
     assert json.loads(metrics_path.read_text())["rejection_rate"] == pytest.approx(1 / 3)
 
 
+def test_metrics_reads_csv_files_with_or_without_the_header(capsys, tmp_path):
+    """Without its c1,c2,... header row a report file's first row is a report."""
+    preds = [["+", "-", "0"], ["-", "-", "+"], ["0", "0", "-"]]
+    truths = [["+", "+", "+"], ["-", "+", "+"], ["-", "+", "-"]]
+    printed = []
+    for header in ([["c1", "c2", "c3"]], []):
+        paths = []
+        for name, rows in (("preds", preds), ("truth", truths)):
+            paths.append(tmp_path / f"{name}{len(header)}.csv")
+            with open(paths[-1], "w", newline="") as fh:
+                csv.writer(fh).writerows(header + rows)
+        printed.append(run(capsys, ["metrics", "--pred", str(paths[0]), "--truth", str(paths[1]),
+                                    "--out", str(tmp_path / "metrics.json")]))
+    assert printed[0] == printed[1]
+    assert json.loads(printed[1])["rejection_rate"] == pytest.approx(3 / 9)
+
+
 def test_train_writes_the_jaccard_spec(capsys, tmp_path):
     """A Jaccard run writes its collection as the spec, not as 2^k tables, and the
     spec and table forms train and evaluate to the same numbers."""

@@ -33,7 +33,7 @@ from lovasz_abstain.links import envelope_members_gap, link_rows, trim_rows
 from lovasz_abstain.multiclass import ABSTAIN, BlockCodec, trimmed_link
 from lovasz_abstain.oracle import calibration_sweep
 from lovasz_abstain.setfn import MAX_K, make_sqrt_card
-from lovasz_abstain.targets import report_index
+from lovasz_abstain.targets import abstain_loss_table, report_index
 
 REF_GAP_TOL = 1e-9  # a literal, so that a change to links.GAP_TOL shows up here
 
@@ -413,7 +413,8 @@ def count_sorts(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("taus", [[0.5], [0.0, 0.5, 1.0], list(np.linspace(0.0, 1.0, 11))], ids=["1", "3", "11"])
 def test_sweeps_sort_each_point_once_for_every_tau(monkeypatch, taus):
     """tau_sweep makes one gap_levels call over its test points, and
-    calibration_sweep one per grid block, whatever the number of taus."""
+    calibration_sweep one per chunk of each grid block's perturbed points,
+    whatever the number of taus."""
     cfg = TrainConfig(k=3, feature_dim=6, n_samples=100, epochs=5, seed=1)
     data = synth_data(cfg)
     res = train(cfg, make_sqrt_card(3), data)
@@ -425,4 +426,6 @@ def test_sweeps_sort_each_point_once_for_every_tau(monkeypatch, taus):
     calls.clear()
     rep = calibration_sweep(make_sqrt_card(3), grid_m=4, taus=taus, n_perturb=5, rng=np.random.default_rng(3))
     assert rep.passed and rep.cases == sum(calls) * len(taus)
-    assert len(calls) == sum(1 for _ in oracle._grid_blocks(3, 4))
+    step, table = oracle._SWEEP_CELLS // oracle._LINK_CELLS, abstain_loss_table(make_sqrt_card(3))
+    points = [5 * oracle._argmin_mask(P @ table.T).sum() for P in oracle._grid_blocks(3, 4)]
+    assert len(calls) == sum(-(-n // step) for n in points)

@@ -35,6 +35,7 @@ from lovasz_abstain.oracle import (
 from lovasz_abstain.setfn import PolymatroidCollection, SetFunction, random_collection
 from lovasz_abstain.targets import (
     AbstainReport,
+    _report_masks,
     abstain_loss_table,
     enumerate_reports,
     plain_loss_table,
@@ -151,11 +152,11 @@ def loop_tightness(f, m):
 
 
 def loop_block_domination(g, codec, k):
-    """The (report, partial block, label) loop, reading the lifted table that
-    multiclass.abstain_loss_table returns instead of calling target_abstain."""
+    """The (report, partial block, label) loop, reading the lifted table from
+    the loss kernel multiclass calls instead of calling target_abstain."""
     d, n = codec.d, codec.d * k
     lifted = multiclass.lift_polymatroid(g, codec, k)
-    table = multiclass.abstain_loss_table(lifted)
+    table = multiclass._abstain_losses(lifted, *_report_masks(n), np.arange(1 << n))
     ridx = report_index(n)
     labels = [encode_bep(ClassLabel(codec.C, tuple(c + 1 for c in t)), codec)
               for t in np.ndindex(*([codec.C] * k))]
@@ -380,16 +381,15 @@ def test_tightness_failures_match_the_loop(monkeypatch, report, label, drop, sta
 
 @pytest.mark.parametrize("C, k, full_report, label", [(4, 3, "00++-+", 0b101101), (4, 2, "+-00", 0b0110)])
 def test_block_domination_violation_matches_the_loop(monkeypatch, C, k, full_report, label):
-    real = multiclass.abstain_loss_table
+    real = multiclass._abstain_losses
     v = AbstainReport.from_string(full_report)
-    full_id = report_index(2 * k)[(v.pos, v.zeros)]
 
-    def raised(fc):
-        table = real(fc)
-        table[full_id, label] += 1.0
-        return table
+    def raised(fc, pos, zeros, y):
+        losses = real(fc, pos, zeros, y)
+        losses[np.ix_((pos == v.pos) & (zeros == v.zeros), y == label)] += 1.0
+        return losses
 
-    monkeypatch.setattr(multiclass, "abstain_loss_table", raised)
+    monkeypatch.setattr(multiclass, "_abstain_losses", raised)
     g = ClassCosts.from_setfn(make_sqrt_card(k))
     got, want = multiclass.verify_block_domination(g, BlockCodec(C), k), loop_block_domination(g, BlockCodec(C), k)
     assert not got.passed and got.cases > 1

@@ -165,6 +165,17 @@ def test_validate_zero_one():
     assert rep3.strictly_submodular is False  # {1,2} vs {2,3} ties
 
 
+def test_validate_flags_a_raw_table_that_is_not_normalized_or_negative():
+    """SetFunction(k, values) takes any finite table (only from_values refuses
+    these), so the validator reports them as violations."""
+    shifted = validate_polymatroid(SetFunction(2, [0.5, 1.0, 1.0, 1.5]))
+    assert (shifted.normalized, shifted.nonnegative, shifted.valid) == (False, True, False)
+    assert shifted.violations == ["f(empty) = 0.5 != 0"]
+    negative = validate_polymatroid(SetFunction(2, [0.0, -1.0, 1.0, 1.0]))
+    assert (negative.normalized, negative.nonnegative, negative.valid) == (True, False, False)
+    assert negative.violations[0] == "negative value present"
+
+
 def test_validate_sqrt():
     rep = validate_polymatroid(make_sqrt_card(3), strict=True)
     assert rep.valid and rep.strictly_submodular and rep.strictly_increasing
