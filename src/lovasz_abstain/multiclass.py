@@ -4,7 +4,8 @@ Two encodings: a compact block code mapping each of C = 2^d classes to d
 sign bits (an abstained class becomes an all-zero block), and a one-hot
 one-vs-all lift kept for loss evaluation and the misprediction-equality
 check only. Costs g live on the k class-level predictions; the block lift
-charges g on the set of blocks touched by bit errors.
+charges g on the set of blocks touched by bit errors. The code is one table,
+the C^k class labels one array, and the surrogate lifts its label's table only.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._args import DENSE_MAX_K, DOMINATION_MAX_BITS, alike, capped, integer, nonnegative, points
+from ._args import DENSE_MAX_K, DOMINATION_MAX_BITS, TABLE_MAX_K, alike, capped, integer, nonnegative, points
 from ._tol import EXACT_TOL
 from .links import LinkConfig, _link
 from .lovasz import hinge
 from .oracle import _SWEEP_CELLS, VerificationReport, _first_failure
-from .setfn import PolymatroidCollection, SetFunction, _bit_rows, _mask, _row_masks
+from .setfn import _MODULAR_ROWS, PolymatroidCollection, SetFunction, _bit_rows, _mask, _row_masks
 from .setfn import _sign_rows, make_jaccard, make_modular
 from .targets import AbstainReport, _abstain_losses, _report_id_table, _report_masks
 
@@ -104,7 +105,8 @@ class BlockCodec:
 
     Class c maps to the binary digits of c mod C, most significant bit
     first, with 0 -> -1 and 1 -> +1; so with d = 3, class 5 becomes
-    (+1, -1, +1) and class 8 becomes (-1, -1, -1).
+    (+1, -1, +1) and class 8 becomes (-1, -1, -1). codes[c - 1] is class c's
+    code bitmask and classes[bits] its inverse: int64, d <= TABLE_MAX_K, built in blocks of rows.
     """
 
     def __init__(self, C: int):
@@ -112,14 +114,15 @@ class BlockCodec:
         if C < 2 or C & (C - 1):
             raise ValueError(f"block codec needs a power-of-two class count, got {C}")
         self.C = C
-        self.d = C.bit_length() - 1
-        self._decode = {self.code_bits(c): c for c in range(1, C + 1)}
+        self.d = capped(C.bit_length() - 1, "d", TABLE_MAX_K, f"code table of C={C} classes")
+        rev = np.concatenate([_row_masks(_bit_rows(np.arange(s, min(s + _MODULAR_ROWS, C)), self.d)[:, ::-1])
+                              for s in range(0, C, _MODULAR_ROWS)])  # x's digits reversed: its own inverse
+        self.codes, self.classes = np.roll(rev, -1), np.where(rev == 0, C, rev)  # class c: rev[c mod C]
 
     def code_bits(self, c: int) -> int:
         """Bitmask (bit j set <=> +1 at in-block position j) of the class code;
         a ValueError naming c unless it is an integer in [1, C]."""
-        integer(c, "c", 1, self.C)
-        return _mask(_bit_rows(c % self.C, self.d)[::-1])  # most significant digit at in-block position 0
+        return int(self.codes[integer(c, "c", 1, self.C) - 1])
 
     def code_signs(self, c: int) -> np.ndarray:
         return _sign_rows(self.code_bits(c), self.d)
@@ -127,7 +130,7 @@ class BlockCodec:
     def decode_bits(self, bits: int) -> int:
         """The class whose code is the bitmask bits; a ValueError naming bits
         unless it is an integer d-bit code word."""
-        return self._decode[integer(bits, "bits", 0, (1 << self.d) - 1)]
+        return int(self.classes[integer(bits, "bits", 0, (1 << self.d) - 1)])
 
 
 def bep_loss(r, y, n: int) -> float:
@@ -179,12 +182,14 @@ class ClassCosts:
     def for_label(self, y: ClassLabel) -> SetFunction:
         """g_y, or a ValueError naming y unless it has the costs' k."""
         alike("y", y.k, "ClassCosts", self.k)
-        if self.shared is not None:
-            return self.shared
-        top = max(y.classes, default=0)
-        if top > len(self.weights):
-            raise ValueError(f"weights_by_class has {len(self.weights)} weights, none for class {top}")
-        return make_modular([self.weights[c - 1] for c in y.classes])
+        return self.shared if self.shared is not None else make_modular(self._weights_of(np.array(y.classes)))
+
+    def _weights_of(self, classes: np.ndarray) -> np.ndarray:
+        """The weights of (..., k) class rows; a ValueError names the top class of the first row past them."""
+        tops, n = classes.max(axis=-1).ravel(), len(self.weights)
+        if tops.max() > n:
+            raise ValueError(f"weights_by_class has {n} weights, none for class {tops[tops > n][0]}")
+        return self.weights[classes - 1]
 
 
 def _as_costs(g) -> ClassCosts:
@@ -204,9 +209,14 @@ def multiclass_target(g, v: MulticlassReport, y: ClassLabel) -> float:
     return gy.eval(m & ~a) + gy.eval(m)
 
 
-def _class_labels(C: int, k: int) -> list[ClassLabel]:
-    """Every class label over k predictions, in np.ndindex order."""
-    return [ClassLabel(C, tuple(c + 1 for c in t)) for t in np.ndindex(*([C] * k))]
+def _class_labels(C: int, k: int) -> np.ndarray:
+    """Every class label over k predictions, a (C^k, k) array of classes in np.ndindex order."""
+    return np.indices((C,) * k).reshape(k, -1).T + 1
+
+
+def _label_bits(classes: np.ndarray, codec: BlockCodec) -> np.ndarray:
+    """encode_bep of each (N, k) class row: class i's code word at bits i*d to i*d + d - 1."""
+    return _row_masks(_bit_rows(codec.codes[classes - 1], codec.d).reshape(len(classes), -1))
 
 
 def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
@@ -218,17 +228,17 @@ def lift_polymatroid(g, codec: BlockCodec, k: int) -> PolymatroidCollection:
     n = capped(d * k, "d*k", DENSE_MAX_K, "lifted ground set")
     block_sets = _row_masks(_bit_rows(np.arange(1 << n), n).reshape(-1, k, d).any(axis=2))  # blocks touched
     if g.weights is None:  # every class label reads the one shared table
-        shared = g.for_label(ClassLabel(C, (1,) * k))
-        return PolymatroidCollection.from_setfn(SetFunction(n, shared.values[block_sets]))
-    ys = _class_labels(C, k)
-    values = np.array([g.for_label(y).values for y in ys])[:, block_sets]
-    return PolymatroidCollection.from_tables(n, [encode_bep(y, codec) for y in ys], values)
+        return PolymatroidCollection.from_setfn(SetFunction(n, g.shared.values[block_sets]))
+    classes = _class_labels(C, k)
+    values = (_bit_rows(np.arange(1 << k), k)[None] @ g._weights_of(classes)[..., None])[..., 0]  # as make_modular
+    return PolymatroidCollection.from_tables(n, _label_bits(classes, codec), values[:, block_sets])
 
 
 def multiclass_surrogate(g, codec: BlockCodec, u, y: ClassLabel) -> float:
-    """Hinge of the lifted collection at the encoded label."""
-    u = points(u, "u", 1, codec.d * y.k)
-    return hinge(lift_polymatroid(g, codec, y.k), u, encode_bep(y, codec))
+    """Hinge at the encoded label of the lift of g_y, the one table it reads."""
+    g = _as_costs(g)
+    alike("g", g.k, "the lift", y.k)
+    return hinge(lift_polymatroid(g.for_label(y), codec, y.k), u, encode_bep(y, codec))
 
 
 def trimmed_link(u, cfg: LinkConfig, codec: BlockCodec) -> MulticlassReport:
@@ -255,11 +265,10 @@ def verify_block_domination(g, codec: BlockCodec, k: int) -> VerificationReport:
     array held whole (80 MB at d*k = 9). The loss kernel fills it, and its
     (report, partial block) pairs are compared, _SWEEP_CELLS // C^k rows at a
     time, so each float64 array of a step is 2 MiB."""
-    g = _as_costs(g)
     d = codec.d
     n = capped(d * integer(k, "k", 1), "d*k", DOMINATION_MAX_BITS, "block domination check")
     lifted = lift_polymatroid(g, codec, k)
-    labels = np.array([encode_bep(y, codec) for y in _class_labels(codec.C, k)])
+    labels = _label_bits(_class_labels(codec.C, k), codec)
     pos, zeros = _report_masks(n)
     step = _SWEEP_CELLS // len(labels)
     table = np.empty((len(pos), len(labels)))
@@ -331,7 +340,7 @@ def onehot_lift(g_by_class, C: int, k: int) -> PolymatroidCollection:
     """
     n = capped(integer(C, "C", 1) * integer(k, "k", 1), "C*k", DENSE_MAX_K, "one-hot lift")
     proj = _row_masks(_bit_rows(np.arange(1 << n), n).reshape(-1, k, C).swapaxes(1, 2)).T
-    ys = _class_labels(C, k)
+    ys = [ClassLabel(C, tuple(row)) for row in _class_labels(C, k).tolist()]
     values = np.array([sum(g_by_class(c + 1, y).values[proj[c]] for c in range(C)) for y in ys])
     return PolymatroidCollection.from_tables(n, [onehot_encode(y) for y in ys], values / C)
 

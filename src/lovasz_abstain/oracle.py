@@ -29,7 +29,7 @@ from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
 from .links import LinkConfig, _face_member_matrix, _taus, faces_within, link_rows, naive_threshold_link
 from .lovasz import clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
-from .setfn import _bit_rows, _checked_k, _sign_rows, _table_k, popcounts, validate_polymatroid
+from .setfn import _bit_rows, _checked_k, _row_masks, _sign_rows, _table_k, popcounts, validate_polymatroid
 from .targets import AbstainReport, _report, _report_at, _report_id_table, _report_masks, _report_signs
 from .targets import abstain_loss_table, plain_loss_table
 
@@ -562,41 +562,32 @@ def naive_link_inconsistency(fc, c: float = 0.5, grid_m: int = 8) -> NaiveLinkWi
     Exact hinge minimizers always threshold into the optimal set, so the
     witness is a minimizing sequence: points approaching an optimal edge
     whose thresholded report stays outside the optimal set while their
-    expected hinge converges to the optimum.
+    expected hinge converges to the optimum: c + t off j and c - t on j, signed
+    by v, at t = 1e-3, 1e-4, 1e-5, for the grid's first (p, +-1 report v, j)
+    where all-abstain and v are optimal and v with j abstained is not. It is
+    checked as a certificate: gaps >= -EXACT_TOL, the last below 1e-4 x max loss.
     """
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
     pos, zeros = _report_masks(k)
-    signs_of = _report_signs(k)
     id_of = _report_id_table(k)
     table = abstain_loss_table(fc)
-    zero_id = id_of[0, (1 << k) - 1]
+    bits = _row_masks(np.eye(k, dtype=bool))  # coordinate j's bit
+    drop_ids = id_of[pos[:, None] & ~bits, bits]  # (report, j): the report with j abstained
     for P in _grid_blocks(k, grid_m):
-        vals_block = P @ table.T
-        optimal = _argmin_mask(vals_block)
-        for i in np.flatnonzero(optimal[:, zero_id]):
-            p, vals, ids = P[i], vals_block[i], set(np.flatnonzero(optimal[i]).tolist())
-            for yid in sorted(ids):
-                if zeros[yid]:
-                    continue
-                signs = signs_of[yid]
-                for j in range(k):
-                    dropped = int(pos[yid]) & ~(1 << j), 1 << j
-                    if id_of[dropped] in ids:
-                        continue
-                    gaps = []
-                    witness_ok = True
-                    for t in (1e-3, 1e-4, 1e-5):
-                        u = (c + t) * signs
-                        u[j] = (c - t) * signs[j]
-                        out = naive_threshold_link(u, c)
-                        if (out.pos, out.zeros) != dropped:
-                            witness_ok = False
-                            break
-                        gaps.append(expected_hinge(fc, u, p) - vals.min())
-                    if witness_ok and gaps[-1] < 1e-4 and all(g >= -EXACT_TOL for g in gaps):
-                        return NaiveLinkWitness(c, p, c * signs, AbstainReport(k, *dropped), ids, gaps)
+        vals = P @ table.T
+        optimal = _argmin_mask(vals)
+        candidates = optimal[:, id_of[0, -1], None, None] & (optimal & (zeros == 0))[..., None] & ~optimal[:, drop_ids]
+        if candidates.any():
+            i, yid, j = np.unravel_index(candidates.argmax(), candidates.shape)
+            signs, bad = _report_signs(k)[yid], _report_at(k, drop_ids[yid, j])
+            us = (c + np.array([[1e-3], [1e-4], [1e-5]]) * np.where(np.arange(k) == j, -1.0, 1.0)) * signs
+            gaps = [expected_hinge(fc, u, P[i]) - vals[i].min() for u in us]
+            if ({naive_threshold_link(u, c) for u in us} != {bad}
+                    or min(gaps) < -EXACT_TOL or gaps[-1] >= 1e-4 * table.max()):
+                raise RuntimeError("naive-link witness failed to verify")
+            return NaiveLinkWitness(c, P[i], c * signs, bad, set(np.flatnonzero(optimal[i]).tolist()), gaps)
     raise RuntimeError("no naive-link failure found on this grid")
 
 

@@ -202,7 +202,7 @@ ROWS = [
     ("oracle.thickened_envelope_grid", "grid_m", lambda v: thickened_envelope_grid(F2, [0.0, 0.0], 0.25, grid_m=v),
      [0, 2.5, True]),
     # multiclass
-    ("BlockCodec", "C", BlockCodec, [0, 4.0, True, "4"]),
+    ("BlockCodec", "C", BlockCodec, [0, 4.0, True, "4", 2**21]),
     ("ClassCosts", "k", lambda v: ClassCosts(v, weights_by_class=[1.0]), [0, 2.5, True]),
     ("ClassCosts", "shared has k=3", lambda v: ClassCosts(2, shared=v), [make_sqrt_card(3)]),
     ("ClassCosts", "weights_by_class", lambda v: ClassCosts(1, weights_by_class=v), [[NAN], [-1.0], 1.0]),

@@ -357,6 +357,7 @@ NO_TABLE = "error: collection has no table for label bitmask 1\n"  # the KeyErro
      (["link", "--u=abc"], "u: could not convert string to float: 'abc'"),
      (["eval-hinge", "--collection", "sqrt2", "--u=0.5,1e", "--y=++"], "u: could not convert string to float: '1e'"),
      (["mc-link", "--C", "4", "--u=0.5,,0.2"], "u: could not convert string to float: ''"),
+     (["mc-link", "--C", "1099511627776", "--u=0.5"], "capped at d <= 20, got d=40"),
      (["eval-extension", "--setfn", "setfn", "--x=0.5,x"], "x: could not convert string to float: 'x'"),
      (["sweep", "--model", "dir", "--taus", "0,half"], "taus: could not convert string to float: 'half'"),
      (["sweep", "--model", "old_run"], "train config has no field 'grad_clip'"),
@@ -383,7 +384,8 @@ NO_TABLE = "error: collection has no table for label bitmask 1\n"  # the KeyErro
          "metrics-empty-pred", "metrics-empty-truth", "verify-representative-empty-grid",
          "verify-tightness-empty-grid", "verify-tightness-k4-empty-grid", "verify-embedding-k4-negative-grid",
          "verify-missing-collection", "sweep-missing-model", "train-missing-config", "link-word-entry",
-         "eval-hinge-bad-exponent", "mc-link-empty-entry", "eval-extension-word-entry", "sweep-word-tau",
+         "eval-hinge-bad-exponent", "mc-link-empty-entry", "mc-link-huge-class-count", "eval-extension-word-entry",
+         "sweep-word-tau",
          "sweep-run-directory-with-removed-options", "sweep-model-without-weights",
          "verify-embedding-label-without-table", "condition1-label-without-table", "eval-hinge-label-without-table",
          "eval-target-label-without-table"],

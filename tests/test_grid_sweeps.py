@@ -18,7 +18,8 @@ import pytest
 from lovasz_abstain import make_jaccard, make_sqrt_card, make_zero_one
 from lovasz_abstain import multiclass, oracle
 from lovasz_abstain.links import GAP_TOL, _report_id_table
-from lovasz_abstain.lovasz import clip, hinge_rows
+from lovasz_abstain.links import naive_threshold_link
+from lovasz_abstain.lovasz import clip, expected_hinge, hinge_rows
 from lovasz_abstain.multiclass import BlockCodec, ClassCosts, ClassLabel, encode_bep
 from lovasz_abstain.oracle import (
     MARGIN,
@@ -486,3 +487,53 @@ def test_passing_sweeps_build_no_report_objects(monkeypatch):
                                  rng=np.random.default_rng([0, 0]))]
     assert [(rep.passed, rep.cases) for rep in reports] == [(True, 6651), (True, 6435), (True, 77_235),
                                                             (True, 26_040)]
+
+
+def loop_naive_link_witness(fc, c, grid_m):
+    """The naive-link witness search as a loop over (distribution, +-1 report,
+    coordinate), each candidate checked before the next is tried."""
+    k = fc.k
+    pos, zeros = _report_masks(k)
+    id_of = _report_id_table(k)
+    table = abstain_loss_table(fc)
+    vectors = [v.vector() for v in enumerate_reports(k)]
+    for p in grid_distributions(k, grid_m):
+        vals = table @ p
+        ids = argmin_ids(vals)
+        if id_of[0, (1 << k) - 1] not in ids:
+            continue
+        for yid in sorted(ids):
+            if zeros[yid]:
+                continue
+            for j in range(k):
+                dropped = int(pos[yid]) & ~(1 << j), 1 << j
+                if id_of[dropped] in ids:
+                    continue
+                gaps = []
+                for t in (1e-3, 1e-4, 1e-5):
+                    u = (c + t) * vectors[yid]
+                    u[j] = (c - t) * vectors[yid][j]
+                    out = naive_threshold_link(u, c)
+                    if (out.pos, out.zeros) != dropped:
+                        break
+                    gaps.append(expected_hinge(fc, u, p) - vals.min())
+                else:
+                    return p, dropped, ids, gaps
+    return None
+
+
+@pytest.mark.parametrize("k, grid_m", [(2, 4), (2, 8), (3, 4), (3, 8), (4, 4)])
+def test_naive_link_witness_matches_the_candidate_loop(k, grid_m):
+    """The first candidate of the grid is the witness: distribution, report,
+    optimal set and gaps as the loop finds them; a grid without one raises."""
+    fcs = dict(builtin_collections(k), random=random_collection(k, np.random.default_rng(k)))
+    for name, fc in fcs.items():
+        want = loop_naive_link_witness(fc, 0.5, grid_m)
+        if want is None:
+            with pytest.raises(RuntimeError, match="^no naive-link failure found on this grid$"):
+                oracle.naive_link_inconsistency(fc, grid_m=grid_m)
+            continue
+        got = oracle.naive_link_inconsistency(fc, grid_m=grid_m)
+        p, dropped, ids, gaps = want
+        assert np.array_equal(got.p, p) and (got.bad_report.pos, got.bad_report.zeros) == dropped
+        assert got.optimal_ids == ids and np.allclose(got.gaps, gaps, rtol=0, atol=1e-12), name

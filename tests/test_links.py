@@ -29,6 +29,7 @@ def test_envelope_detailed_witnesses():
     assert [d["report"] for d in details] == ["+0"]
     assert details[0]["i"] == 1 and details[0]["pi"] == [1, 2] and details[0]["y"] == "++"
 from lovasz_abstain.oracle import naive_link_inconsistency, thickened_envelope_grid
+from lovasz_abstain.setfn import SetFunction
 from lovasz_abstain.targets import enumerate_reports, report_index
 
 
@@ -206,6 +207,24 @@ def test_naive_link_inconsistency_witness():
     assert wit.gaps[-1] < 1e-4
     ridx = report_index(2)
     assert ridx[(wit.bad_report.pos, wit.bad_report.zeros)] not in wit.optimal_ids
+
+
+@pytest.mark.parametrize("scale", [100.0, 1000.0])
+def test_naive_link_witness_scales_with_the_table(scale):
+    """Scaling the losses scales the gaps and their bound alike: the zero-one
+    witness at k = 2 is found again, at the same distribution and report."""
+    base = naive_link_inconsistency(make_zero_one(2), c=0.5, grid_m=8)
+    wit = naive_link_inconsistency(SetFunction(2, make_zero_one(2).values * scale), c=0.5, grid_m=8)
+    assert str(wit.bad_report) == str(base.bad_report) == "-0"
+    assert np.array_equal(wit.p, base.p) and wit.optimal_ids == base.optimal_ids
+    assert np.allclose(wit.gaps, np.multiply(base.gaps, scale), rtol=1e-6, atol=0)
+
+
+def test_naive_link_witness_is_checked_as_a_certificate():
+    """With c below the sequence's step t, thresholding flips coordinate j
+    instead of abstaining on it, so the first candidate fails its check."""
+    with pytest.raises(RuntimeError, match="^naive-link witness failed to verify$"):
+        naive_link_inconsistency(make_zero_one(2), c=1e-4, grid_m=8)
 
 
 @pytest.mark.parametrize(
