@@ -29,11 +29,11 @@ into one sign row per sign choice of its coordinates with |x_j| < t and
 evaluates only the unsigned chains on each: 3/11/51/299 at k = 1..4, against
 5/33/293/3,393 signed faces; the route stops at _args.FACE_MAX_K = 4, and its
 entry points reject a larger u or us ("face route of u capped at k <= 4, got
-k=5"). A point's envelope is the AND of the member words
-(one uint64 per 64 reports) of its qualifying faces. The face tables are
-built once per k from numpy arrays (``_face_tables``); only the chains are
-enumerated in Python. Both routes resolve exact eps boundaries toward keeping
-the vertex (tolerance GAP_TOL): they agree as sets.
+k=5"). A point's envelope is the AND of the member words (one uint64 per 64
+reports) of its qualifying faces, packed once per k where ``chain_faces``
+builds the face tables from numpy arrays; only the chains are enumerated in
+Python. Both routes resolve exact eps boundaries toward keeping the vertex
+(tolerance GAP_TOL): they agree as sets.
 """
 
 from __future__ import annotations
@@ -245,20 +245,9 @@ def envelope_members_gap(us: np.ndarray, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _Face:
-    """Face record of chain_faces: a signed chain and the ids of its member reports."""
-
-    __slots__ = ("supports", "sigma", "member_ids")
-
-    def __init__(self, supports, sigma, member_ids):
-        self.supports = supports  # strictly nested tuple of bitmasks
-        self.sigma = sigma  # sign bitmask over the largest support
-        self.member_ids = member_ids  # ascending report ids, one per support
-
-
 @lru_cache(maxsize=None)
-def _face_tables(k: int):
-    """(chains, chain, sigma, members, face_of): the signed chain faces as arrays.
+def chain_faces(k: int):
+    """(chains, chain, sigma, words, face_of): the signed chain faces as arrays.
 
     chains lists the unsigned chains (strictly nested tuples of bitmasks; 299
     at k = 4, the only Python loop) by top support ascending; for each top,
@@ -266,8 +255,9 @@ def _face_tables(k: int):
     ascending) extended by top. Faces are chain-major and sign their chain's
     top in itertools.product order over its bits, ascending, the lowest bit
     most significant. chain[f] and sigma[f] are face f's chain and sign
-    bitmask; members[f] marks the report ids of its supports, each signed by
-    sigma; face_of[c, b] is the face of chain c signed by b & top.
+    bitmask; words[f] packs the report ids of its supports, each signed by
+    sigma, with _member_words; face_of[c, b] is the face of chain c signed by
+    b & top.
     """
     capped(k, "k", FACE_MAX_K, "face route")
     ending = []  # ending[top]: the chains whose largest support is top
@@ -287,25 +277,17 @@ def _face_tables(k: int):
     members[faces[:, None], _report_id_table(k)[held & sigma[:, None], ((1 << k) - 1) & ~held]] = True
     face = np.zeros((len(chains), 1 << k), dtype=np.int64)
     face[chain, sigma] = faces
-    return chains, chain, sigma, members, face[np.arange(len(chains))[:, None], np.arange(1 << k) & top[:, None]]
-
-
-@lru_cache(maxsize=None)
-def chain_faces(k: int) -> tuple:
-    """Every distinct nonempty subset of a signed chain, as _Face records in the
-    face order of _face_tables(k). The oracle routes read the tables and never
-    build these records."""
-    chains, chain, sigma, members, _ = _face_tables(k)
-    return tuple(_Face(chains[c], b, np.flatnonzero(row)) for c, b, row in zip(chain.tolist(), sigma.tolist(), members))
+    return (chains, chain, sigma, _member_words(members),
+            face[np.arange(len(chains))[:, None], np.arange(1 << k) & top[:, None]])
 
 
 @lru_cache(maxsize=None)
 def _chain_plan(k: int):
-    """The unsigned chains of _face_tables(k) and the subset-table rows that
+    """The unsigned chains of chain_faces(k) and the subset-table rows that
     faces_within reads for them.
 
     Returns (levels, prefix, union, suffix, face_of), with chains numbered as
-    in _face_tables(k). levels[L-1] = (ids, parents, blocks) covers the chains
+    in chain_faces(k). levels[L-1] = (ids, parents, blocks) covers the chains
     with L free blocks: parents are the same chains without their last
     support, blocks the table rows of the last block. prefix, union and suffix
     hold, per chain, the rows of its forced prefix (the first support), of all
@@ -313,7 +295,7 @@ def _chain_plan(k: int):
     subset itself. face_of[c, b] is the face of chain c signed by b & top, the
     face that a sign row with positive coordinates b reads.
     """
-    chains, _, _, _, face_of = _face_tables(k)
+    chains, _, _, _, face_of = chain_faces(k)
     index = {c: i for i, c in enumerate(chains)}
     length, parent, first, top = np.array([(len(c), index.get(c[:-1], -1), c[0], c[-1]) for c in chains]).T
     levels = tuple((ids, parent[ids], top[ids] & ~top[parent[ids]])
@@ -343,7 +325,7 @@ def _subset_tables(s: np.ndarray):
 
 
 def faces_within(x_rows: np.ndarray, t: float) -> np.ndarray:
-    """(n, faces) bool: the faces of _face_tables(k) whose hull lies strictly
+    """(n, faces) bool: the faces of chain_faces(k) whose hull lies strictly
     within t of each row of x_rows (clipped points) in the infinity norm.
 
     The hull of a chain face is cut out by a forced prefix (signed value 1),
@@ -361,7 +343,7 @@ def faces_within(x_rows: np.ndarray, t: float) -> np.ndarray:
     """
     x_rows = np.asarray(x_rows, dtype=float)
     n, k = x_rows.shape
-    out = np.zeros((n, len(_face_tables(k)[1])), dtype=bool)
+    out = np.zeros((n, len(chain_faces(k)[1])), dtype=bool)
     if not t > 0:
         return out
     levels, prefix, union, suffix, face_of = _chain_plan(k)
@@ -396,8 +378,9 @@ def envelope_oracle(u, cfg: LinkConfig) -> set[AbstainReport]:
 
 @lru_cache(maxsize=None)
 def _face_member_matrix(k: int) -> np.ndarray:
-    """(faces, 3^k) bool: row f marks the member reports of face f of _face_tables(k)."""
-    return _face_tables(k)[3]
+    """The (faces, words) uint64 member words of chain_faces(k), a cache of
+    their own because perfbench's tracer reads its cache_info()."""
+    return chain_faces(k)[3]
 
 
 # Rows per faces_within call. Best of 50 on 1,000 points at k = 4, eps 1/8, one
@@ -426,7 +409,7 @@ def envelope_members_oracle(us: np.ndarray, eps: float) -> np.ndarray:
     capped(us.shape[1], "k", FACE_MAX_K, "face route of us")
     eps = real(eps, "eps", "(0, inf)")
     n_reports = 3 ** us.shape[1]
-    words = _member_words(_face_member_matrix(us.shape[1]))
+    words = _face_member_matrix(us.shape[1])
     out = np.empty((len(us), n_reports), dtype=bool)
     for start in range(0, len(us), _ORACLE_ROWS):
         x = clip(us[start : start + _ORACLE_ROWS])

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._args import DENSE_MAX_K, DOMINATION_MAX_BITS, TABLE_MAX_K, alike, capped, integer, nonnegative, points
+from ._args import DENSE_MAX_K, DOMINATION_MAX_BITS, MAX_K, TABLE_MAX_K, alike, capped, integer, nonnegative, points
 from ._tol import EXACT_TOL
 from .links import LinkConfig, _link
 from .lovasz import hinge
 from .oracle import _SWEEP_CELLS, VerificationReport, _first_failure
-from .setfn import _MODULAR_ROWS, PolymatroidCollection, SetFunction, _bit_rows, _mask, _row_masks
+from .setfn import _MODULAR_ROWS, PolymatroidCollection, SetFunction, _bit_rows, _mask, _pack, _row_masks
 from .setfn import _sign_rows, make_jaccard, make_modular
 from .targets import AbstainReport, _abstain_losses, _report_id_table, _report_masks
 
@@ -144,21 +144,27 @@ def bep_loss(r, y, n: int) -> float:
 
 
 def bep_surrogate(u, code) -> float:
-    """(max_j code_j * u_j + 1)_+, the max-margin surrogate over a sign codeword."""
-    u = np.asarray(u, dtype=float)
-    code = np.asarray(code, dtype=float)
+    """(max_j code_j * u_j + 1)_+, the max-margin surrogate over a sign codeword;
+    a ValueError naming u or code unless a finite point and a +-1 vector of its length."""
+    u = points(u, "u", 1)
+    code = points(code, "code", 1, len(u))
+    _pack(code, "code")
     return float(max(np.max(code * u) + 1.0, 0.0))
 
 
 def encode_bep(y: ClassLabel, codec: BlockCodec) -> int:
-    """Concatenated class codes of y as a dk-bit label bitmask."""
+    """Concatenated class codes of y as a dk-bit label bitmask; a ValueError for another C or d*k > MAX_K."""
     alike("y", y.C, "codec", codec.C, "C")
+    capped(codec.d * y.k, "d*k", MAX_K, "block-encoded label")
     return sum(codec.code_bits(c) << (i * codec.d) for i, c in enumerate(y.classes))  # disjoint blocks: sum is OR
 
 
 def decode_bep(bits: int, k: int, codec: BlockCodec) -> ClassLabel:
+    """Inverse of encode_bep; a ValueError naming k unless an integer >= 1 with
+    d*k <= MAX_K, or bits unless it lies in [0, 2^(dk))."""
     d = codec.d
-    mask = (1 << d) - 1
+    n = capped(d * integer(k, "k", 1), "d*k", MAX_K, "block-encoded label")
+    bits, mask = int(integer(bits, "bits", 0, (1 << n) - 1)), (1 << d) - 1  # as decode_bits reads one block
     return ClassLabel(codec.C, tuple(codec.decode_bits(bits >> (i * d) & mask) for i in range(k)))
 
 

@@ -11,9 +11,9 @@ stop at _args.ORACLE_MAX_K = 4 (representativeness at 3): a larger k raises
 "embedding verification capped at k <= 4, got k=5".
 
 Every sweep counts its cases in case order up to and including the first
-failure, whose witness it returns, and never draws a later block, so
-calibration_sweep uses its rng only up to the failure; a passing sweep counts
-every case. _first_failure is the one owner of this rule.
+failure, whose witness it returns, and never draws a later block or step, so
+calibration_sweep uses its rng exactly through the failing step; a passing
+sweep counts every case. _first_failure is the one owner of this rule.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from ._args import ORACLE_MAX_K, REPRESENTATIVE_MAX_K, alike, bitmasks, capped, distribution, integer, points, real
 from ._tol import ARGMIN_TOL, ATOL, EXACT_TOL, GAP_TOL, MARGIN
-from .links import LinkConfig, _face_member_matrix, _taus, faces_within, link_rows, naive_threshold_link
+from .links import LinkConfig, _face_member_matrix, _member_words, _taus, faces_within, link_rows, naive_threshold_link
 from .lovasz import clip, expected_hinge, hinge_rows
 from .setfn import PolymatroidCollection, SetFunction, as_collection, check_condition1, mean_value
 from .setfn import _bit_rows, _checked_k, _row_masks, _sign_rows, _table_k, popcounts, validate_polymatroid
@@ -74,8 +74,8 @@ _GRID_ROWS = 1024  # distributions per grid block
 # bundled OpenBLAS, 256- and 512-point products give the one-product minima
 # bit for bit in every grid block tried (k = 2 and 3, m = 4, 8 and 12, six
 # families), while 128- and 300-point products differ in the last bit.
-# calibration_sweep links _SWEEP_CELLS // _LINK_CELLS = 2,048 points per
-# call: a linked point's temporaries traced at 550 and 680 bytes at k = 3
+# calibration_sweep draws and links _SWEEP_CELLS // _LINK_CELLS = 2,048 points
+# per step: a linked point's temporaries traced at 550 and 680 bytes at k = 3
 # and 4 with three taus, under _LINK_CELLS cells (1 KiB).
 # multiclass.verify_block_domination fills and compares its loss table
 # _SWEEP_CELLS // C^k rows at a time.
@@ -507,12 +507,12 @@ def calibration_sweep(
 ) -> VerificationReport:
     """Perturb every optimal report by less than eps = 1/(2k) and demand the
     threshold-abstain link lands back in the optimal set, for each tau. Each
-    grid block's perturbations are drawn whole, then linked 2,048 points at a
-    time (_SWEEP_CELLS), each call over the (1, T) grid of taus, so each
-    point is sorted once for every tau and a call's temporaries stay under
-    2 MiB at k <= 4 with three taus. Cases run (distribution, optimal report)
-    pair-major, then perturbation, then tau. Raises ValueError naming taus
-    unless it is a nonempty vector in [0, 1]."""
+    step draws and links whole (pair, n_perturb) groups of at most 2,048
+    points (_SWEEP_CELLS; one pair for a larger n_perturb) in one call over
+    the (1, T) grid of taus, so each point is sorted once for every tau and a
+    step's temporaries stay under 2 MiB at k <= 4 with three taus. Cases run
+    (distribution, optimal report) pair-major, then perturbation, then tau.
+    Raises ValueError naming taus unless it is a nonempty vector in [0, 1]."""
     fc = as_collection(fc)
     k = fc.k
     integer(grid_m, "grid_m", 1)
@@ -525,20 +525,19 @@ def calibration_sweep(
     integer(n_perturb, "n_perturb", 1)
 
     def checked():
-        step = _SWEEP_CELLS // _LINK_CELLS
+        step = max(1, _SWEEP_CELLS // _LINK_CELLS // n_perturb)  # whole (pair, perturbation) groups
         for P in _grid_blocks(k, grid_m):
             optimal = _argmin_mask(P @ table.T)
             rows, vids = np.nonzero(optimal)
-            us = vectors[vids, None] + rng.uniform(-0.99 * eps, 0.99 * eps, size=(len(vids), n_perturb, k))
-            us = us.reshape(-1, k)  # one row per (pair, perturbation), in case order
-            for start in range(0, len(us), step):
-                pos, zeros = link_rows(us[start : start + step], eps, taus[None])
-                pairs = np.arange(start, start + len(pos)) // n_perturb
+            for start in range(0, len(vids), step):
+                pairs = np.arange(start, min(start + step, len(vids))).repeat(n_perturb)  # one per point
+                us = vectors[vids[pairs]] + rng.uniform(-0.99 * eps, 0.99 * eps, size=(len(pairs), k))
+                pos, zeros = link_rows(us, eps, taus[None])
 
                 def witness(j):
                     point, t = divmod(j, len(taus))
                     return {"p": P[rows[pairs[point]]].tolist(), "v": str(_report_at(k, vids[pairs[point]])),
-                            "u": us[start + point].tolist(), "tau": float(taus[t]),
+                            "u": us[point].tolist(), "tau": float(taus[t]),
                             "linked": str(AbstainReport(k, int(pos.flat[j]), int(zeros.flat[j])))}
 
                 yield ~optimal[rows[pairs, None], id_of[pos, zeros]], witness
@@ -600,11 +599,11 @@ def thickened_envelope_grid(fc, u, epsilon: float, grid_m: int = 8) -> set[int]:
     """Approximate per-loss link envelope, with optimal sets sampled on the
     distribution grid. Never a production link; used to falsify containment.
 
-    A face lies inside an optimal set when none of its member reports lies
-    outside it; every set with an inside face within epsilon of u cuts the
-    envelope down to itself. Raises ValueError naming u unless it is k finite
-    numbers, epsilon unless it is positive and finite, or grid_m unless it is
-    an integer >= 1."""
+    A face lies inside an optimal set when its member words share no bit with
+    the set's packed complement; every set with an inside face within epsilon
+    of u cuts the envelope down to itself. Raises ValueError naming u unless
+    it is k finite numbers, epsilon unless it is positive and finite, or
+    grid_m unless it is an integer >= 1."""
     fc = as_collection(fc)
     k = fc.k
     u, epsilon = points(u, "u", 1, k), real(epsilon, "epsilon", "(0, inf)")
@@ -613,7 +612,7 @@ def thickened_envelope_grid(fc, u, epsilon: float, grid_m: int = 8) -> set[int]:
     optimal = np.zeros((0, len(table)), dtype=bool)
     for P in _grid_blocks(k, grid_m):
         optimal = np.unique(np.vstack([optimal, _argmin_mask(P @ table.T)]), axis=0)
-    members = _face_member_matrix(k).astype(np.float32)
-    inside = (~optimal).astype(np.float32) @ members.T < 0.5
-    near = faces_within(clip(u)[None, :], epsilon - GAP_TOL)[0]
-    return set(np.flatnonzero(optimal[(inside & near).any(axis=1)].all(axis=0)).tolist())
+    near = _face_member_matrix(k)[faces_within(clip(u)[None, :], epsilon - GAP_TOL)[0]]
+    outside = ~_member_words(optimal)
+    cut = ~(near[None] & outside[:, None]).any(axis=2).all(axis=1)  # some near face lies inside the set
+    return set(np.flatnonzero(optimal[cut].all(axis=0)).tolist())

@@ -48,7 +48,7 @@ def ref_chain_faces(k):
     over the top support) and member_ids (the sorted report ids of its
     supports, each signed by sigma). Chains by top ascending, each top's
     chains recursively; signs in itertools.product order over the top's bits,
-    ascending. The face order links._face_tables must reproduce."""
+    ascending. The face order links.chain_faces must reproduce."""
     ids = _report_id_table(k).tolist()
     full = (1 << k) - 1
     faces = []
@@ -60,6 +60,12 @@ def ref_chain_faces(k):
                 member_ids = np.array(sorted(ids[t & sigma][full & ~t] for t in chain))
                 faces.append(SimpleNamespace(supports=chain, sigma=sigma, member_ids=member_ids))
     return tuple(faces)
+
+
+def unpacked_members(words, n):
+    """(rows, n) bool matrix of uint64 member words: column r is bit r % 64 of
+    word r // 64, as links._member_words packs them."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").astype(bool)
 
 
 @lru_cache(maxsize=None)

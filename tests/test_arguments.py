@@ -89,6 +89,7 @@ from lovasz_abstain import (
 from lovasz_abstain.bench import Dataset
 from lovasz_abstain.cli import _train_config
 from lovasz_abstain.links import link_rows
+from lovasz_abstain.multiclass import bep_surrogate, decode_bep
 from lovasz_abstain.oracle import calibration_sweep, naive_link_inconsistency, restrict_to_coords
 from lovasz_abstain.oracle import thickened_envelope_grid
 from lovasz_abstain.serialize import collection_from_obj
@@ -215,6 +216,13 @@ ROWS = [
     ("bep_loss", "n", lambda v: bep_loss(1, 1, v), [2.5, 0]),
     ("bep_ova_incompatibility", "g_single", bep_ova_incompatibility, [F2]),
     ("encode_bep", "y", lambda v: encode_bep(v, BlockCodec(4)), [ClassLabel(8, (1,))]),
+    ("encode_bep", r"d\*k=70", lambda v: encode_bep(v, BlockCodec(1024)), [ClassLabel(1024, (1,) * 7)]),
+    ("multiclass.decode_bep", "bits", lambda v: decode_bep(v, 2, BlockCodec(4)), [-1, 16, 1024, 2.0, True]),
+    ("multiclass.decode_bep", "k", lambda v: decode_bep(0, v, BlockCodec(4)), [0, -1, 2.5, True]),
+    ("multiclass.decode_bep", r"d\*k=64", lambda v: decode_bep(0, v, BlockCodec(4)), [32]),
+    ("multiclass.bep_surrogate", "u", lambda v: bep_surrogate(v, [1.0, -1.0]), [[NAN, 0.2], [[0.1, 0.2]], []]),
+    ("multiclass.bep_surrogate", "code", lambda v: bep_surrogate([0.1, 0.2], v),
+     [[1.0], [1.0, -1.0, 1.0], [1.0, 0.5], [1, 0], [1.0, NAN], [[1.0, -1.0]]]),
     ("lift_polymatroid", "g", lambda v: lift_polymatroid(v, BlockCodec(4), 2), [make_sqrt_card(3)]),
     ("lift_polymatroid", "k", lambda v: lift_polymatroid(make_sqrt_card(1), BlockCodec(4), v), [True, 0]),
     ("multiclass_surrogate", "u", lambda v: multiclass_surrogate(make_sqrt_card(1), BlockCodec(4), v,

@@ -341,6 +341,7 @@ NO_TABLE = "error: collection has no table for label bitmask 1\n"  # the KeyErro
      (["link", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
      (["mc-link", "--C", "4", "--u=0.5,0.2", "--eps", "inf"], "epsilon must lie in (0, inf), got inf"),
      (["mc-encode", "--C", "4", "--y=1,x"], "s must be comma-separated integers, got '1,x'"),
+     (["mc-encode", "--C", "1024", "--y=1,2,3,4,5,6,7"], "block-encoded label capped at d*k <= 62, got d*k=70"),
      (["mc-eval", "--g", "costs_short", "--C", "4", "--v=2.5,_", "--y=1,3"],
       "s must be comma-separated integers or _, got '2.5,_'"),
      (["mc-eval", "--g", "costs_short", "--C", "0", "--v=_", "--y=1"], "C must be an integer >= 1, got C=0"),
@@ -380,7 +381,8 @@ NO_TABLE = "error: collection has no table for label bitmask 1\n"  # the KeyErro
          "train-scalar-taus", "train-string-lr-decay", "train-bool-grad-clip", "train-string-margin",
          "train-bool-label-corr", "train-tau-above-1", "envelope-oracle-infinite-eps",
          "envelope-infinite-eps", "link-infinite-eps", "mc-link-infinite-eps",
-         "mc-encode-malformed-label", "mc-eval-fractional-report", "mc-eval-zero-classes", "envelope-oracle-k5",
+         "mc-encode-malformed-label", "mc-encode-past-the-label-bits", "mc-eval-fractional-report",
+         "mc-eval-zero-classes", "envelope-oracle-k5",
          "metrics-empty-pred", "metrics-empty-truth", "verify-representative-empty-grid",
          "verify-tightness-empty-grid", "verify-tightness-k4-empty-grid", "verify-embedding-k4-negative-grid",
          "verify-missing-collection", "sweep-missing-model", "train-missing-config", "link-word-entry",

@@ -8,9 +8,9 @@ distance of every face. The kernel must give the reference's verdict
 reference distance and its float neighbours, the envelope bounds eps - GAP_TOL
 and t <= 0. Points cover report corners, exact 0 and -0.0, ties, coordinates
 at exactly +-t, clipped coordinates (|x_i| > 1 before clipping) and all-tiny
-rows, which expand into 2^k sign rows. The array-built face tables are pinned
-to the record loop ``ref_chain_faces`` (in conftest), and the oracle routes
-must run without building a face record.
+rows, which expand into 2^k sign rows. The array-built face tables, with
+their members packed into words, are pinned to the record loop
+``ref_chain_faces`` (in conftest), and the oracle routes agree from cold caches.
 """
 
 import numpy as np
@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_chain_faces, ref_face_distances
-from lovasz_abstain import links, make_sqrt_card, oracle
+from conftest import ref_chain_faces, ref_face_distances, unpacked_members
+from lovasz_abstain import links, make_jaccard, make_sqrt_card, make_zero_one, oracle
 from lovasz_abstain.links import (
     GAP_TOL,
     LinkConfig,
@@ -48,7 +48,7 @@ def _assert_verdicts_match(x, thresholds=()):
                          _bounds(x.shape[1]), [0.0, -0.0, -0.5]])
     for t in np.unique(ts):
         got = faces_within(x, t)
-        assert got.shape == (len(x), len(chain_faces(x.shape[1])))
+        assert got.shape == ref.shape
         assert np.array_equal(got, ref < t), t
 
 
@@ -124,7 +124,7 @@ def test_envelope_members_oracle_intersects_the_qualifying_faces(k):
     verdicts-times-missing-members product does."""
     rng = np.random.default_rng(k)
     us = np.vstack([_corners(k), rng.uniform(-1.5, 1.5, (150, k)), rng.integers(-9, 10, (100, k)) / 8.0])
-    missing = ~_face_member_matrix(k)
+    missing = ~unpacked_members(_face_member_matrix(k), 3**k)
     for eps in (GAP_TOL / 2, GAP_TOL, 2 * GAP_TOL, 0.05, 1.0 / 8, 1.0 / (2 * k)):
         qualified = faces_within(clip(us), eps - GAP_TOL)
         want = (qualified.astype(np.int64) @ missing.astype(np.int64)) == 0
@@ -159,18 +159,19 @@ def _assert_same_array(got, want):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_face_tables_match_the_record_loop(k):
-    """Face order, member ids, the member matrix and every chain-plan output
-    equal those read off the per-face records, dtypes included."""
+    """Face order, each face's chain and sigma, the member ids unpacked from its
+    words and every chain-plan output equal those read off the per-face
+    records, dtypes included."""
     ref = ref_chain_faces(k)
-    faces = chain_faces(k)
-    assert len(faces) == len(ref) == (5, 33, 293, 3393)[k - 1]
-    assert [(f.supports, f.sigma) for f in faces] == [(f.supports, f.sigma) for f in ref]
-    for f, r in zip(faces, ref):
-        _assert_same_array(f.member_ids, r.member_ids)
-    want = np.zeros((len(ref), 3**k), dtype=bool)
-    for i, r in enumerate(ref):
-        want[i, r.member_ids] = True
-    _assert_same_array(_face_member_matrix(k), want)
+    chains, chain, sigma, words, _ = chain_faces(k)
+    assert len(chain) == len(ref) == (5, 33, 293, 3393)[k - 1]
+    index = {c: i for i, c in enumerate(chains)}
+    _assert_same_array(chain, np.array([index[r.supports] for r in ref]))
+    _assert_same_array(sigma, np.array([r.sigma for r in ref]))
+    assert words.dtype == np.uint64 and words.shape == (len(ref), -(-3**k // 64))
+    assert words is _face_member_matrix(k)
+    for row, r in zip(unpacked_members(words, 3**k), ref, strict=True):
+        _assert_same_array(np.flatnonzero(row), r.member_ids)
     got_levels, *got_rows = _chain_plan(k)
     want_levels, *want_rows = ref_chain_plan(ref, k)
     assert len(got_levels) == len(want_levels) == k
@@ -182,20 +183,47 @@ def test_face_tables_match_the_record_loop(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_oracle_routes_build_no_face_record(k, monkeypatch):
-    """From cold caches, the face-intersection routes read only the face tables."""
-    for cached in (links._face_tables, links._chain_plan, links._face_member_matrix, links.chain_faces):
+def test_oracle_routes_build_no_face_record(k):
+    """From cold caches, the three face-intersection routes build the face
+    tables once and agree with the gap route."""
+    for cached in (links.chain_faces, links._chain_plan, links._face_member_matrix):
         cached.cache_clear()
-
-    def refuse(self, *args):
-        raise AssertionError("a face record was built")
-
-    monkeypatch.setattr(links._Face, "__init__", refuse)
     rng = np.random.default_rng(k)
     us = np.vstack([_corners(k), rng.uniform(-1.5, 1.5, (70, k))])
     eps = 1.0 / (2 * k)
     assert np.array_equal(envelope_members_oracle(us, eps), envelope_members_gap(us, eps))
     assert envelope_oracle(us[-1], LinkConfig(epsilon=eps))
     assert oracle.thickened_envelope_grid(make_sqrt_card(k), us[-1], eps, grid_m=2)
-    with pytest.raises(AssertionError, match="face record"):
-        chain_faces(k)
+    assert links.chain_faces.cache_info().misses == 1
+
+
+def float_product_thickened(fc, u, epsilon, grid_m):
+    """thickened_envelope_grid with the containment test it had before the
+    member words: a face lies inside an optimal set when the float32 product of
+    the set's complement with the face's bool member row reads below 0.5."""
+    k = fc.k
+    table = oracle.surrogate_loss_table(fc)
+    optimal = np.zeros((0, len(table)), dtype=bool)
+    for P in oracle._grid_blocks(k, grid_m):
+        optimal = np.unique(np.vstack([optimal, oracle._argmin_mask(P @ table.T)]), axis=0)
+    members = np.zeros((len(ref_chain_faces(k)), 3**k), dtype=np.float32)
+    for i, r in enumerate(ref_chain_faces(k)):
+        members[i, r.member_ids] = 1.0
+    inside = (~optimal).astype(np.float32) @ members.T < 0.5
+    near = faces_within(clip(np.asarray(u, dtype=float))[None, :], epsilon - GAP_TOL)[0]
+    return set(np.flatnonzero(optimal[(inside & near).any(axis=1)].all(axis=0)).tolist())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_thickened_envelope_word_test_matches_the_float_product(k):
+    rng = np.random.default_rng(k)
+    us = np.vstack([_corners(k)[:: 3 ** (k - 1)], rng.uniform(-1.2, 1.2, (4, k)), rng.integers(-8, 9, (3, k)) / 8])
+    grid_m = 3 if k == 4 else 5
+    sizes = []
+    for fc in (make_sqrt_card(k), make_zero_one(k), make_jaccard(k)):
+        for eps in (0.05, 1.0 / (2 * k)):
+            for u in us:
+                got = oracle.thickened_envelope_grid(fc, u, eps, grid_m)
+                assert got == float_product_thickened(fc, u, eps, grid_m)
+                sizes.append(len(got))
+    assert min(sizes) < 3**k  # some optimal set cut the envelope down

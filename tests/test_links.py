@@ -32,6 +32,8 @@ from lovasz_abstain.oracle import naive_link_inconsistency, thickened_envelope_g
 from lovasz_abstain.setfn import SetFunction
 from lovasz_abstain.targets import enumerate_reports, report_index
 
+from conftest import ref_chain_faces, unpacked_members
+
 
 def reports_of(s):
     return {str(v) for v in s}
@@ -174,17 +176,23 @@ def test_envelope_signed_permutation_equivariance(rng):
 
 
 def test_chain_faces_are_signed_chains():
+    """Each face of the tables is a strictly nested chain signed on its top
+    support, in ref_chain_faces order, and its words hold one member report per
+    support, committed where the support is and signed by sigma."""
     for k in (1, 2, 3):
         full = (1 << k) - 1
         reports = enumerate_reports(k, "V")
-        for f in chain_faces(k):
-            for a, b in zip(f.supports, f.supports[1:]):
-                assert a & b == a and a != b  # strictly nested
-            assert f.sigma & ~f.supports[-1] == 0
-            members = [reports[i] for i in f.member_ids]
-            assert sorted(full & ~v.zeros for v in members) == sorted(f.supports)  # one per support
+        chains, chain, sigma, words, _ = chain_faces(k)
+        faces = [(chains[c], b) for c, b in zip(chain.tolist(), sigma.tolist())]
+        assert faces == [(f.supports, f.sigma) for f in ref_chain_faces(k)]
+        for (supports, b), row in zip(faces, unpacked_members(words, 3**k)):
+            for lo, hi in zip(supports, supports[1:]):
+                assert lo & hi == lo and lo != hi  # strictly nested
+            assert b & ~supports[-1] == 0
+            members = [reports[i] for i in np.flatnonzero(row)]
+            assert sorted(full & ~v.zeros for v in members) == sorted(supports)  # one per support
             for v in members:  # committed coordinates take their signs from sigma
-                assert v.pos == full & ~v.zeros & f.sigma
+                assert v.pos == full & ~v.zeros & b
 
 
 def test_containment_in_per_loss_envelope(rng):

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lovasz_abstain import links, lovasz
@@ -36,6 +37,21 @@ def tracer():
 def test_traced_caches_exist(tracer):
     for name in tracer.CACHES:
         assert hasattr(getattr(links, name), "cache_info"), name
+
+
+def test_every_traced_cache_is_read_by_the_envelope_routes(tracer):
+    """links.cache_hit_ratio sums the lookups of the CACHES; the verify-oracle
+    envelope-k4 operation's two calls, run from cold caches, look up each one,
+    so none of them is a cache that no pass reads."""
+    caches = {name: getattr(links, name) for name in tracer.CACHES}
+    for cache in caches.values():
+        cache.cache_clear()
+    us = np.random.default_rng(0).uniform(-1.5, 1.5, (50, 4))
+    links.envelope_members_gap(us, 1.0 / 8)
+    links.envelope_members_oracle(us, 1.0 / 8)
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.hits + info.misses > 0, name
 
 
 def test_extra_traced_names_resolve(tracer):

@@ -172,6 +172,24 @@ def test_calibration_cases_and_witnesses_do_not_depend_on_the_step(monkeypatch, 
     assert got == want
 
 
+def test_calibration_failure_draws_the_failing_step_only(monkeypatch):
+    """Jaccard at k = 4, m = 4: the first grid block holds 1,568 optimal pairs,
+    31,360 perturbed points. A misfire in the first step stops the sweep with
+    the rng advanced by that step's 102 pairs of uniforms, not the block's."""
+    fc, k, n_perturb = make_jaccard(4), 4, 20
+    first_block = next(oracle._grid_blocks(k, 4))
+    assert oracle._argmin_mask(first_block @ abstain_loss_table(fc).T).sum() == 1_568
+    misfiring_link(monkeypatch, 5)
+    rng = np.random.default_rng(3)
+    report = calibration_sweep(fc, grid_m=4, n_perturb=n_perturb, rng=rng)
+    assert not report.passed and report.cases == 3 * 5 + 3
+    step = oracle._SWEEP_CELLS // oracle._LINK_CELLS // n_perturb * n_perturb
+    assert step == 2_040
+    want = np.random.default_rng(3)
+    want.uniform(size=(step, k))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
 def domination_runs(monkeypatch) -> list[dict]:
     """Block domination on passing lifts, then on a C = 4, k = 3 lift with one
     loss raised deep in the table so that a late pair fails."""
